@@ -29,6 +29,9 @@ Two gates, one artifact (``BENCH_analytics.json``):
   must sustain a floor of documents/second on a 100k-document synthetic
   stream (``BENCH_ANALYTICS_MIN_KDOCS_PER_S``), so batch ``repro analyze``
   runs are classifier-bound, never analytics-bound.
+
+Both gates are ``timing`` tests, deselected from tier-1; tier-1 checks only
+that the hook and the aggregator count every document.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from repro.analytics import AnalyticsAggregator, AnalyticsConfig
 from repro.core.classifier import ClassificationResult
@@ -85,14 +90,12 @@ def _serve_config(analytics: bool, sample_every: int) -> ServeConfig:
 def _build_identifier_and_mix():
     """The conftest bench fixtures, rebuilt from the shared constants — this
     runs in the measurement subprocess, which has no pytest session."""
-    from repro.api import ClassifierConfig, LanguageIdentifier
     from repro.corpus.generator import SyntheticCorpusBuilder
 
     from bench_common import (
         BENCH_BOILERPLATE_EXTRA,
         BENCH_BOILERPLATE_FRACTION,
         BENCH_DOCS_PER_LANGUAGE,
-        BENCH_PROFILE_SIZE,
         BENCH_RELATED_BLEND,
         BENCH_SEED,
         BENCH_TRAIN_FRACTION,
@@ -107,7 +110,15 @@ def _build_identifier_and_mix():
         boilerplate_fraction=BENCH_BOILERPLATE_FRACTION,
         boilerplate_extra_blend=BENCH_BOILERPLATE_EXTRA,
     ).build()
-    train, test = corpus.split(train_fraction=BENCH_TRAIN_FRACTION, seed=7)
+    return _identifier_and_mix(*corpus.split(train_fraction=BENCH_TRAIN_FRACTION, seed=7))
+
+
+def _identifier_and_mix(train, test):
+    """The default bloom model and the short-request mix sliced from ``test``."""
+    from repro.api import ClassifierConfig, LanguageIdentifier
+
+    from bench_common import BENCH_PROFILE_SIZE
+
     config = ClassifierConfig(m_bits=16 * 1024, k=4, t=BENCH_PROFILE_SIZE, seed=0)
     identifier = LanguageIdentifier(config).train(train)
 
@@ -220,6 +231,30 @@ def _measure() -> dict:
     }
 
 
+def test_hook_records_every_request_per_source(bench_train, bench_test):
+    identifier, texts = _identifier_and_mix(bench_train, bench_test)
+    waves = [texts[index * WAVE_SIZE : (index + 1) * WAVE_SIZE] for index in range(len(SOURCES))]
+
+    async def main():
+        gauges = {}
+        for label, analytics_on, sample_every in POLICIES:
+            service = ClassificationService(identifier, _serve_config(analytics_on, sample_every))
+            async with service:
+                for wave, source in zip(waves, SOURCES):
+                    await service.classify_many(wave, source=source)
+            gauges[label] = service.analytics.gauges() if service.analytics is not None else None
+        return gauges
+
+    gauges = asyncio.run(main())
+    assert gauges["disabled"] is None
+    for label in ("default", "full-scan"):
+        assert gauges[label]["records_total"] == len(SOURCES) * WAVE_SIZE
+        assert {source: stats["docs"] for source, stats in gauges[label]["sources"].items()} == {
+            source: WAVE_SIZE for source in SOURCES
+        }
+
+
+@pytest.mark.timing
 def test_hook_overhead_is_bounded():
     # fresh interpreter: see the module docstring for why the measurement
     # must not inherit this session's heap
@@ -322,8 +357,9 @@ def test_hook_overhead_is_bounded():
     )
 
 
-def test_aggregator_throughput_floor():
-    """Raw update path: a 100k-document stream at the default sampling posture."""
+def _stream_through_aggregator(documents: int):
+    """Feed ``documents`` updates at the default sampling posture; returns
+    ``(aggregator, elapsed seconds)``."""
     languages = ("en", "fr", "es", "pt", "fi")
     sources = ("wire", "blog", "mail", "feed")
     # a small cycle of precomputed results/texts: the benchmark times the
@@ -341,7 +377,7 @@ def test_aggregator_throughput_floor():
     config = AnalyticsConfig(window_seconds=5000.0, max_windows=8)
     aggregator = AnalyticsAggregator(config)
     start = time.perf_counter()
-    for i in range(STREAM_DOCS):
+    for i in range(documents):
         slot = i % 64
         # the CLI/hook scan every 8th document per the default posture
         if slot % 8 == 0:
@@ -353,7 +389,18 @@ def test_aggregator_throughput_floor():
                 results[slot], sources[i % 4], timestamp=float(i),
                 chars=len(texts[slot]),
             )
-    elapsed = time.perf_counter() - start
+    return aggregator, time.perf_counter() - start
+
+
+def test_aggregator_counts_every_document():
+    aggregator, _elapsed = _stream_through_aggregator(STREAM_DOCS // 10)
+    assert aggregator.snapshot(include_windows=False)["docs_total"] == STREAM_DOCS // 10
+
+
+@pytest.mark.timing
+def test_aggregator_throughput_floor():
+    """Raw update path: a 100k-document stream at the default sampling posture."""
+    aggregator, elapsed = _stream_through_aggregator(STREAM_DOCS)
     kdocs_per_s = STREAM_DOCS / elapsed / 1e3
 
     snapshot = aggregator.snapshot(include_windows=False)

@@ -9,7 +9,8 @@ Gates the ensemble issue's two acceptance criteria on the benchmark corpus:
 * **overhead** — ``classify_batch`` through the ensemble costs at most
   :data:`MAX_OVERHEAD_FACTOR` × the slowest member alone.  The ensemble runs
   every member plus the voting arithmetic, so a factor below the member
-  count means the fan-out overhead itself is modest.
+  count means the fan-out overhead itself is modest.  This is a ``timing``
+  test, deselected from tier-1.
 
 Results land in ``BENCH_ensemble.json`` (set ``BENCH_ENSEMBLE_OUTPUT`` to
 redirect); CI uploads the file next to the other ``BENCH_*.json``
@@ -131,6 +132,7 @@ def test_ensemble_beats_every_single_backend_on_noisy_cells(matrix):
     assert worst_abstain <= 0.05
 
 
+@pytest.mark.timing
 def test_ensemble_overhead_bounded_by_slowest_member(identifiers, split):
     texts = [doc.text for doc in split[1]]
     timings = {name: _time_classify_batch(identifiers[name], texts) for name in BACKENDS}

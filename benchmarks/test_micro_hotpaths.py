@@ -9,9 +9,9 @@ in the vectorized implementations are visible.
 import numpy as np
 import pytest
 
+from repro.api import LanguageIdentifier
 from repro.core.alphabet import encode_bytes
 from repro.core.bloom import ParallelBloomFilter
-from repro.core.classifier import BloomNGramClassifier
 from repro.core.ngram import pack_ngrams
 from repro.hashes.h3 import H3Family
 
@@ -52,10 +52,10 @@ def test_micro_bloom_probe(benchmark, packed_ngrams):
 
 
 def test_micro_end_to_end_classification(benchmark, bench_profiles, bench_test):
-    classifier = BloomNGramClassifier(m_bits=16 * 1024, k=4, t=5000, seed=0)
-    classifier.fit_profiles(bench_profiles)
+    identifier = LanguageIdentifier(m_bits=16 * 1024, k=4, t=5000, seed=0)
+    identifier.train_profiles(bench_profiles)
     document = bench_test.documents[0]
-    result = benchmark(lambda: classifier.classify_text(document.text))
+    result = benchmark(lambda: identifier.classify(document.text))
     assert result.language == document.language
 
     # report the software classification throughput this corresponds to (MB/s);

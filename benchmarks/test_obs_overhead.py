@@ -12,12 +12,13 @@ three retention policies:
   ``slow_threshold_ms=250``): what a production deployment pays;
 * **full** — ``sample_rate=1.0``: every trace retained (debugging posture).
 
-The gate is the tentpole's acceptance criterion: tracing at the **default**
-sample rate costs at most 5% throughput versus disabled, measured as the
-median of per-round paired overheads over interleaved rounds (CI loosens the
-bound via ``BENCH_OBS_MAX_OVERHEAD_PCT`` because shared runners add noise).
-Results land in ``BENCH_obs.json`` (``BENCH_OBS_OUTPUT`` redirects) so CI
-accumulates the overhead trajectory alongside the other BENCH artifacts.
+The gate (a ``timing`` test, deselected from tier-1): tracing at the
+**default** sample rate costs at most 5% throughput versus disabled, measured
+as the median of per-round paired overheads over interleaved rounds (CI
+loosens the bound via ``BENCH_OBS_MAX_OVERHEAD_PCT`` because shared runners
+add noise).  Results land in ``BENCH_obs.json`` (``BENCH_OBS_OUTPUT``
+redirects) so CI accumulates the overhead trajectory alongside the other
+BENCH artifacts.  Tier-1 checks only what each policy records and retains.
 """
 
 from __future__ import annotations
@@ -104,6 +105,17 @@ def _output_path() -> Path:
     return Path(os.environ.get("BENCH_OBS_OUTPUT", "BENCH_obs.json"))
 
 
+def test_every_policy_feeds_histograms_and_retains_by_policy(identifier, requests_mix):
+    texts = requests_mix[:WAVE_SIZE]
+    expected_retained = {"disabled": 0, "full": len(texts)}
+    for label, sample_rate, slow_ms in POLICIES:
+        metrics, tracing = _run_service(identifier, texts, _serve_config(sample_rate, slow_ms))
+        assert metrics["stage_latency_seconds"]["kernel"]["count"] == len(texts)
+        if label in expected_retained:
+            assert tracing["traces_retained"] == expected_retained[label]
+
+
+@pytest.mark.timing
 def test_tracing_overhead_is_bounded(identifier, requests_mix):
     total_bytes = sum(len(text) for text in requests_mix)
 

@@ -14,9 +14,10 @@ per-request plumbing — and records throughput for each tier.  On a machine
 with ≥ 4 cores the process tier must be at least ``BENCH_PARALLEL_MIN_SPEEDUP``
 (default 1.8x) faster than the thread tier; on smaller machines (e.g. a
 single-core CI sandbox) the ratio is recorded but not asserted, since there is
-no parallel hardware to scale onto.  Results land in ``BENCH_parallel.json``
-(set ``BENCH_PARALLEL_OUTPUT`` to redirect), which CI uploads next to
-``BENCH_serve.json``.
+no parallel hardware to scale onto.  That ``timing`` test writes
+``BENCH_parallel.json`` (set ``BENCH_PARALLEL_OUTPUT`` to redirect), which CI
+uploads next to ``BENCH_serve.json``; tier-1 only checks that both tiers
+answer bit-identically to the bare batch path and genuinely micro-batch.
 """
 
 from __future__ import annotations
@@ -83,6 +84,24 @@ def _serve_config(executor: str) -> ServeConfig:
     )
 
 
+def _served(identifier, texts, executor: str):
+    async def main():
+        service = ClassificationService(identifier, _serve_config(executor))
+        async with service:
+            return await service.classify_many(texts), service.metrics.snapshot()
+
+    return asyncio.run(main())
+
+
+def test_both_executors_match_the_batch_path(identifier, requests_mix):
+    direct = identifier.classify_batch(requests_mix)
+    for executor in ("thread", "process"):
+        results, metrics = _served(identifier, requests_mix, executor)
+        assert [r.match_counts for r in results] == [r.match_counts for r in direct]
+        assert metrics["worker_respawns_total"] == 0
+        assert metrics["mean_batch_size"] >= 2
+
+
 def _timed_executor(identifier, texts, executor: str):
     """Best-of-N steady-state wall time for one full concurrent wave.
 
@@ -110,6 +129,7 @@ def _output_path() -> Path:
     return Path(os.environ.get("BENCH_PARALLEL_OUTPUT", "BENCH_parallel.json"))
 
 
+@pytest.mark.timing
 def test_process_pool_scales_past_the_gil(identifier, requests_mix):
     cores = os.cpu_count() or 1
     total_bytes = sum(len(text) for text in requests_mix)

@@ -12,7 +12,8 @@ Two gates, one artifact:
 * **throughput** — the cumulative-sum windowed scorer must beat the naive
   alternative (one ``classify`` call per sliding window, re-extracting and
   re-hashing every window's n-grams) by ≥ 5x, since it hashes each n-gram
-  once however many windows overlap it.
+  once however many windows overlap it.  This is a ``timing`` test; tier-1
+  checks only that both paths count every window identically.
 
 Results land in ``BENCH_segment.json`` (set ``BENCH_SEGMENT_OUTPUT`` to
 redirect) and CI uploads the file next to ``BENCH_serve.json`` /
@@ -186,6 +187,22 @@ def test_single_language_documents_degenerate_to_classify(identifier):
         assert (result.spans[0].start, result.spans[0].end) == (0, len(text))
 
 
+def test_windowed_scorer_matches_naive_per_window_loop(identifier, mixed_docs):
+    """Each window's scorer counts equal classifying the window's text from scratch."""
+    scorer = Segmenter(identifier, SEGMENTER_CONFIG).scorer
+    n = identifier.config.n
+    for mixed in mixed_docs[:N_TIMING_DOCS]:
+        scores = scorer.score(identifier.extractor.extract(mixed.text))
+        texts = [
+            mixed.text[start : end + n - 1]
+            for start, end in zip(scores.starts.tolist(), scores.ends.tolist())
+        ]
+        naive = identifier.classify_batch(texts)
+        for counts, result in zip(scores.counts, naive):
+            assert result.match_counts == dict(zip(identifier.languages, counts.tolist()))
+
+
+@pytest.mark.timing
 def test_windowed_scorer_beats_naive_per_window_loop(identifier, mixed_docs):
     segmenter = Segmenter(identifier, SEGMENTER_CONFIG)
     timing_docs = [doc.text for doc in mixed_docs[:N_TIMING_DOCS]]

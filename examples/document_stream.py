@@ -26,7 +26,7 @@ def main() -> None:
 
     system = XD1000System(m_bits=16 * 1024, k=4, t=5000, seed=0)
     programming_seconds = system.program_profiles_from_corpus(train)
-    print(f"programmed {len(system.classifier.languages)} language profiles "
+    print(f"programmed {len(system.identifier.languages)} language profiles "
           f"in a modelled {programming_seconds * 1000:.0f} ms")
 
     results = {}

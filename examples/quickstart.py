@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 from repro import ClassifierConfig, LanguageIdentifier, build_jrc_acquis_like
-from repro.analysis.accuracy import evaluate_classifier
+from repro.analysis.accuracy import evaluate_classifier_batch
 from repro.analysis.reporting import format_percentage, format_table
 
 
@@ -52,7 +52,7 @@ def main() -> None:
               "match counts identical")
 
     # 6. Evaluate on the whole test split.
-    report = evaluate_classifier(identifier, test)
+    report = evaluate_classifier_batch(identifier, test)
     rows = [(lang, format_percentage(acc)) for lang, acc in report.per_language_accuracy.items()]
     print()
     print(format_table(("language", "accuracy"), rows, title="Per-language accuracy"))

@@ -4,9 +4,9 @@ FPGA-based Bloom Filters* (Jacob & Gokhale, HPRCTA'07 / SC 2007 workshop).
 The package is organised as a set of substrates plus the paper's core contribution:
 
 ``repro.core``
-    The Bloom-filter based n-gram language classifier (alphabet conversion, n-gram
-    extraction, language profiles, parallel Bloom filters, the classifier itself and
-    the analytical false-positive model).
+    The datapath stages of the Bloom-filter n-gram classifier (alphabet
+    conversion, n-gram extraction, language profiles, parallel Bloom filters,
+    the classification result and the analytical false-positive model).
 ``repro.hashes``
     Hardware-friendly hash families (H3 and alternatives used for ablations).
 ``repro.hardware``
@@ -24,10 +24,12 @@ The package is organised as a set of substrates plus the paper's core contributi
 ``repro.analysis``
     Accuracy evaluation, parameter sweeps and table/figure rendering helpers.
 ``repro.api``
-    The unified serving surface: :class:`~repro.api.config.ClassifierConfig`,
+    The one classification surface: :class:`~repro.api.config.ClassifierConfig`,
     the pluggable backend registry (``bloom`` / ``exact`` / ``hw-sim`` /
-    ``mguesser`` / ``hail``) and the :class:`~repro.api.identifier.LanguageIdentifier`
-    facade with batch/streaming classification and model persistence.
+    ``mguesser`` / ``hail`` / ``ensemble``) and the
+    :class:`~repro.api.identifier.LanguageIdentifier` facade with batch/streaming
+    classification and model persistence.  Every engine, the hardware and
+    system models included, is driven through it.
 ``repro.serve``
     The asynchronous micro-batching classification service (replica pool,
     LRU result cache, backpressure, metrics, JSON/HTTP front-end) — the
@@ -79,11 +81,7 @@ from repro.api.registry import (
 )
 from repro.core.alphabet import AlphabetConverter, encode_text
 from repro.core.bloom import BloomFilter, ParallelBloomFilter
-from repro.core.classifier import (
-    BloomNGramClassifier,
-    ClassificationResult,
-    ExactNGramClassifier,
-)
+from repro.core.classifier import ClassificationResult
 from repro.core.fpr import false_positive_rate, false_positives_per_thousand
 from repro.core.ngram import NGramExtractor, ngrams_from_text, pack_ngrams
 from repro.core.profile import LanguageProfile, build_profiles
@@ -113,8 +111,6 @@ __all__ = [
     "encode_text",
     "BloomFilter",
     "ParallelBloomFilter",
-    "BloomNGramClassifier",
-    "ExactNGramClassifier",
     "ClassificationResult",
     "false_positive_rate",
     "false_positives_per_thousand",

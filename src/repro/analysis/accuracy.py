@@ -3,8 +3,10 @@
 The paper reports *average accuracy*: the per-language accuracies averaged over the
 ten language test sets ("the accuracy of the classifier varies between 99.05% and
 99.76% with an average of 99.45%", Section 5.1).  :func:`evaluate_classifier`
-computes exactly that, along with the overall (micro) accuracy and the confusion
-matrix used to verify the confusable-pair structure.
+(and :func:`evaluate_classifier_batch` for a
+:class:`~repro.api.identifier.LanguageIdentifier`) computes exactly that, along
+with the overall (micro) accuracy and the confusion matrix used to verify the
+confusable-pair structure.
 
 Everything here evaluates *whole-document* labels.  For mixed-language
 (code-switched) documents a single label is the wrong unit of account: use
@@ -119,7 +121,9 @@ def evaluate_classifier(classifier, corpus: Corpus, record_misclassified: bool =
 
     ``classifier`` needs a ``classify_text`` method returning either a
     :class:`~repro.core.classifier.ClassificationResult` or a plain language string
-    (both the paper's classifier and the baselines satisfy this).  Assumes each
+    (the software baselines of :mod:`repro.baselines.mguesser` return strings);
+    a :class:`~repro.api.identifier.LanguageIdentifier` goes through
+    :func:`evaluate_classifier_batch` instead.  Assumes each
     document has exactly one language; for code-switched documents evaluate
     span labels from :meth:`repro.api.identifier.LanguageIdentifier.segment`
     instead.

@@ -11,7 +11,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.analysis.accuracy import AccuracyReport, evaluate_classifier
+from repro.analysis.accuracy import AccuracyReport, evaluate_classifier_batch
 from repro.api.config import ClassifierConfig
 from repro.api.identifier import LanguageIdentifier
 from repro.core.fpr import false_positives_per_thousand
@@ -66,21 +66,19 @@ class BloomSweepRow:
 
 def _fit_and_evaluate(identifier: LanguageIdentifier, train: Corpus, test: Corpus) -> AccuracyReport:
     identifier.train(train)
-    return evaluate_classifier(identifier, test)
+    return evaluate_classifier_batch(identifier, test)
 
 
 def _measured_fpr(identifier: LanguageIdentifier, sample_size: int, seed: int) -> dict[str, float]:
     """Empirical per-language false-positive rate of a trained identifier.
 
-    Uses the Bloom classifier's own estimator when available; otherwise probes
-    the backend with random non-member n-grams, which works for any backend
-    whose match counts are membership counts (``exact``, ``hw-sim``, ``hail``).
-    For score-based backends (``mguesser``) the column is structurally zero:
-    non-member n-grams carry no profile weight, so they cannot score.
+    Probes the backend with random non-member n-grams (each language's
+    non-members of one shared uniform sample), which works for any backend
+    whose match counts are membership counts (``bloom``, ``exact``,
+    ``hw-sim``, ``hail``).  For score-based backends (``mguesser``) the column
+    is structurally zero: non-member n-grams carry no profile weight, so they
+    cannot score.
     """
-    wrapped = getattr(identifier.backend, "classifier", None)
-    if wrapped is not None and hasattr(wrapped, "measured_fpr"):
-        return wrapped.measured_fpr(sample_size=sample_size, seed=seed)
     rng = np.random.default_rng(seed)
     key_space = 1 << identifier.config.key_bits
     probes = rng.integers(0, key_space, size=sample_size, dtype=np.uint64)
@@ -90,8 +88,8 @@ def _measured_fpr(identifier: LanguageIdentifier, sample_size: int, seed: int) -
         if non_members.size == 0:
             rates[language] = 0.0
             continue
-        counts = identifier.backend.match_counts(non_members)
-        rates[language] = float(counts[index]) / float(non_members.size)
+        counts = identifier.backend.match_counts_batch(non_members, [non_members.size])
+        rates[language] = float(counts[0, index]) / float(non_members.size)
     return rates
 
 

@@ -4,11 +4,12 @@ Five engines are registered:
 
 ``bloom``
     The paper's design — per-language Parallel Bloom Filters
-    (:class:`repro.core.classifier.BloomNGramClassifier`).  Persists its
-    bit-vectors so a loaded model answers without re-programming.
+    (:class:`~repro.core.bloom.ParallelBloomFilter`) sharing one hash family.
+    Persists its bit-vectors so a loaded model answers without re-programming.
 ``exact``
-    The no-false-positive reference — exact profile membership
-    (:class:`repro.core.classifier.ExactNGramClassifier`).
+    The no-false-positive reference — exact profile membership (a software
+    stand-in for HAIL's direct memory table), used to separate errors inherent
+    to the n-gram method from errors introduced by Bloom false positives.
 ``hw-sim``
     The cycle-approximate FPGA datapath
     (:class:`repro.hardware.classifier_engine.ParallelMultiLanguageClassifier`),
@@ -23,8 +24,9 @@ Five engines are registered:
     language bitmaps (:class:`repro.baselines.hail.HailClassifier`).
 
 All adapters consume the same per-language :class:`~repro.core.profile.LanguageProfile`
-objects and hash / look up a whole batch at once in ``match_counts_batch``
-wherever the underlying structure allows it.
+objects and classify a whole concatenated batch in ``match_counts_batch``.
+``bloom``, ``exact`` and ``hail`` only supply per-n-gram membership
+(``ngram_hits``); their per-document counts come from one shared reduction.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ from repro.api.config import ClassifierConfig
 from repro.api.registry import Backend, register_backend
 from repro.baselines.hail import HailClassifier
 from repro.core.bloom import ParallelBloomFilter
-from repro.core.classifier import BloomNGramClassifier, ExactNGramClassifier
+from repro.core.fpr import false_positive_rate
 from repro.core.ngram import segment_sums
 from repro.core.profile import LanguageProfile
 from repro.hardware.classifier_engine import ParallelMultiLanguageClassifier
+from repro.hashes.families import make_hash_family
 
 __all__ = [
     "BloomBackend",
@@ -59,31 +62,69 @@ MGUESSER_SCORE_SCALE = 1_000_000
 BATCH_CHUNK_NGRAMS = 1 << 16
 
 
+class _MembershipBackend(Backend):
+    """A backend whose per-n-gram scores are 0/1 profile-membership hits.
+
+    Subclasses supply :meth:`ngram_hits`; a document's count for a language
+    is the number of its n-grams that hit, which is one
+    :func:`~repro.core.ngram.segment_sums` reduction per language over the
+    whole batch's hit matrix.
+    """
+
+    def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        self._check_trained()
+        lengths = np.asarray(lengths, dtype=np.int64)
+        out = np.zeros((lengths.size, len(self.languages)), dtype=np.int64)
+        if packed.size == 0:
+            return out
+        hits = self.ngram_hits(packed)
+        for column in range(out.shape[1]):
+            out[:, column] = segment_sums(hits[column], lengths)
+        return out
+
+
+def _require_profiles(profiles: Mapping[str, LanguageProfile]) -> None:
+    if not profiles:
+        raise ValueError("at least one language profile is required")
+
+
 @register_backend("bloom")
-class BloomBackend(Backend):
-    """The paper's Parallel-Bloom-Filter classifier."""
+class BloomBackend(_MembershipBackend):
+    """The paper's Parallel-Bloom-Filter classifier.
+
+    Every language's filter shares one hash family, so each n-gram is hashed
+    once and its ``k`` addresses are tested against every language's
+    bit-vectors — the sharing the hardware gets by broadcasting the hashed
+    addresses to every filter.  Built with the same seed, the filters address
+    the same cells as the ``hw-sim`` engine.
+    """
 
     def __init__(self, config: ClassifierConfig):
         super().__init__(config)
-        self.classifier = BloomNGramClassifier(
-            m_bits=config.m_bits,
+        self.hashes = make_hash_family(
+            config.hash_family,
             k=config.k,
-            n=config.n,
-            t=config.t,
-            hash_family=config.hash_family,
+            key_bits=config.key_bits,
+            out_bits=int(np.log2(config.m_bits)),
             seed=config.seed,
-            subsample_stride=config.subsample_stride,
-            hash_mode=config.resolved_hash_mode,
         )
+        self.filters: dict[str, ParallelBloomFilter] = {}
         self._stacked_bits: np.ndarray | None = None
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
-        self.classifier.fit_profiles(profiles)
-        self.profiles = self.classifier.profiles
+        _require_profiles(profiles)
+        self.filters = {}
+        for language, profile in profiles.items():
+            filt = ParallelBloomFilter(
+                m_bits=self.config.m_bits,
+                k=self.config.k,
+                key_bits=self.config.key_bits,
+                hashes=self.hashes,
+            )
+            filt.add_many(profile.ngrams)
+            self.filters[language] = filt
+        self.profiles = dict(profiles)
         self._stacked_bits = None
-
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
-        return self.classifier.match_counts(packed)
 
     def _stacked_bit_vectors(self) -> np.ndarray:
         """All languages' bit-vectors as one ``(k, languages, m_bits)`` matrix.
@@ -92,9 +133,9 @@ class BloomBackend(Backend):
         language in a single fancy-index, instead of one gather per (language,
         hash) pair.
         """
-        if getattr(self, "_stacked_bits", None) is None:
+        if self._stacked_bits is None:
             self._stacked_bits = np.stack(
-                [filt.bit_vectors for filt in self.classifier.filters.values()], axis=1
+                [filt.bit_vectors for filt in self.filters.values()], axis=1
             )
         return self._stacked_bits
 
@@ -102,52 +143,52 @@ class BloomBackend(Backend):
         """Boolean ``(languages, n_ngrams)`` membership matrix, one hash pass.
 
         Each n-gram is hashed exactly once and the addresses are reused across
-        every language's bit-vectors (the same sharing
-        :meth:`~repro.core.bloom.ParallelBloomFilter.test_addresses` gives the
-        per-document path); chunking keeps the hash temporaries cache-resident.
-        This matrix is both the batch path's intermediate and the windowed
-        segmentation scorer's input.
+        every language's bit-vectors; chunking keeps the hash temporaries
+        cache-resident.  This matrix is both the batch path's intermediate and
+        the windowed segmentation scorer's input.
         """
         self._check_trained()
         packed = np.asarray(packed, dtype=np.uint64)
-        n_languages = len(self.classifier.filters)
+        n_languages = len(self.filters)
         if packed.size == 0:
             return np.zeros((n_languages, 0), dtype=bool)
         stacked = self._stacked_bit_vectors()
         hits = np.empty((n_languages, packed.size), dtype=bool)
         for start in range(0, packed.size, BATCH_CHUNK_NGRAMS):
             segment = packed[start : start + BATCH_CHUNK_NGRAMS]
-            addresses = self.classifier.hashes.hash_all(segment)
+            addresses = self.hashes.hash_all(segment)
             chunk_hits = stacked[0][:, addresses[0]]
             for i in range(1, self.config.k):
                 chunk_hits &= stacked[i][:, addresses[i]]
             hits[:, start : start + segment.size] = chunk_hits
         return hits
 
-    def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        self._check_trained()
-        lengths = np.asarray(lengths, dtype=np.int64)
-        n_languages = len(self.classifier.filters)
-        out = np.zeros((lengths.size, n_languages), dtype=np.int64)
-        if packed.size == 0:
-            return out
-        # Each n-gram of the batch is hashed exactly once and the addresses are
-        # reused across every document *and* every language (ngram_hits);
-        # per-document totals fall out of the shared segment reduction.
-        hits = self.ngram_hits(packed)
-        for column in range(n_languages):
-            out[:, column] = segment_sums(hits[column], lengths)
-        return out
-
     # -- persistence ---------------------------------------------------------
 
     def export_state(self) -> dict[str, np.ndarray]:
         state: dict[str, np.ndarray] = {}
-        for language, filt in self.classifier.filters.items():
+        for language, filt in self.filters.items():
             payload = filt.to_arrays()
             state[f"bits:{language}"] = payload["bits"]
             state[f"n_items:{language}"] = np.asarray([payload["n_items"]], dtype=np.int64)
         return state
+
+    def _adopt(self, profiles: Mapping[str, LanguageProfile], bits, n_items, copy: bool):
+        """Install persisted filters, one ``bits``/``n_items`` entry per language."""
+        self.profiles = dict(profiles)
+        self.filters = {}
+        for language, language_bits, count in zip(profiles, bits, n_items):
+            payload = {
+                "kind": "parallel",
+                "m_bits": self.config.m_bits,
+                "k": self.config.k,
+                "key_bits": self.config.key_bits,
+                "bits": language_bits,
+                "n_items": int(count),
+            }
+            self.filters[language] = ParallelBloomFilter.from_arrays(
+                payload, hashes=self.hashes, copy=copy
+            )
 
     def import_state(
         self, profiles: Mapping[str, LanguageProfile], state: Mapping[str, np.ndarray]
@@ -160,21 +201,13 @@ class BloomBackend(Backend):
             # Incomplete or mismatched state: rebuild deterministically instead.
             self.fit_profiles(profiles)
             return
-        self.profiles = self.classifier.profiles = dict(profiles)
         self._stacked_bits = None
-        self.classifier.filters = {}
-        for language in profiles:
-            payload = {
-                "kind": "parallel",
-                "m_bits": self.config.m_bits,
-                "k": self.config.k,
-                "key_bits": self.config.key_bits,
-                "bits": state[f"bits:{language}"],
-                "n_items": int(np.asarray(state[f"n_items:{language}"])[0]),
-            }
-            self.classifier.filters[language] = ParallelBloomFilter.from_arrays(
-                payload, hashes=self.classifier.hashes
-            )
+        self._adopt(
+            profiles,
+            [state[f"bits:{language}"] for language in profiles],
+            [np.asarray(state[f"n_items:{language}"])[0] for language in profiles],
+            copy=True,
+        )
 
     # -- zero-copy sharing ---------------------------------------------------
 
@@ -182,7 +215,7 @@ class BloomBackend(Backend):
         """The flat/shared-memory layout: unpacked stacked bit-vectors.
 
         ``stacked_bits`` is the hot-path ``(k, languages, m_bits)`` matrix
-        (one byte per bit) that :meth:`match_counts_batch` gathers from, in
+        (one byte per bit) that :meth:`ngram_hits` gathers from, in
         training-language order; ``n_items`` carries each language's
         programmed-key count.  Stored unpacked (8x the packed ``.npz`` size)
         precisely so a read-only mmap/shared-memory buffer can back the live
@@ -193,7 +226,7 @@ class BloomBackend(Backend):
         return {
             "stacked_bits": np.ascontiguousarray(stacked).view(np.uint8),
             "n_items": np.asarray(
-                [filt.n_items for filt in self.classifier.filters.values()], dtype=np.int64
+                [filt.n_items for filt in self.filters.values()], dtype=np.int64
             ),
         }
 
@@ -223,27 +256,24 @@ class BloomBackend(Backend):
             return
         stacked = np.asarray(stacked)
         bits = stacked if stacked.dtype == np.dtype(bool) else stacked.view(bool)
-        n_items = np.asarray(n_items, dtype=np.int64)
-        self.profiles = self.classifier.profiles = dict(profiles)
         self._stacked_bits = bits
-        self.classifier.filters = {}
-        for index, language in enumerate(profiles):
-            payload = {
-                "kind": "parallel",
-                "m_bits": self.config.m_bits,
-                "k": self.config.k,
-                "key_bits": self.config.key_bits,
-                "bits": bits[:, index, :],
-                "n_items": int(n_items[index]),
-            }
-            self.classifier.filters[language] = ParallelBloomFilter.from_arrays(
-                payload, hashes=self.classifier.hashes, copy=False
-            )
+        self._adopt(
+            profiles,
+            [bits[:, index, :] for index in range(len(profiles))],
+            np.asarray(n_items, dtype=np.int64),
+            copy=False,
+        )
 
     def describe(self) -> dict:
         info = super().describe()
-        info["memory_bits_per_language"] = self.classifier.memory_bits_per_language
-        info["expected_fpr"] = self.classifier.expected_fpr() if self.profiles else None
+        info["memory_bits_per_language"] = self.config.memory_bits_per_language
+        info["expected_fpr"] = (
+            false_positive_rate(
+                max(len(p) for p in self.profiles.values()), self.config.m_bits, self.config.k
+            )
+            if self.profiles
+            else None
+        )
         info["shared_bit_vectors"] = (
             self._stacked_bits is not None and not self._stacked_bits.flags.writeable
         )
@@ -251,45 +281,33 @@ class BloomBackend(Backend):
 
 
 @register_backend("exact")
-class ExactBackend(Backend):
+class ExactBackend(_MembershipBackend):
     """Exact profile membership — the accuracy reference without false positives."""
 
     def __init__(self, config: ClassifierConfig):
         super().__init__(config)
-        self.classifier = ExactNGramClassifier(
-            n=config.n,
-            t=config.t,
-            subsample_stride=config.subsample_stride,
-            hash_mode=config.resolved_hash_mode,
-        )
+        self._sorted_profiles: dict[str, np.ndarray] = {}
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
-        self.classifier.fit_profiles(profiles)
-        self.profiles = self.classifier.profiles
-
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
-        return self.classifier.match_counts(packed)
-
-    def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        self._check_trained()
-        lengths = np.asarray(lengths, dtype=np.int64)
-        out = np.zeros((lengths.size, len(self.languages)), dtype=np.int64)
-        if packed.size == 0:
-            return out
-        # One searchsorted over the whole batch per language; per-document
-        # totals fall out of the shared segment reduction.
-        for column, (_language, hits) in enumerate(self.classifier.membership_hits(packed)):
-            out[:, column] = segment_sums(hits, lengths)
-        return out
+        _require_profiles(profiles)
+        self._sorted_profiles = {
+            language: np.sort(profile.ngrams) for language, profile in profiles.items()
+        }
+        self.profiles = dict(profiles)
 
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
+        """One ``searchsorted`` per language over the sorted profile n-grams."""
         self._check_trained()
         packed = np.asarray(packed, dtype=np.uint64)
+        hits = np.zeros((len(self._sorted_profiles), packed.size), dtype=bool)
         if packed.size == 0:
-            return np.zeros((len(self.languages), 0), dtype=bool)
-        return np.stack(
-            [hits for _language, hits in self.classifier.membership_hits(packed)]
-        )
+            return hits
+        for row, sorted_ngrams in enumerate(self._sorted_profiles.values()):
+            if sorted_ngrams.size:
+                positions = np.searchsorted(sorted_ngrams, packed)
+                np.clip(positions, 0, sorted_ngrams.size - 1, out=positions)
+                hits[row] = sorted_ngrams[positions] == packed
+        return hits
 
 
 @register_backend("hw-sim")
@@ -303,31 +321,34 @@ class HardwareSimBackend(Backend):
                 "the hw-sim backend models the paper's H3 hash hardware; "
                 f"hash_family={config.hash_family!r} is not supported"
             )
-        if config.resolved_hash_mode != "packed":
-            raise ValueError(
-                "the hw-sim backend models the paper's packed-key datapath; "
-                'rolling fingerprints are a software extension (use backend="bloom")'
-            )
         self.engine = ParallelMultiLanguageClassifier(
             m_bits=config.m_bits,
             k=config.k,
             key_bits=config.key_bits,
             seed=config.seed,
-            n=config.n,
         )
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
-        if not profiles:
-            raise ValueError("at least one language profile is required")
+        _require_profiles(profiles)
         self.engine.load_profiles_fast(profiles)
         self.profiles = dict(profiles)
 
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
+    def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Stream each document through the simulated datapath on its own.
+
+        The engine's match counters (and cycle accounting) are per document,
+        exactly as in the hardware, which resets its counters between
+        documents.
+        """
         self._check_trained()
-        report = self.engine.process_document(np.asarray(packed, dtype=np.uint64))
-        return np.asarray(
-            [report.match_counts[language] for language in self.languages], dtype=np.int64
-        )
+        packed = np.asarray(packed, dtype=np.uint64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        out = np.zeros((lengths.size, len(self.languages)), dtype=np.int64)
+        ends = np.cumsum(lengths)
+        for row, (start, end) in enumerate(zip(ends - lengths, ends)):
+            report = self.engine.process_document(packed[start:end])
+            out[row] = [report.match_counts[language] for language in self.languages]
+        return out
 
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
         """Functional per-n-gram membership from the RAM snapshots, one hash pass.
@@ -374,8 +395,7 @@ class MguesserBackend(Backend):
         self._weights: dict[str, np.ndarray] = {}
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
-        if not profiles:
-            raise ValueError("at least one language profile is required")
+        _require_profiles(profiles)
         self._sorted_ngrams = {}
         self._weights = {}
         for language, profile in profiles.items():
@@ -395,17 +415,6 @@ class MguesserBackend(Backend):
         member = sorted_ngrams[positions] == packed
         return np.where(member, weights[positions], 0.0)
 
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
-        self._check_trained()
-        packed = np.asarray(packed, dtype=np.uint64)
-        counts = np.zeros(len(self.languages), dtype=np.int64)
-        if packed.size == 0:
-            return counts
-        for index, language in enumerate(self.languages):
-            score = float(self._weights_of(language, packed).sum())
-            counts[index] = int(round(score * MGUESSER_SCORE_SCALE))
-        return counts
-
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         self._check_trained()
         lengths = np.asarray(lengths, dtype=np.int64)
@@ -417,10 +426,9 @@ class MguesserBackend(Backend):
         starts = ends - lengths
         for column, language in enumerate(self.languages):
             weights = self._weights_of(language, packed)
-            # Sum each document's slice directly: summing the same float values
-            # in the same order as the single-document path keeps the
-            # fixed-point rounding bit-identical between batch and single
-            # (a whole-batch cumulative sum would not).
+            # Sum each document's slice on its own, then round: a whole-batch
+            # cumulative sum would make a document's fixed-point score depend
+            # on the documents batched before it.
             for row in range(lengths.size):
                 score = float(weights[starts[row] : ends[row]].sum())
                 out[row, column] = int(round(score * MGUESSER_SCORE_SCALE))
@@ -445,7 +453,7 @@ class MguesserBackend(Backend):
 
 
 @register_backend("hail")
-class HailBackend(Backend):
+class HailBackend(_MembershipBackend):
     """The competing HAIL design: one SRAM lookup per n-gram, language bitmaps."""
 
     #: log2 of the SRAM hash-table bucket count (the real board's SRAM is generous)
@@ -453,27 +461,21 @@ class HailBackend(Backend):
 
     def __init__(self, config: ClassifierConfig):
         super().__init__(config)
-        self.classifier = HailClassifier(
-            table_bits=self.TABLE_BITS,
-            n=config.n,
-            t=config.t,
-            seed=config.seed,
-            hash_mode=config.resolved_hash_mode,
-        )
+        self.table = HailClassifier(table_bits=self.TABLE_BITS, n=config.n, seed=config.seed)
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
-        self.classifier.fit_profiles(profiles)
+        self.table.fit_profiles(profiles)
         self.profiles = dict(profiles)
 
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
-        return self.classifier.match_counts(packed)
-
-    def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
+        """Bit ``i`` of each n-gram's table word is its hit for language ``i``."""
         self._check_trained()
-        return self.classifier.match_counts_batch(packed, lengths)
+        bitmaps = self.table.lookup(packed)
+        shifts = np.arange(len(self.languages), dtype=np.uint64)[:, None]
+        return ((bitmaps >> shifts) & np.uint64(1)).astype(bool)
 
     def describe(self) -> dict:
         info = super().describe()
         info["table_bits"] = self.TABLE_BITS
-        info["table_fill_ratio"] = self.classifier.table_fill_ratio
+        info["table_fill_ratio"] = self.table.table_fill_ratio
         return info

@@ -21,7 +21,6 @@ __all__ = [
     "ClassifierConfig",
     "EnsembleConfig",
     "KNOWN_HASH_FAMILIES",
-    "KNOWN_HASH_MODES",
     "DEFAULT_BACKEND",
     "DEFAULT_ENSEMBLE_MEMBERS",
     "DEFAULT_STREAM_BATCH_SIZE",
@@ -29,14 +28,6 @@ __all__ = [
 
 #: hash families accepted by :func:`repro.hashes.families.make_hash_family`
 KNOWN_HASH_FAMILIES: tuple[str, ...] = ("h3", "multiply-shift", "fnv1a", "tabulation")
-
-#: n-gram key generation modes: ``"packed"`` bit-packs each window (n <= 12),
-#: ``"rolling"`` emits 64-bit Rabin-Karp fingerprints (any n), ``"auto"``
-#: resolves to packed while the keys fit and rolling beyond
-KNOWN_HASH_MODES: tuple[str, ...] = ("auto", "packed", "rolling")
-
-#: width of a rolling fingerprint key
-_FINGERPRINT_BITS = 64
 
 #: backend used when none is specified (the paper's Parallel Bloom Filter design)
 DEFAULT_BACKEND = "bloom"
@@ -123,7 +114,8 @@ class ClassifierConfig:
     Attributes
     ----------
     n:
-        N-gram order (4 in the paper).
+        N-gram order (4 in the paper).  Each window packs into one 64-bit key
+        of 5-bit codes, so ``n`` is at most 12.
     t:
         Profile size: top-``t`` most frequent n-grams per language (5 000).
     m_bits:
@@ -137,14 +129,6 @@ class ClassifierConfig:
         filters across processes, which is what makes saved models reproducible.
     subsample_stride:
         HAIL-style n-gram subsampling applied at classification time (1 = off).
-    hash_mode:
-        N-gram key generation mode.  ``"packed"`` concatenates the window's
-        5-bit codes into one key (the paper's format, n capped at 12);
-        ``"rolling"`` computes 64-bit Rabin-Karp rolling fingerprints across
-        the whole buffer (:mod:`repro.core.rolling`), lifting the cap so large
-        n (8, 64, 1024 …) costs the same as n = 4; ``"auto"`` (the default)
-        picks packed while ``n * 5 <= 64`` and rolling beyond, so existing
-        configurations behave exactly as before.
     backend:
         Registry name of the membership backend (``"bloom"``, ``"exact"``,
         ``"hw-sim"``, ``"mguesser"``, ``"hail"`` or ``"ensemble"``).
@@ -167,7 +151,6 @@ class ClassifierConfig:
     hash_family: str = "h3"
     seed: int = 0
     subsample_stride: int = 1
-    hash_mode: str = "auto"
     backend: str = DEFAULT_BACKEND
     stream_batch_size: int = DEFAULT_STREAM_BATCH_SIZE
     ensemble: EnsembleConfig | None = None
@@ -175,15 +158,8 @@ class ClassifierConfig:
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise ValueError("n must be positive")
-        if self.hash_mode not in KNOWN_HASH_MODES:
-            raise ValueError(
-                f"unknown hash mode {self.hash_mode!r}; choose from {list(KNOWN_HASH_MODES)}"
-            )
-        if self.hash_mode == "packed" and self.n * _CODE_BITS > 64:
-            raise ValueError(
-                f"{self.n}-grams of {_CODE_BITS}-bit codes do not fit in 64 bits; "
-                'use hash_mode="rolling" (or "auto") for large n'
-            )
+        if self.n * _CODE_BITS > 64:
+            raise ValueError(f"{self.n}-grams of {_CODE_BITS}-bit codes do not fit in 64 bits")
         if self.t <= 0:
             raise ValueError("t must be positive")
         if self.m_bits <= 0 or self.m_bits & (self.m_bits - 1):
@@ -207,21 +183,8 @@ class ClassifierConfig:
     # ------------------------------------------------------------ derived
 
     @property
-    def resolved_hash_mode(self) -> str:
-        """The effective key mode: ``"auto"`` resolved to ``"packed"`` or ``"rolling"``."""
-        if self.hash_mode == "auto":
-            return "packed" if self.n * _CODE_BITS <= 64 else "rolling"
-        return self.hash_mode
-
-    @property
     def key_bits(self) -> int:
-        """Width of the n-gram keys this configuration produces.
-
-        Packed keys are ``n * 5`` bits wide; rolling fingerprints always fill
-        the full 64-bit word regardless of ``n``.
-        """
-        if self.resolved_hash_mode == "rolling":
-            return _FINGERPRINT_BITS
+        """Width of the packed n-gram keys this configuration produces (``n * 5``)."""
         return self.n * _CODE_BITS
 
     @property

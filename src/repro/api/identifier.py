@@ -2,7 +2,7 @@
 
 The facade owns the text → packed-n-gram extraction pipeline and delegates
 membership counting to a registered :class:`~repro.api.registry.Backend`, so
-training, single-document classification, vectorized batch classification,
+training, batch classification (a single document is a batch of one),
 streaming, and model persistence look identical whichever engine runs under it::
 
     config = ClassifierConfig(m_bits=16 * 1024, k=4, backend="bloom")
@@ -50,11 +50,7 @@ class LanguageIdentifier:
         elif overrides:
             config = config.replace(**overrides)
         self.config = config
-        self.extractor = NGramExtractor(
-            n=config.n,
-            subsample_stride=config.subsample_stride,
-            mode=config.resolved_hash_mode,
-        )
+        self.extractor = NGramExtractor(n=config.n, subsample_stride=config.subsample_stride)
         self._backend = create_backend(config)
 
     # ------------------------------------------------------------ introspection
@@ -106,16 +102,11 @@ class LanguageIdentifier:
 
     # ------------------------------------------------------------ classification
 
-    def match_counts(self, text: str | bytes) -> np.ndarray:
-        """Per-language match counts for one document (aligned with :attr:`languages`)."""
-        self._check_trained()
-        return self._backend.match_counts(self.extractor.extract(text))
-
     def _result_from_counts(self, counts: np.ndarray, ngram_count: int) -> ClassificationResult:
         languages = self.languages
         if ngram_count == 0:
             # no n-gram evidence at all (empty or shorter than n): the explicit
-            # zero-confidence "und" result, matching classify_packed
+            # zero-confidence "und" result
             return undetermined_result(languages)
         best = int(np.argmax(counts)) if counts.size else 0
         return ClassificationResult(
@@ -125,24 +116,13 @@ class LanguageIdentifier:
         )
 
     def classify(self, text: str | bytes, source: str | None = None) -> ClassificationResult:
-        """Classify one document.
+        """Classify one document: :meth:`classify_batch` on a batch of one.
 
         ``source`` tags the document with its origin; backends that weight
         votes with per-source priors (the ensemble) use it, every other
         backend ignores it.
         """
-        self._check_trained()
-        packed = self.extractor.extract(text)
-        lengths = np.asarray([packed.size], dtype=np.int64)
-        rich = self._backend.classify_batch_results(
-            packed, lengths, texts=[text], sources=[source]
-        )
-        if rich is not None:
-            return rich[0]
-        return self._result_from_counts(self._backend.match_counts(packed), packed.size)
-
-    #: alias so the facade satisfies the same duck type as the raw classifiers
-    classify_text = classify
+        return self.classify_batch([text], [source])[0]
 
     def classify_batch(
         self,
@@ -152,10 +132,11 @@ class LanguageIdentifier:
         """Classify several documents with one vectorized pass.
 
         All documents' packed n-grams are concatenated and handed to the
-        backend's batch path, which (for the hashed backends) computes the hash
-        addresses of the whole batch once and reuses them across every document
-        and every language — substantially faster than classifying one document
-        at a time.
+        backend's batch kernel, which (for the hashed backends) computes the
+        hash addresses of the whole batch once and reuses them across every
+        document and every language.  Every result is built here, by
+        :meth:`_result_from_counts`, unless the backend builds richer ones
+        itself (the ensemble's votes).
 
         ``sources`` is one source tag for the whole batch, or one per document
         (``None`` gaps allowed); only prior-aware backends consume it.

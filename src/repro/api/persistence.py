@@ -143,8 +143,18 @@ def _validate_meta(meta, source: str) -> ClassifierConfig:
             f"artifact version {meta.get('version')} is newer than supported "
             f"version {ARTIFACT_VERSION}; upgrade the library to load {source}"
         )
+    stored = meta.get("config")
+    if isinstance(stored, dict) and "hash_mode" in stored:
+        # artifacts written before rolling keys were removed carry a key mode;
+        # "auto" and "packed" both meant today's packed keys
+        stored = dict(stored)
+        mode = stored.pop("hash_mode")
+        if mode not in ("auto", "packed"):
+            raise ModelFormatError(
+                f"{source} uses hash_mode={mode!r}; rolling n-gram keys are no longer supported"
+            )
     try:
-        return ClassifierConfig.from_dict(meta["config"])
+        return ClassifierConfig.from_dict(stored)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{source} has an invalid stored configuration: {exc}") from exc
 

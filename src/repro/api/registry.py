@@ -5,7 +5,7 @@ the exact-lookup reference, the cycle-approximate hardware simulator, and the
 HAIL / Mguesser baselines — answers the same question: *given a stream of packed
 n-grams, how many of them does each language's profile claim?*  The
 :class:`Backend` base class pins that contract down (``fit_profiles`` /
-``match_counts`` / ``describe``), and the registry maps short names onto
+``match_counts_batch`` / ``describe``), and the registry maps short names onto
 implementations so callers select an engine with a string instead of importing
 five different constructors.
 
@@ -43,10 +43,9 @@ class Backend(abc.ABC):
     """A membership engine behind the :class:`~repro.api.identifier.LanguageIdentifier`.
 
     Subclasses implement :meth:`fit_profiles` (program the engine from
-    per-language profiles) and :meth:`match_counts` (per-language counts for one
-    document's packed n-grams).  :meth:`match_counts_batch` has a generic
-    per-document fallback; vectorizable engines override it to hash a whole
-    batch once.
+    per-language profiles) and :meth:`match_counts_batch` (per-language counts
+    for a concatenated batch of documents).  A single document is a batch of
+    one: there is no separate per-document kernel.
     """
 
     #: registry name; filled in by :func:`register_backend`
@@ -74,15 +73,6 @@ class Backend(abc.ABC):
     # ------------------------------------------------------------ classification
 
     @abc.abstractmethod
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
-        """Per-language match counts for one document's packed n-grams.
-
-        Returns an integer array aligned with :attr:`languages`.  Backends whose
-        natural score is fractional (e.g. the mguesser frequency scorer) return
-        fixed-point integers so every backend shares the counter semantics of
-        the hardware.
-        """
-
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Per-language match counts for a concatenated batch of documents.
 
@@ -97,18 +87,11 @@ class Backend(abc.ABC):
         Returns
         -------
         numpy.ndarray
-            Shape ``(len(lengths), len(self.languages))`` of per-document,
-            per-language counts.  The fallback loops over documents; vectorized
-            backends override it.
+            Integer array of shape ``(len(lengths), len(self.languages))``.
+            Backends whose natural score is fractional (e.g. the mguesser
+            frequency scorer) return fixed-point integers so every backend
+            shares the counter semantics of the hardware.
         """
-        self._check_trained()
-        lengths = np.asarray(lengths, dtype=np.int64)
-        out = np.zeros((lengths.size, len(self.languages)), dtype=np.int64)
-        start = 0
-        for row, length in enumerate(lengths):
-            out[row] = self.match_counts(packed[start : start + length])
-            start += length
-        return out
 
     def classify_batch_results(
         self,
@@ -141,9 +124,10 @@ class Backend(abc.ABC):
         per (document, language), every n-gram keeps its own column of
         per-language scores, so sliding-window totals fall out of a cumulative
         sum.  For the membership backends the scores are 0/1 hits and summing
-        along the n-gram axis reproduces :meth:`match_counts` exactly; scoring
-        backends (``mguesser``) return per-n-gram fixed-point weights whose sum
-        may differ from :meth:`match_counts` by rounding.
+        along the n-gram axis reproduces the document's
+        :meth:`match_counts_batch` row exactly; scoring backends
+        (``mguesser``) return per-n-gram fixed-point weights whose sum may
+        differ from it by rounding.
 
         Returns
         -------

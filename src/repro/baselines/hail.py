@@ -9,8 +9,8 @@ paper draws (Section 2 and 5.5).
 Two models are provided:
 
 :class:`HailClassifier`
-    A functional model: a direct-mapped hash table over packed n-grams with
-    per-bucket language bitmaps.  Collisions behave like the real table (they can
+    A functional model of the SRAM table: a direct-mapped hash table over packed
+    n-grams with per-bucket language bitmaps (served as the ``hail`` backend).  Collisions behave like the real table (they can
     only *add* spurious language matches, never remove true ones), so the accuracy
     impact of table sizing can be studied, mirroring how Bloom filter false
     positives are studied for our design.
@@ -23,14 +23,14 @@ Two models are provided:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.classifier import ClassificationResult
-from repro.core.ngram import DEFAULT_N, NGramExtractor, segment_sums
-from repro.core.profile import DEFAULT_PROFILE_SIZE, LanguageProfile, build_profiles
+from repro.core.alphabet import CODE_BITS
+from repro.core.ngram import DEFAULT_N
+from repro.core.profile import LanguageProfile
 from repro.hashes.h3 import H3Hash
 
 __all__ = [
@@ -47,7 +47,7 @@ HAIL_MAX_LANGUAGES = 255
 
 
 class HailClassifier:
-    """Functional model of HAIL's off-chip-SRAM direct-lookup classifier.
+    """Functional model of HAIL's off-chip-SRAM direct-lookup table.
 
     Parameters
     ----------
@@ -55,47 +55,24 @@ class HailClassifier:
         log2 of the number of hash-table buckets held in SRAM.  The real design's
         SRAM (megabytes) gives it a generously sized table; smaller tables introduce
         collision-induced spurious matches, which the ablation benchmark explores.
-    n, t:
-        N-gram order and per-language profile size (as in the main design).
+    n:
+        N-gram order; the table is indexed by packed ``n * 5``-bit keys.
     seed:
         Seed of the table's index hash.
-    hash_mode:
-        N-gram key generation (``"packed"`` or ``"rolling"``); the index hash
-        adapts its key width, so large-n rolling fingerprints index the same
-        SRAM table model.
+
+    Classification runs through the ``hail`` backend of
+    :class:`repro.api.identifier.LanguageIdentifier`, which turns each
+    :meth:`lookup` word into per-language hits.
     """
 
-    def __init__(
-        self,
-        table_bits: int = 20,
-        n: int = DEFAULT_N,
-        t: int = DEFAULT_PROFILE_SIZE,
-        seed: int = 0,
-        hash_mode: str = "packed",
-    ):
+    def __init__(self, table_bits: int = 20, n: int = DEFAULT_N, seed: int = 0):
         if table_bits <= 0 or table_bits > 30:
             raise ValueError("table_bits must be in [1, 30]")
         self.table_bits = int(table_bits)
         self.n = int(n)
-        self.t = int(t)
-        self.seed = int(seed)
-        self.extractor = NGramExtractor(n=self.n, mode=hash_mode)
-        self._index_hash = H3Hash(
-            key_bits=self.extractor.key_bits, out_bits=self.table_bits, seed=seed
-        )
+        self.index_hash = H3Hash(key_bits=self.n * CODE_BITS, out_bits=self.table_bits, seed=seed)
         self.languages: list[str] = []
         self._table: np.ndarray | None = None  # uint64 bitmap per bucket
-
-    # ------------------------------------------------------------ training
-
-    def fit(self, corpus) -> "HailClassifier":
-        """Train from a corpus (one profile per language, as the main design does)."""
-        texts = corpus.texts_by_language()
-        return self.fit_profiles(build_profiles(texts, n=self.n, t=self.t, extractor=self.extractor))
-
-    def fit_texts(self, training_texts: Mapping[str, Iterable[str]]) -> "HailClassifier":
-        profiles = build_profiles(training_texts, n=self.n, t=self.t, extractor=self.extractor)
-        return self.fit_profiles(profiles)
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> "HailClassifier":
         """Program the SRAM lookup table from prebuilt profiles."""
@@ -108,59 +85,16 @@ class HailClassifier:
         self.languages = list(profiles)
         table = np.zeros(1 << self.table_bits, dtype=np.uint64)
         for index, (language, profile) in enumerate(profiles.items()):
-            buckets = self._index_hash.hash_array(profile.ngrams)
+            buckets = self.index_hash.hash_array(profile.ngrams)
             np.bitwise_or.at(table, buckets, np.uint64(1 << index))
         self._table = table
         return self
 
-    # ------------------------------------------------------------ classification
-
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
-        """Per-language match counts for a packed n-gram stream (one SRAM read per n-gram)."""
+    def lookup(self, packed: np.ndarray) -> np.ndarray:
+        """One SRAM read per n-gram: the bucket's language bitmap (bit ``i`` = language ``i``)."""
         if self._table is None:
-            raise RuntimeError("classifier has not been trained; call fit() first")
-        packed = np.asarray(packed, dtype=np.uint64)
-        counts = np.zeros(len(self.languages), dtype=np.int64)
-        if packed.size == 0:
-            return counts
-        buckets = self._index_hash.hash_array(packed)
-        bitmaps = self._table[buckets]
-        for index in range(len(self.languages)):
-            counts[index] = int(((bitmaps >> np.uint64(index)) & np.uint64(1)).sum())
-        return counts
-
-    def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Per-document, per-language match counts for a concatenated batch.
-
-        ``packed`` is every document's n-grams concatenated; ``lengths`` gives
-        the per-document n-gram counts (zero-length documents are allowed).
-        One SRAM read per n-gram serves the whole batch, then each language's
-        bitmap bit is tested and summed per document.  Returns an array of
-        shape ``(len(lengths), len(self.languages))``.
-        """
-        if self._table is None:
-            raise RuntimeError("classifier has not been trained; call fit() first")
-        lengths = np.asarray(lengths, dtype=np.int64)
-        counts = np.zeros((lengths.size, len(self.languages)), dtype=np.int64)
-        if packed.size == 0:
-            return counts
-        packed = np.asarray(packed, dtype=np.uint64)
-        bitmaps = self._table[self._index_hash.hash_array(packed)]
-        for index in range(len(self.languages)):
-            hits = ((bitmaps >> np.uint64(index)) & np.uint64(1)).astype(np.int64)
-            counts[:, index] = segment_sums(hits, lengths)
-        return counts
-
-    def classify_text(self, text: str | bytes) -> ClassificationResult:
-        """Classify a raw document."""
-        packed = self.extractor.extract(text)
-        counts = self.match_counts(packed)
-        best = int(np.argmax(counts)) if counts.size else 0
-        return ClassificationResult(
-            language=self.languages[best],
-            match_counts={lang: int(c) for lang, c in zip(self.languages, counts)},
-            ngram_count=int(packed.size),
-        )
+            raise RuntimeError("table has not been programmed; call fit_profiles() first")
+        return self._table[self.index_hash.hash_array(np.asarray(packed, dtype=np.uint64))]
 
     @property
     def table_fill_ratio(self) -> float:

@@ -59,7 +59,6 @@ from repro.api import ClassifierConfig, LanguageIdentifier, available_backends
 from repro.api.config import (
     DEFAULT_STREAM_BATCH_SIZE,
     KNOWN_HASH_FAMILIES,
-    KNOWN_HASH_MODES,
 )
 from repro.corpus.corpus import Corpus, Document, build_jrc_acquis_like
 from repro.corpus.languages import PAPER_LANGUAGES
@@ -190,7 +189,6 @@ def _config_from_args(args: argparse.Namespace) -> ClassifierConfig:
         hash_family=getattr(args, "hash_family", "h3"),
         seed=args.seed,
         subsample_stride=getattr(args, "subsample_stride", 1),
-        hash_mode=getattr(args, "hash_mode", "auto"),
         backend=args.backend or "bloom",
         stream_batch_size=getattr(args, "batch_size", None) or DEFAULT_STREAM_BATCH_SIZE,
         ensemble=_ensemble_config_from_args(args),
@@ -842,11 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument("--ngram", type=int, default=4)
     train.add_argument("--hash-family", choices=KNOWN_HASH_FAMILIES, default="h3")
-    train.add_argument(
-        "--hash-mode", choices=KNOWN_HASH_MODES, default="auto",
-        help="n-gram key generation: packed codes (n*5 <= 64 bits) or rolling "
-        "64-bit fingerprints for large n (default: auto picks by n)",
-    )
     train.add_argument("--subsample-stride", type=int, default=1)
     train.add_argument("--seed", type=int, default=0)
     add_batch_size_option(train, DEFAULT_STREAM_BATCH_SIZE)

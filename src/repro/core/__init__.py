@@ -7,16 +7,13 @@ of the paper:
     8-bit extended ASCII (ISO-8859-1) to 5-bit code conversion (Section 3.3).
 ``ngram``
     Sliding-window n-gram extraction and packing into integer keys.
-``rolling``
-    Vectorized Rabin-Karp rolling fingerprints: 64-bit n-gram keys for n
-    beyond the packed 64-bit capacity (a software extension of the datapath).
 ``profile``
     Language profiles: the top-*t* most frequent n-grams of a training set.
 ``bloom``
     Classic and Parallel Bloom filters (Section 3.1).
 ``classifier``
-    The multi-language classifier built on parallel Bloom filters (Sections 3.2/3.3),
-    plus an exact-membership classifier used as the accuracy reference.
+    The per-document classification result every backend returns (the backends
+    themselves live in :mod:`repro.api.backends`).
 ``fpr``
     The analytical false-positive model ``f = (1 - e^{-N/m})^k`` and sizing helpers
     (Section 5.2).
@@ -33,9 +30,7 @@ from repro.core.alphabet import (
 )
 from repro.core.bloom import BloomFilter, ParallelBloomFilter
 from repro.core.classifier import (
-    BloomNGramClassifier,
     ClassificationResult,
-    ExactNGramClassifier,
     UNDETERMINED_LANGUAGE,
     undetermined_result,
 )
@@ -44,14 +39,11 @@ from repro.core.fpr import (
     false_positive_rate,
     false_positive_rate_classic,
     false_positives_per_thousand,
-    fingerprint_collision_rate,
     optimal_k,
     required_bits_per_vector,
-    rolling_false_positive_rate,
 )
 from repro.core.ngram import (
     DEFAULT_N,
-    EXTRACTION_MODES,
     NGramExtractor,
     count_ngrams,
     ngram_to_string,
@@ -60,12 +52,6 @@ from repro.core.ngram import (
     subsample,
     top_ngrams,
     unpack_ngram,
-)
-from repro.core.rolling import (
-    FINGERPRINT_BITS,
-    ROLLING_BASE,
-    fingerprint_window,
-    rolling_fingerprints,
 )
 from repro.core.profile import LanguageProfile, build_profiles
 
@@ -79,26 +65,17 @@ __all__ = [
     "encode_text",
     "BloomFilter",
     "ParallelBloomFilter",
-    "BloomNGramClassifier",
     "ClassificationResult",
-    "ExactNGramClassifier",
     "UNDETERMINED_LANGUAGE",
     "undetermined_result",
     "expected_matches",
     "false_positive_rate",
     "false_positive_rate_classic",
     "false_positives_per_thousand",
-    "fingerprint_collision_rate",
-    "rolling_false_positive_rate",
     "optimal_k",
     "required_bits_per_vector",
     "DEFAULT_N",
-    "EXTRACTION_MODES",
     "NGramExtractor",
-    "FINGERPRINT_BITS",
-    "ROLLING_BASE",
-    "fingerprint_window",
-    "rolling_fingerprints",
     "count_ngrams",
     "ngram_to_string",
     "ngrams_from_text",

@@ -1,4 +1,4 @@
-"""The multi-language n-gram classifier (the paper's core contribution, software model).
+"""Classification results: what every backend returns for one document.
 
 Given a set of per-language profiles, classification of a document proceeds exactly
 as in the HAIL recipe (Section 2), with the profile membership test realised by
@@ -8,36 +8,18 @@ Parallel Bloom Filters (Section 3):
 2. Test every 4-gram against every language's filter; count the matches per language.
 3. The language with the highest match count is the classification result.
 
-Two classifiers are provided:
-
-:class:`BloomNGramClassifier`
-    Membership via :class:`~repro.core.bloom.ParallelBloomFilter` — bit-exact with
-    the hardware engine in :mod:`repro.hardware.classifier_engine` when built with
-    the same seed.
-:class:`ExactNGramClassifier`
-    Membership via exact profile lookup (a software stand-in for HAIL's direct
-    memory table).  Used as the accuracy reference to isolate the effect of Bloom
-    filter false positives.
+The membership engines live behind :class:`repro.api.identifier.LanguageIdentifier`
+(see :mod:`repro.api.backends`); this module holds the result type they all
+produce, the shared confidence definition and the zero-evidence ``und`` result.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.core.bloom import ParallelBloomFilter
-from repro.core.fpr import false_positive_rate
-from repro.core.ngram import DEFAULT_N, NGramExtractor
-from repro.core.profile import DEFAULT_PROFILE_SIZE, LanguageProfile, build_profiles
-from repro.hashes.base import HashFamily
-from repro.hashes.families import make_hash_family
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 __all__ = [
     "ClassificationResult",
-    "BloomNGramClassifier",
-    "ExactNGramClassifier",
     "normalized_separation",
     "undetermined_result",
     "UNDETERMINED_LANGUAGE",
@@ -169,259 +151,3 @@ class ClassificationResult:
     def ranking(self) -> list[tuple[str, int]]:
         """Languages ordered by decreasing match count."""
         return sorted(self.match_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
-class _ClassifierBase:
-    """Shared training/extraction plumbing for both classifier flavours."""
-
-    def __init__(
-        self,
-        n: int = DEFAULT_N,
-        t: int = DEFAULT_PROFILE_SIZE,
-        subsample_stride: int = 1,
-        hash_mode: str = "packed",
-    ):
-        self.n = int(n)
-        self.t = int(t)
-        self.hash_mode = hash_mode
-        self.extractor = NGramExtractor(
-            n=self.n, subsample_stride=subsample_stride, mode=hash_mode
-        )
-        self.profiles: dict[str, LanguageProfile] = {}
-
-    # -- training ------------------------------------------------------------
-
-    @property
-    def languages(self) -> list[str]:
-        """Languages the classifier has been trained on, in training order."""
-        return list(self.profiles)
-
-    def fit(self, corpus) -> "_ClassifierBase":
-        """Train from a :class:`repro.corpus.corpus.Corpus` (uses every document in it)."""
-        texts_by_language: dict[str, list[str]] = {}
-        for doc in corpus:
-            texts_by_language.setdefault(doc.language, []).append(doc.text)
-        return self.fit_texts(texts_by_language)
-
-    def fit_texts(self, training_texts: Mapping[str, Iterable[str]]) -> "_ClassifierBase":
-        """Train from a mapping of language → iterable of training documents."""
-        profiles = build_profiles(training_texts, n=self.n, t=self.t, extractor=self.extractor)
-        return self.fit_profiles(profiles)
-
-    def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> "_ClassifierBase":
-        """Train from prebuilt profiles (subclasses program their membership structures)."""
-        if not profiles:
-            raise ValueError("at least one language profile is required")
-        self.profiles = dict(profiles)
-        self._program()
-        return self
-
-    def _program(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _check_trained(self) -> None:
-        if not self.profiles:
-            raise RuntimeError("classifier has not been trained; call fit() first")
-
-    # -- classification ------------------------------------------------------
-
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:  # pragma: no cover - overridden
-        """Per-language match counts for an array of packed n-grams."""
-        raise NotImplementedError
-
-    def classify_packed(self, packed: np.ndarray) -> ClassificationResult:
-        """Classify a document given its n-gram keys.
-
-        A document yielding zero n-grams (empty, or shorter than ``n``) has no
-        evidence to rank languages with and comes back as the explicit
-        :func:`undetermined_result` (``"und"``, zero confidence).  With at
-        least one n-gram the argmax rule applies; all-zero *match* counts are
-        a genuine n-way tie, resolved deterministically in favour of the first
-        trained language (the priority-encoder rule the hardware uses).
-        """
-        self._check_trained()
-        packed = np.asarray(packed, dtype=np.uint64)
-        languages = self.languages
-        if packed.size == 0:
-            return undetermined_result(languages)
-        counts = self.match_counts(packed)
-        best = int(np.argmax(counts))
-        return ClassificationResult(
-            language=languages[best],
-            match_counts={lang: int(c) for lang, c in zip(languages, counts)},
-            ngram_count=int(packed.size),
-        )
-
-    def classify_text(self, text: str | bytes) -> ClassificationResult:
-        """Classify a raw document (string or ISO-8859-1 bytes)."""
-        return self.classify_packed(self.extractor.extract(text))
-
-    def classify_batch(self, texts: Iterable[str | bytes]) -> list[ClassificationResult]:
-        """Classify several documents."""
-        return [self.classify_text(t) for t in texts]
-
-
-class BloomNGramClassifier(_ClassifierBase):
-    """Language classifier whose profile membership tests use Parallel Bloom Filters.
-
-    Parameters
-    ----------
-    m_bits:
-        Per-hash bit-vector length (16 Kbit in the paper's most conservative
-        configuration; 8 Kbit and 4 Kbit are explored in Table 1).
-    k:
-        Number of hash functions / bit-vectors per language.
-    n, t:
-        N-gram order and profile size (4 and 5 000 in the paper).
-    hash_family:
-        Name of the hash family (``"h3"`` by default) or an explicit
-        :class:`~repro.hashes.base.HashFamily` shared by all languages.
-    seed:
-        Seed for hash-function construction; classifiers built with the same seed
-        address identical bit-vector cells (used by the hardware-equivalence tests).
-    subsample_stride:
-        Optional HAIL-style n-gram subsampling applied at classification time.
-    hash_mode:
-        N-gram key generation: ``"packed"`` bit-packed windows (n capped at
-        12), or ``"rolling"`` 64-bit rolling fingerprints
-        (:mod:`repro.core.rolling`) for arbitrarily large n.  The hash family
-        then sees 64-bit keys; ``"multiply-shift"`` is the fast choice there.
-    """
-
-    def __init__(
-        self,
-        m_bits: int = 16 * 1024,
-        k: int = 4,
-        n: int = DEFAULT_N,
-        t: int = DEFAULT_PROFILE_SIZE,
-        hash_family: str | HashFamily = "h3",
-        seed: int = 0,
-        subsample_stride: int = 1,
-        hash_mode: str = "packed",
-    ):
-        super().__init__(n=n, t=t, subsample_stride=subsample_stride, hash_mode=hash_mode)
-        self.m_bits = int(m_bits)
-        self.k = int(k)
-        self.seed = int(seed)
-        key_bits = self.extractor.key_bits
-        if isinstance(hash_family, HashFamily):
-            self.hashes = hash_family
-        else:
-            out_bits = int(np.log2(self.m_bits))
-            self.hashes = make_hash_family(
-                hash_family, k=self.k, key_bits=key_bits, out_bits=out_bits, seed=seed
-            )
-        self.filters: dict[str, ParallelBloomFilter] = {}
-
-    # -- programming ---------------------------------------------------------
-
-    def _program(self) -> None:
-        self.filters = {}
-        for language, profile in self.profiles.items():
-            filt = ParallelBloomFilter(
-                m_bits=self.m_bits,
-                k=self.k,
-                key_bits=self.extractor.key_bits,
-                hashes=self.hashes,
-            )
-            filt.add_many(profile.ngrams)
-            self.filters[language] = filt
-
-    # -- classification ------------------------------------------------------
-
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
-        """Per-language Bloom-filter match counts (the hardware counters)."""
-        self._check_trained()
-        packed = np.asarray(packed, dtype=np.uint64)
-        counts = np.zeros(len(self.filters), dtype=np.int64)
-        if packed.size == 0:
-            return counts
-        # All languages share the same hash family, so hash once and reuse the
-        # addresses for every language's bit-vectors — the same sharing the
-        # hardware gets by broadcasting the hashed addresses to every filter.
-        addresses = self.hashes.hash_all(packed)  # (k, n)
-        for idx, filt in enumerate(self.filters.values()):
-            counts[idx] = int(filt.test_addresses(addresses).sum())
-        return counts
-
-    # -- introspection -------------------------------------------------------
-
-    @property
-    def memory_bits_per_language(self) -> int:
-        """Embedded-RAM bits one language occupies (``k * m_bits``)."""
-        return self.k * self.m_bits
-
-    def expected_fpr(self) -> float:
-        """Analytical false-positive rate for the configured ``(m, k)`` and profile size."""
-        n_items = self.t
-        if self.profiles:
-            n_items = max(len(p) for p in self.profiles.values())
-        return false_positive_rate(n_items, self.m_bits, self.k)
-
-    def measured_fpr(self, sample_size: int = 20000, seed: int = 1234) -> dict[str, float]:
-        """Empirical false-positive rate per language on random non-member n-grams."""
-        self._check_trained()
-        rng = np.random.default_rng(seed)
-        key_space = 1 << self.extractor.key_bits
-        probes = rng.integers(0, key_space, size=sample_size, dtype=np.uint64)
-        rates = {}
-        for language, filt in self.filters.items():
-            profile = self.profiles[language]
-            non_members = probes[~profile.contains_many(probes)]
-            if non_members.size == 0:
-                rates[language] = 0.0
-                continue
-            hits = filt.contains_many(non_members)
-            rates[language] = float(hits.mean())
-        return rates
-
-
-class ExactNGramClassifier(_ClassifierBase):
-    """Reference classifier using exact profile membership (no false positives).
-
-    Functionally this is what HAIL's direct-memory lookup computes; it is used to
-    separate "errors inherent to the n-gram method" from "errors introduced by
-    Bloom-filter false positives" in the Table 1 reproduction.
-    """
-
-    def __init__(
-        self,
-        n: int = DEFAULT_N,
-        t: int = DEFAULT_PROFILE_SIZE,
-        subsample_stride: int = 1,
-        hash_mode: str = "packed",
-    ):
-        super().__init__(n=n, t=t, subsample_stride=subsample_stride, hash_mode=hash_mode)
-        self._sorted_profiles: dict[str, np.ndarray] = {}
-
-    def _program(self) -> None:
-        self._sorted_profiles = {
-            language: np.sort(profile.ngrams) for language, profile in self.profiles.items()
-        }
-
-    def membership_hits(self, packed: np.ndarray):
-        """Yield ``(language, hits)`` membership masks for the packed n-grams.
-
-        The single lookup kernel shared by :meth:`match_counts` and the batch
-        path of the ``exact`` serving backend.  Languages come out in training
-        order; ``hits`` is a boolean array aligned with ``packed``.
-        """
-        self._check_trained()
-        packed = np.asarray(packed, dtype=np.uint64)
-        for language, sorted_ngrams in self._sorted_profiles.items():
-            if sorted_ngrams.size == 0:
-                yield language, np.zeros(packed.size, dtype=bool)
-                continue
-            positions = np.searchsorted(sorted_ngrams, packed)
-            positions = np.clip(positions, 0, sorted_ngrams.size - 1)
-            yield language, sorted_ngrams[positions] == packed
-
-    def match_counts(self, packed: np.ndarray) -> np.ndarray:
-        self._check_trained()
-        packed = np.asarray(packed, dtype=np.uint64)
-        counts = np.zeros(len(self._sorted_profiles), dtype=np.int64)
-        if packed.size == 0:
-            return counts
-        for idx, (_language, hits) in enumerate(self.membership_hits(packed)):
-            counts[idx] = int(hits.sum())
-        return counts

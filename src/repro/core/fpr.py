@@ -23,19 +23,13 @@ __all__ = [
     "false_positive_rate",
     "false_positive_rate_classic",
     "false_positives_per_thousand",
-    "fingerprint_collision_rate",
-    "rolling_false_positive_rate",
     "optimal_k",
     "required_bits_per_vector",
     "expected_matches",
     "memory_bits_per_language",
     "PAPER_TABLE1_FP_PER_THOUSAND",
     "PAPER_PROFILE_SIZE",
-    "FINGERPRINT_BITS",
 ]
-
-#: width of the rolling-hash fingerprints (:mod:`repro.core.rolling`)
-FINGERPRINT_BITS = 64
 
 #: profile size used throughout the paper (top-5000 n-grams per language)
 PAPER_PROFILE_SIZE = 5000
@@ -88,42 +82,6 @@ def false_positive_rate_classic(n_items: int, m_bits: int, k_hashes: int) -> flo
 def false_positives_per_thousand(n_items: int, m_bits: int, k_hashes: int) -> float:
     """The paper's Table 1 unit: expected false positives per thousand negative tests."""
     return 1000.0 * false_positive_rate(n_items, m_bits, k_hashes)
-
-
-def fingerprint_collision_rate(n_items: int, fingerprint_bits: int = FINGERPRINT_BITS) -> float:
-    """Probability a random non-member n-gram shares a rolling fingerprint
-    with at least one of the ``n_items`` programmed n-grams.
-
-    The rolling engine (:mod:`repro.core.rolling`) replaces exact packed keys
-    with ``fingerprint_bits``-bit hashes, so even an *exact* membership
-    structure inherits a collision floor of ``1 - (1 - 2^-b)^N``.  Computed as
-    ``-expm1(N * log1p(-2^-b))`` to stay accurate at 2^-64 scales.
-    """
-    if n_items < 0:
-        raise ValueError("n_items must be non-negative")
-    if fingerprint_bits <= 0:
-        raise ValueError("fingerprint_bits must be positive")
-    return -math.expm1(n_items * math.log1p(-(2.0**-fingerprint_bits)))
-
-
-def rolling_false_positive_rate(
-    n_items: int,
-    m_bits: int,
-    k_hashes: int,
-    fingerprint_bits: int = FINGERPRINT_BITS,
-) -> float:
-    """False-positive rate of the Bloom pipeline in rolling-fingerprint mode.
-
-    A non-member test is falsely accepted when its fingerprint collides with a
-    programmed fingerprint (probability ``p_c``) or, failing that, when the
-    Bloom filter itself false-positives: ``p_c + (1 - p_c) * f_bloom``.  At 64
-    fingerprint bits the collision term is ~``N * 5.4e-20`` — negligible next
-    to any practical Bloom configuration, which the extended model makes
-    checkable rather than assumed.
-    """
-    collision = fingerprint_collision_rate(n_items, fingerprint_bits)
-    bloom = false_positive_rate(n_items, m_bits, k_hashes)
-    return collision + (1.0 - collision) * bloom
 
 
 def optimal_k(n_items: int, m_bits: int) -> int:

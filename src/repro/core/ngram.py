@@ -17,11 +17,9 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.core.alphabet import CODE_BITS, AlphabetConverter, decode_codes, encode_text
-from repro.core.rolling import FINGERPRINT_BITS, rolling_fingerprints
 
 __all__ = [
     "DEFAULT_N",
-    "EXTRACTION_MODES",
     "pack_ngrams",
     "ngrams_from_text",
     "unpack_ngram",
@@ -37,12 +35,6 @@ __all__ = [
 
 #: n-gram order used throughout the paper (Section 4: "we use n-grams of size 4")
 DEFAULT_N = 4
-
-#: key generation modes of :class:`NGramExtractor`: ``"packed"`` concatenates
-#: code bits (n <= 64 // code_bits), ``"rolling"`` emits 64-bit Rabin-Karp
-#: fingerprints (:mod:`repro.core.rolling`) and supports unbounded n
-EXTRACTION_MODES = ("packed", "rolling")
-
 
 def pack_ngrams(codes: np.ndarray, n: int = DEFAULT_N, code_bits: int = CODE_BITS) -> np.ndarray:
     """Pack every length-``n`` window of ``codes`` into an integer key.
@@ -233,13 +225,9 @@ class NGramExtractor:
         when omitted.
     subsample_stride:
         If greater than 1, only every ``subsample_stride``-th n-gram is emitted.
-    mode:
-        ``"packed"`` (default) concatenates the window's code bits into one
-        integer key, capping ``n`` at ``64 // code_bits``; ``"rolling"`` emits
-        64-bit Rabin-Karp fingerprints computed incrementally across the whole
-        buffer (:func:`repro.core.rolling.rolling_fingerprints`), which
-        supports arbitrarily large ``n`` and skips the per-window bit packing
-        entirely — each fingerprint extends the previous one in O(1).
+
+    Each window's codes are concatenated into one integer key, so ``n`` is
+    capped at ``64 // code_bits`` (12 for the 5-bit alphabet).
     """
 
     def __init__(
@@ -247,40 +235,28 @@ class NGramExtractor:
         n: int = DEFAULT_N,
         converter: AlphabetConverter | None = None,
         subsample_stride: int = 1,
-        mode: str = "packed",
     ):
         if n <= 0:
             raise ValueError("n must be positive")
         if subsample_stride <= 0:
             raise ValueError("subsample_stride must be positive")
-        if mode not in EXTRACTION_MODES:
-            raise ValueError(
-                f"unknown extraction mode {mode!r}; choose from {list(EXTRACTION_MODES)}"
-            )
         self.n = int(n)
         self.converter = converter if converter is not None else AlphabetConverter()
         self.subsample_stride = int(subsample_stride)
-        self.mode = mode
-        if mode == "packed" and self.n * self.converter.code_bits > 64:
+        if self.n * self.converter.code_bits > 64:
             raise ValueError(
-                f"{self.n}-grams of {self.converter.code_bits}-bit codes do not fit "
-                'in 64 bits; use mode="rolling" for large n'
+                f"{self.n}-grams of {self.converter.code_bits}-bit codes do not fit in 64 bits"
             )
 
     @property
     def key_bits(self) -> int:
-        """Width in bits of the n-gram keys produced by this extractor."""
-        if self.mode == "rolling":
-            return FINGERPRINT_BITS
+        """Width in bits of the packed n-gram keys produced by this extractor."""
         return self.n * self.converter.code_bits
 
     def extract(self, text: str | bytes) -> np.ndarray:
-        """Extract n-gram keys (packed windows or rolling fingerprints) from a document."""
+        """Extract the packed n-grams of a document."""
         codes = self.converter.encode(text)
-        if self.mode == "rolling":
-            packed = rolling_fingerprints(codes, n=self.n)
-        else:
-            packed = pack_ngrams(codes, n=self.n, code_bits=self.converter.code_bits)
+        packed = pack_ngrams(codes, n=self.n, code_bits=self.converter.code_bits)
         if self.subsample_stride > 1:
             packed = subsample(packed, self.subsample_stride)
         return packed
@@ -297,6 +273,6 @@ class NGramExtractor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
-            f"NGramExtractor(n={self.n}, mode={self.mode!r}, "
+            f"NGramExtractor(n={self.n}, "
             f"subsample_stride={self.subsample_stride}, converter={self.converter!r})"
         )

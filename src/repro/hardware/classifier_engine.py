@@ -9,10 +9,11 @@ Two levels of replication give the paper its throughput:
   stream, so **8** n-grams are tested per clock; an adder tree merges the per-copy
   match counters when the document ends (Section 3.3).
 
-The engines are functional (they produce real match counts and classifications,
-bit-exact with :class:`repro.core.classifier.BloomNGramClassifier` for the same
-seed) *and* they keep cycle counts so the timing model can turn a document stream
-into clock cycles.
+The engines are functional (they produce real match counts, bit-exact with the
+``bloom`` backend of :class:`repro.api.identifier.LanguageIdentifier` for the
+same seed) *and* they keep cycle counts so the timing model can turn a document
+stream into clock cycles.  Classification of raw text runs through the
+``hw-sim`` backend, which feeds :meth:`ParallelMultiLanguageClassifier.process_document`.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.alphabet import AlphabetConverter
-from repro.core.classifier import ClassificationResult
-from repro.core.ngram import DEFAULT_N, NGramExtractor
 from repro.core.profile import LanguageProfile
 from repro.hardware.bloom_engine import HardwareBloomFilter
 from repro.hardware.memory import RAMKind
@@ -204,14 +202,11 @@ class ParallelMultiLanguageClassifier:
         copies: int = 4,
         lanes_per_copy: int = 2,
         ram_kind: RAMKind = RAMKind.M4K,
-        n: int = DEFAULT_N,
     ):
         if copies <= 0:
             raise ValueError("copies must be positive")
         self.copies = int(copies)
         self.lanes_per_copy = int(lanes_per_copy)
-        self.n = int(n)
-        self.extractor = NGramExtractor(n=self.n, converter=AlphabetConverter())
         # One shared hash family: the hardware replicates the hash logic per copy but
         # programs identical functions so every copy implements the same filter.
         out_bits = int(math.log2(int(m_bits)))
@@ -292,28 +287,6 @@ class ParallelMultiLanguageClassifier:
             for language, count in report.match_counts.items():
                 merged[language] = merged.get(language, 0) + count
         return merged
-
-    def classify_document(self, text: str | bytes) -> tuple[ClassificationResult, EngineReport]:
-        """End-to-end classification of a raw document through the hardware model."""
-        packed = self.extractor.extract(text)
-        report = self.process_document(packed)
-        languages = list(report.match_counts)
-        if languages:
-            best = max(languages, key=lambda lang: (report.match_counts[lang], ), default=languages[0])
-            # deterministic tie-break on language order
-            best_count = report.match_counts[best]
-            for lang in languages:
-                if report.match_counts[lang] == best_count:
-                    best = lang
-                    break
-        else:  # pragma: no cover - engines always have languages once programmed
-            best = ""
-        result = ClassificationResult(
-            language=best,
-            match_counts=dict(report.match_counts),
-            ngram_count=report.ngrams,
-        )
-        return result, report
 
     # ------------------------------------------------------------ introspection
 

@@ -177,11 +177,7 @@ class StreamingTrainer:
         self.config = config
         self.capacity = int(capacity)
         self.chunk_ngrams = int(chunk_ngrams)
-        self.extractor = NGramExtractor(
-            n=config.n,
-            subsample_stride=config.subsample_stride,
-            mode=config.resolved_hash_mode,
-        )
+        self.extractor = NGramExtractor(n=config.n, subsample_stride=config.subsample_stride)
         self._accumulators: dict[str, TopKAccumulator] = {}
         self._buffers: dict[str, list[np.ndarray]] = {}
         self._buffered: dict[str, int] = {}

@@ -51,6 +51,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+import traceback
 from urllib.parse import parse_qs
 
 from repro.core.classifier import ClassificationResult
@@ -356,7 +357,15 @@ def make_connection_handler(
                     response = _json_response(exc.status, {"error": exc.message}, exc.headers)
                     must_close = exc.close_connection
                 except Exception as exc:  # noqa: BLE001 - keep the connection alive
-                    response = _json_response(500, {"error": f"internal error: {exc}"})
+                    # the body never carries the exception text: it can leak
+                    # internals (paths, model details) to any client
+                    if service.logger is not None:
+                        service.logger.event(
+                            "http_internal_error",
+                            error=f"{type(exc).__name__}: {exc}",
+                            traceback=traceback.format_exc(),
+                        )
+                    response = _json_response(500, {"error": "internal error"})
                 writer.write(response)
                 await writer.drain()
                 if must_close:

@@ -1,7 +1,7 @@
 """Process-based replica pool: true multi-core serving over one shared model.
 
 :class:`~repro.serve.replicas.ThreadReplicaPool` fakes the paper's parallel
-engines with Python threads, so CPU-bound ``match_counts`` work serialises on
+engines with Python threads, so CPU-bound ``match_counts_batch`` work serialises on
 the GIL.  This module provides the real thing: N worker *processes*, each
 running the vectorized batch path against read-only views of a single
 :class:`~repro.serve.shared_model.SharedModel` segment — one physical copy of

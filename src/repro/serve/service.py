@@ -389,24 +389,11 @@ class ClassificationService:
         shared instant (the flush began for all of them at once), learns which
         replica and batch it landed in, then closes ``batch_assembly`` once the
         unpacking/bookkeeping is done — so the spans keep tiling the timeline.
-        Legacy ``(text, ctx)`` pairs and bare texts are still unpacked (their
-        source defaults to ``None``).
         """
         flushed_at = time.perf_counter()
-        texts: list = []
-        contexts: list = []
-        sources: list = []
-        for item in items:
-            if isinstance(item, tuple) and len(item) == 3:
-                text, ctx, source = item
-            elif isinstance(item, tuple) and len(item) == 2:
-                text, ctx = item
-                source = None
-            else:  # untraced caller submitting bare texts
-                text, ctx, source = item, None, None
-            texts.append(text)
-            contexts.append(ctx)
-            sources.append(source)
+        texts = [item[0] for item in items]
+        contexts = [item[1] for item in items]
+        sources = [item[2] for item in items]
         self.metrics.record_batch(len(texts))
         assembled_at = time.perf_counter()
         for ctx in contexts:

@@ -4,8 +4,8 @@
 classifier configuration of :mod:`repro.hardware` and runs whole corpora through the
 modelled machine.  Two things come out of a run:
 
-* **functional results** — the per-document classification (identical to the
-  software :class:`~repro.core.classifier.BloomNGramClassifier`, which the hardware
+* **functional results** — the per-document classification from the ``bloom``
+  backend of :class:`~repro.api.identifier.LanguageIdentifier` (which the hardware
   engine is bit-exact with), so accuracy can be reported alongside throughput;
 * **timing** — per-document elapsed host time from the driver model, bounded below
   by the FPGA engine's ingest time, aggregated into a
@@ -16,11 +16,9 @@ This is the object the Figure 4 and Table 4 benchmarks drive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.classifier import BloomNGramClassifier, ClassificationResult
+from repro.api.identifier import LanguageIdentifier
 from repro.corpus.corpus import Corpus
 from repro.hardware.resources import estimate_device_utilization
 from repro.hardware.timing import EngineTiming
@@ -114,7 +112,7 @@ class XD1000System:
         self.k = int(k)
         self.copies = int(copies)
         self.lanes_per_copy = int(lanes_per_copy)
-        self.classifier = BloomNGramClassifier(m_bits=m_bits, k=k, n=n, t=t, seed=seed)
+        self.identifier = LanguageIdentifier(m_bits=m_bits, k=k, n=n, t=t, seed=seed)
         self.link = link if link is not None else HyperTransportLink()
         self.host_params = host_params if host_params is not None else HostTimingParameters()
         self._frequency_override = frequency_mhz
@@ -144,18 +142,18 @@ class XD1000System:
 
     def program_profiles_from_corpus(self, train_corpus: Corpus) -> float:
         """Train profiles from a corpus and return the modelled programming time (s)."""
-        self.classifier.fit(train_corpus)
-        self._programmed_languages = len(self.classifier.languages)
+        self.identifier.train(train_corpus)
+        self._programmed_languages = len(self.identifier.languages)
         return self._programming_seconds()
 
     def program_profiles(self, profiles) -> float:
         """Program prebuilt profiles; returns the modelled programming time (s)."""
-        self.classifier.fit_profiles(profiles)
-        self._programmed_languages = len(self.classifier.languages)
+        self.identifier.train_profiles(profiles)
+        self._programmed_languages = len(self.identifier.languages)
         return self._programming_seconds()
 
     def _programming_seconds(self) -> float:
-        total_ngrams = sum(len(p) for p in self.classifier.profiles.values()) * self.copies
+        total_ngrams = sum(len(p) for p in self.identifier.profiles.values()) * self.copies
         driver = AsynchronousHostDriver(self.link, self.host_params)
         return driver.programming_seconds(total_ngrams)
 
@@ -188,26 +186,29 @@ class XD1000System:
             useful for very large synthetic corpora where only Figure-4-style
             throughput numbers are needed.
         """
-        if not self.classifier.profiles:
+        if not self.identifier.is_trained:
             raise RuntimeError("profiles are not programmed; call program_profiles() first")
         host = self._make_driver(driver)
         timing = self.engine_timing()
         engine_seconds_per_byte = 1.0 / (timing.ngrams_per_second)
 
+        documents = list(corpus)
+        if classify_functionally:
+            predictions = [
+                result.language
+                for result in self.identifier.classify_batch([doc.text for doc in documents])
+            ]
+        else:
+            predictions = [""] * len(documents)
         outcomes: list[DocumentOutcome] = []
         streaming_seconds = 0.0
         total_bytes = 0
-        for document in corpus:
+        for document, predicted in zip(documents, predictions):
             size = document.size_bytes
             engine_seconds = size * engine_seconds_per_byte
             doc_timing = host.document_seconds(size, engine_seconds)
             streaming_seconds += doc_timing.total
             total_bytes += size
-            if classify_functionally:
-                result: ClassificationResult = self.classifier.classify_text(document.text)
-                predicted = result.language
-            else:
-                predicted = ""
             outcomes.append(
                 DocumentOutcome(
                     doc_id=document.doc_id,
@@ -251,5 +252,5 @@ class XD1000System:
         return ThroughputReport(
             total_bytes=total_bytes,
             streaming_seconds=streaming_seconds,
-            programming_seconds=self._programming_seconds() if self.classifier.profiles else 0.0,
+            programming_seconds=self._programming_seconds() if self.identifier.is_trained else 0.0,
         )

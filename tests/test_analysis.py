@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analysis.accuracy import AccuracyReport, confusion_pairs, evaluate_classifier
+from repro.analysis.accuracy import (
+    AccuracyReport,
+    confusion_pairs,
+    evaluate_classifier,
+    evaluate_classifier_batch,
+)
 from repro.analysis.reporting import format_number, format_percentage, format_table, render_bar_chart
 from repro.analysis.sweep import (
     PAPER_TABLE1_GRID,
@@ -13,7 +18,7 @@ from repro.analysis.sweep import (
     sweep_profile_size,
     sweep_subsampling,
 )
-from repro.core.classifier import BloomNGramClassifier
+from repro.api import ClassifierConfig, LanguageIdentifier
 
 
 class _FixedClassifier:
@@ -26,11 +31,20 @@ class _FixedClassifier:
         return self.language
 
 
+class _PerDocument:
+    """An identifier behind ``evaluate_classifier``'s per-document ``classify_text``."""
+
+    def __init__(self, identifier):
+        self.classify_text = identifier.classify
+
+
+def _bloom(profiles, m_bits, k):
+    return LanguageIdentifier(m_bits=m_bits, k=k, seed=1).train_profiles(profiles)
+
+
 class TestEvaluateClassifier:
     def test_perfect_classifier(self, profiles, test_corpus):
-        classifier = BloomNGramClassifier(m_bits=16 * 1024, k=4, seed=1)
-        classifier.fit_profiles(profiles)
-        report = evaluate_classifier(classifier, test_corpus)
+        report = evaluate_classifier_batch(_bloom(profiles, 16 * 1024, 4), test_corpus)
         assert report.average_accuracy > 0.95
         assert report.overall_accuracy > 0.95
         assert report.confusion.shape == (6, 6)
@@ -54,15 +68,12 @@ class TestEvaluateClassifier:
         assert report.average_accuracy == 0.0
 
     def test_string_and_result_predictions_both_accepted(self, profiles, test_corpus):
-        classifier = BloomNGramClassifier(m_bits=8192, k=3, seed=1)
-        classifier.fit_profiles(profiles)
+        classifier = _PerDocument(_bloom(profiles, 8192, 3))
         report = evaluate_classifier(classifier, test_corpus)  # returns ClassificationResult
         assert report.overall_accuracy > 0.9
 
     def test_confusion_row_sums_match_document_counts(self, profiles, test_corpus):
-        classifier = BloomNGramClassifier(m_bits=16 * 1024, k=4, seed=1)
-        classifier.fit_profiles(profiles)
-        report = evaluate_classifier(classifier, test_corpus)
+        report = evaluate_classifier_batch(_bloom(profiles, 16 * 1024, 4), test_corpus)
         by_language = test_corpus.by_language()
         for i, language in enumerate(report.languages):
             assert report.confusion[i].sum() == len(by_language[language])
@@ -161,14 +172,11 @@ class TestAccuracyReportDegenerateInputs:
     def test_batch_evaluation_matches_sequential_and_records_confidence(
         self, profiles, test_corpus
     ):
-        from repro.analysis.accuracy import evaluate_classifier_batch
-        from repro.api import ClassifierConfig, LanguageIdentifier
-
         identifier = LanguageIdentifier(
             ClassifierConfig(m_bits=16 * 1024, k=4, seed=1, backend="bloom")
         )
         identifier.train_profiles(profiles)
-        sequential = evaluate_classifier(identifier, test_corpus)
+        sequential = evaluate_classifier(_PerDocument(identifier), test_corpus)
         batched = evaluate_classifier_batch(identifier, test_corpus)
         assert np.array_equal(sequential.confusion, batched.confusion)
         assert sequential.per_language_accuracy == batched.per_language_accuracy

@@ -64,13 +64,13 @@ class TestClassifierConfig:
         "kwargs",
         [
             {"n": 0},
-            {"n": 13, "hash_mode": "packed"},
+            {"n": 13},
             {"t": 0},
             {"m_bits": 3000},
             {"m_bits": 0},
             {"k": 0},
             {"hash_family": "md5"},
-            {"hash_mode": "crc32"},
+            {"n": 64},
             {"subsample_stride": 0},
             {"backend": ""},
         ],
@@ -123,7 +123,7 @@ class TestRegistry:
             def fit_profiles(self, profiles):  # pragma: no cover - never called
                 pass
 
-            def match_counts(self, packed):  # pragma: no cover - never called
+            def match_counts_batch(self, packed, lengths):  # pragma: no cover - never called
                 pass
 
         with pytest.raises(ValueError, match="already registered"):
@@ -193,7 +193,7 @@ class TestLanguageIdentifier:
         bloom = _identifier("bloom", train_corpus)
         hw = _identifier("hw-sim", train_corpus)
         for doc in test_corpus.documents[:5]:
-            assert np.array_equal(bloom.match_counts(doc.text), hw.match_counts(doc.text))
+            assert bloom.classify(doc.text).match_counts == hw.classify(doc.text).match_counts
 
 
 # ------------------------------------------------------------------- persistence
@@ -208,8 +208,9 @@ class TestPersistence:
         assert restored.config == identifier.config
         assert restored.languages == identifier.languages
         for doc in test_corpus.documents[:5]:
-            assert np.array_equal(
-                restored.match_counts(doc.text), identifier.match_counts(doc.text)
+            assert (
+                restored.classify(doc.text).match_counts
+                == identifier.classify(doc.text).match_counts
             ), f"match counts drifted after reload for backend {backend}"
 
     def test_save_appends_npz_suffix(self, train_corpus, tmp_path):
@@ -233,7 +234,7 @@ class TestPersistence:
         assert exact.config.backend == "exact"
         reference = _identifier("exact", train_corpus)
         doc = test_corpus.documents[0]
-        assert np.array_equal(exact.match_counts(doc.text), reference.match_counts(doc.text))
+        assert exact.classify(doc.text).match_counts == reference.classify(doc.text).match_counts
 
     def test_load_rejects_foreign_npz(self, tmp_path):
         path = tmp_path / "other.npz"
@@ -249,7 +250,7 @@ class TestPersistence:
             assert {key.split(":", 1)[1] for key in bit_keys} == set(identifier.languages)
             # restored bits must equal the live filters' bits exactly
             for language in identifier.languages:
-                live = identifier.backend.classifier.filters[language]
+                live = identifier.backend.filters[language]
                 stored = np.unpackbits(archive[f"state/bits:{language}"], axis=1)
                 assert np.array_equal(stored[:, : live.m_bits].astype(bool), live.bit_vectors)
 

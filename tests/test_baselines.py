@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import LanguageIdentifier
 from repro.baselines.hail import (
     HAIL_MAX_LANGUAGES,
     HAIL_PAPER_THROUGHPUT_MB_S,
@@ -105,32 +106,35 @@ class TestMguesser:
 
 class TestHailFunctionalModel:
     def test_classifies_correctly(self, train_corpus, test_corpus):
-        classifier = HailClassifier(table_bits=18, t=1500)
-        classifier.fit(train_corpus)
+        classifier = LanguageIdentifier(t=1500, backend="hail").train(train_corpus)
         sample = test_corpus.documents[:10]
-        correct = sum(classifier.classify_text(d.text).language == d.language for d in sample)
+        correct = sum(classifier.classify(d.text).language == d.language for d in sample)
         assert correct >= 9
 
     def test_match_counts_upper_bound_true_membership(self, profiles, sample_document):
-        # table collisions can only add spurious matches
-        classifier = HailClassifier(table_bits=14, t=1500)
-        classifier.fit_profiles(profiles)
-        packed = classifier.extractor.extract(sample_document.text)
-        counts = classifier.match_counts(packed)
-        for index, profile in enumerate(profiles.values()):
-            true_matches = int(profile.contains_many(packed).sum())
-            assert counts[index] >= true_matches
+        # table collisions can only add spurious matches, never remove true ones
+        hail = LanguageIdentifier(t=1500, backend="hail").train_profiles(profiles)
+        packed = hail.extractor.extract(sample_document.text)
+        counts = hail.classify(sample_document.text).match_counts
+        small = HailClassifier(table_bits=14).fit_profiles(profiles)
+        bitmaps = small.lookup(packed)
+        for index, (language, profile) in enumerate(profiles.items()):
+            member = profile.contains_many(packed)
+            assert counts[language] >= int(member.sum())
+            assert ((bitmaps[member] >> np.uint64(index)) & np.uint64(1)).all()
 
     def test_small_table_fills_up(self, profiles):
-        small = HailClassifier(table_bits=12, t=1500)
+        small = HailClassifier(table_bits=12)
         small.fit_profiles(profiles)
-        large = HailClassifier(table_bits=20, t=1500)
+        large = HailClassifier(table_bits=20)
         large.fit_profiles(profiles)
         assert small.table_fill_ratio > large.table_fill_ratio
 
     def test_untrained_raises(self):
         with pytest.raises(RuntimeError):
-            HailClassifier().match_counts(np.asarray([1], dtype=np.uint64))
+            HailClassifier().lookup(np.asarray([1], dtype=np.uint64))
+        with pytest.raises(RuntimeError):
+            LanguageIdentifier(backend="hail").classify("text")
 
     def test_too_many_languages_rejected(self):
         classifier = HailClassifier()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.classifier import BloomNGramClassifier
+from repro.api import LanguageIdentifier
 from repro.core.ngram import ngrams_from_text
 from repro.hardware.classifier_engine import (
     MultipleLanguageClassifier,
@@ -84,22 +84,23 @@ class TestParallelMultiLanguageClassifier:
         seed = 17
         engine = ParallelMultiLanguageClassifier(m_bits=8192, k=3, seed=seed, copies=4)
         engine.load_profiles_fast(small_profiles)
-        software = BloomNGramClassifier(m_bits=8192, k=3, seed=seed, hash_family=engine.hashes)
-        software.fit_profiles(small_profiles)
-        hardware_result, _report = engine.classify_document(sample_document.text)
-        software_result = software.classify_text(sample_document.text)
-        assert hardware_result.match_counts == software_result.match_counts
-        assert hardware_result.language == software_result.language
+        software = LanguageIdentifier(m_bits=8192, k=3, seed=seed).train_profiles(small_profiles)
+        packed = software.extractor.extract(sample_document.text)
+        report = engine.process_document(packed)
+        assert report.match_counts == software.classify(sample_document.text).match_counts
+        # the hw-sim backend runs this engine behind the same facade
+        hardware = LanguageIdentifier(m_bits=8192, k=3, seed=seed, backend="hw-sim")
+        hardware_result = hardware.train_profiles(small_profiles).classify(sample_document.text)
+        assert hardware_result.match_counts == report.match_counts
+        assert hardware_result.language == software.classify(sample_document.text).language
 
     def test_classifies_correct_language(self, small_profiles, train_corpus, test_corpus):
-        engine = ParallelMultiLanguageClassifier(m_bits=16 * 1024, k=4, seed=1)
-        engine.load_profiles_fast(small_profiles)
+        engine = LanguageIdentifier(m_bits=16 * 1024, k=4, seed=1, backend="hw-sim")
+        engine.train_profiles(small_profiles)
         langs = set(small_profiles)
         docs = [d for d in test_corpus if d.language in langs][:6]
-        correct = 0
-        for doc in docs:
-            result, _ = engine.classify_document(doc.text)
-            correct += result.language == doc.language
+        results = engine.classify_batch([doc.text for doc in docs])
+        correct = sum(result.language == doc.language for result, doc in zip(results, docs))
         assert correct >= len(docs) - 1
 
     def test_program_profiles_cycle_cost_scales_with_copies(self, small_profiles):

@@ -92,7 +92,7 @@ def identifiers(train_corpus):
 class TestBackendAgreement:
     def test_bloom_dominates_exact_within_fpr_margin(self, identifiers):
         bloom, exact = identifiers["bloom"], identifiers["exact"]
-        p = bloom.backend.classifier.expected_fpr()
+        p = bloom.describe()["expected_fpr"]
         documents = _seeded_documents(N_BACKEND_DOCS, SEED)
         bloom_results = bloom.classify_batch(documents)
         exact_results = exact.classify_batch(documents)
@@ -118,7 +118,7 @@ class TestBackendAgreement:
         """Where exact classification wins by a clear margin, Bloom false
         positives (bounded above) cannot flip the argmax."""
         bloom, exact = identifiers["bloom"], identifiers["exact"]
-        p = bloom.backend.classifier.expected_fpr()
+        p = bloom.describe()["expected_fpr"]
         documents = _seeded_documents(N_BACKEND_DOCS, SEED + 1)
         disagreements = 0
         confident = 0

@@ -3,31 +3,29 @@
 import numpy as np
 import pytest
 
-from repro.analysis.accuracy import evaluate_classifier
-from repro.baselines.hail import HailClassifier
+from repro.analysis.accuracy import evaluate_classifier_batch
+from repro.api import LanguageIdentifier
 from repro.baselines.mguesser import MguesserClassifier
-from repro.core.classifier import BloomNGramClassifier, ExactNGramClassifier
 from repro.core.fpr import false_positive_rate
 from repro.core.profile import build_profiles
 from repro.corpus.corpus import build_jrc_acquis_like
-from repro.hardware.classifier_engine import ParallelMultiLanguageClassifier
 from repro.system.xd1000 import XD1000System
 
 
 class TestEndToEndAccuracy:
     def test_conservative_configuration_is_accurate(self, train_corpus, test_corpus):
-        classifier = BloomNGramClassifier(m_bits=16 * 1024, k=4, t=1500, seed=0)
-        classifier.fit(train_corpus)
-        report = evaluate_classifier(classifier, test_corpus)
+        classifier = LanguageIdentifier(m_bits=16 * 1024, k=4, t=1500, seed=0)
+        classifier.train(train_corpus)
+        report = evaluate_classifier_batch(classifier, test_corpus)
         assert report.average_accuracy >= 0.97
 
     def test_accuracy_degrades_with_false_positive_rate(self, train_corpus, test_corpus):
         """The qualitative Table 1 trend: higher FPR never helps accuracy."""
         accuracies = []
         for m_kbits, k in [(16, 4), (4, 2), (1, 1)]:
-            classifier = BloomNGramClassifier(m_bits=m_kbits * 1024, k=k, t=1500, seed=0)
-            classifier.fit(train_corpus)
-            report = evaluate_classifier(classifier, test_corpus)
+            classifier = LanguageIdentifier(m_bits=m_kbits * 1024, k=k, t=1500, seed=0)
+            classifier.train(train_corpus)
+            report = evaluate_classifier_batch(classifier, test_corpus)
             accuracies.append(report.average_accuracy)
         assert accuracies[0] >= accuracies[-1]
         assert accuracies[0] >= accuracies[1]
@@ -38,9 +36,9 @@ class TestEndToEndAccuracy:
             ["es", "pt", "fi", "et", "en", "fr"], docs_per_language=20, words_per_document=120, seed=11
         )
         train, test = corpus.split(train_fraction=0.2, seed=1)
-        classifier = BloomNGramClassifier(m_bits=2 * 1024, k=1, t=2000, seed=3)
-        classifier.fit(train)
-        report = evaluate_classifier(classifier, test)
+        classifier = LanguageIdentifier(m_bits=2 * 1024, k=1, t=2000, seed=3)
+        classifier.train(train)
+        report = evaluate_classifier_batch(classifier, test)
         related = {frozenset({"es", "pt"}), frozenset({"fi", "et"}), frozenset({"en", "fr"})}
         confusions = report.confusion_as_dict()
         if confusions:  # with tiny filters some errors should exist
@@ -51,31 +49,24 @@ class TestEndToEndAccuracy:
             assert related_errors >= 0.5 * sum(confusions.values())
 
     def test_exact_classifier_at_least_as_good_as_small_bloom(self, train_corpus, test_corpus):
-        exact = ExactNGramClassifier(t=1500)
-        exact.fit(train_corpus)
-        bloom = BloomNGramClassifier(m_bits=1024, k=1, t=1500, seed=0)
-        bloom.fit(train_corpus)
-        exact_report = evaluate_classifier(exact, test_corpus)
-        bloom_report = evaluate_classifier(bloom, test_corpus)
+        exact = LanguageIdentifier(t=1500, backend="exact").train(train_corpus)
+        bloom = LanguageIdentifier(m_bits=1024, k=1, t=1500, seed=0).train(train_corpus)
+        exact_report = evaluate_classifier_batch(exact, test_corpus)
+        bloom_report = evaluate_classifier_batch(bloom, test_corpus)
         assert exact_report.average_accuracy >= bloom_report.average_accuracy - 1e-9
 
 
 class TestHardwareSoftwareEquivalence:
     def test_hardware_engine_equals_software_classifier_on_corpus(self, profiles, test_corpus):
         seed = 23
-        software = BloomNGramClassifier(m_bits=8192, k=3, seed=seed)
-        software.fit_profiles(profiles)
-        hardware = ParallelMultiLanguageClassifier(m_bits=8192, k=3, seed=seed)
-        hardware.hashes = software.hashes  # share the exact same hash family
-        hardware.units = [
-            type(unit)(m_bits=8192, k=3, lanes=2, hashes=software.hashes)
-            for unit in hardware.units
-        ]
-        hardware.load_profiles_fast(profiles)
-        for document in test_corpus.documents[:10]:
-            hw_result, _ = hardware.classify_document(document.text)
-            sw_result = software.classify_text(document.text)
-            assert hw_result.match_counts == sw_result.match_counts
+        software = LanguageIdentifier(m_bits=8192, k=3, seed=seed).train_profiles(profiles)
+        hardware = LanguageIdentifier(m_bits=8192, k=3, seed=seed, backend="hw-sim")
+        hardware.train_profiles(profiles)
+        texts = [document.text for document in test_corpus.documents[:10]]
+        hw_results = hardware.classify_batch(texts)
+        sw_results = software.classify_batch(texts)
+        assert [r.match_counts for r in hw_results] == [r.match_counts for r in sw_results]
+        assert [r.language for r in hw_results] == [r.language for r in sw_results]
 
 
 class TestSystemLevel:
@@ -103,15 +94,15 @@ class TestSystemLevel:
 
 class TestBaselinesAgree:
     def test_all_classifiers_agree_on_easy_documents(self, train_corpus, test_corpus):
-        bloom = BloomNGramClassifier(m_bits=16 * 1024, k=4, t=1500, seed=1).fit(train_corpus)
-        hail = HailClassifier(table_bits=18, t=1500).fit(train_corpus)
+        bloom = LanguageIdentifier(m_bits=16 * 1024, k=4, t=1500, seed=1).train(train_corpus)
+        hail = LanguageIdentifier(t=1500, backend="hail").train(train_corpus)
         mguesser = MguesserClassifier(profile_size=1500).fit(train_corpus)
         agreements = 0
         documents = test_corpus.documents[:10]
         for document in documents:
             predictions = {
-                bloom.classify_text(document.text).language,
-                hail.classify_text(document.text).language,
+                bloom.classify(document.text).language,
+                hail.classify(document.text).language,
                 mguesser.classify_text(document.text),
             }
             agreements += len(predictions) == 1
@@ -120,11 +111,9 @@ class TestBaselinesAgree:
     def test_profiles_shared_between_designs(self, train_corpus):
         """Bloom and HAIL designs consume the same profile abstraction."""
         profiles = build_profiles(train_corpus.texts_by_language(), t=800)
-        bloom = BloomNGramClassifier(m_bits=8192, k=3, seed=0)
-        bloom.fit_profiles(profiles)
-        hail = HailClassifier(table_bits=18)
-        hail.fit_profiles(profiles)
-        assert set(bloom.languages) == set(hail.languages)
+        bloom = LanguageIdentifier(m_bits=8192, k=3, seed=0).train_profiles(profiles)
+        hail = LanguageIdentifier(backend="hail").train_profiles(profiles)
+        assert bloom.languages == hail.languages == list(profiles)
 
 
 class TestModelConsistency:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.api import ClassifierConfig, LanguageIdentifier
-from repro.api.persistence import model_fingerprint
+from repro.api.persistence import ModelFormatError, model_fingerprint
 from repro.core.ngram import (
     NGramExtractor,
     count_ngrams,
@@ -279,6 +279,52 @@ class TestModelRegistry:
         assert summary["versions"] == 1
         assert summary["latest"] == "v000001"
         assert summary["total_bytes"] > 0
+
+
+# ------------------------------------------------------------------- older artifacts
+
+
+class TestArtifactsWithKeyMode:
+    """Earlier releases stored an n-gram key mode (``hash_mode``) in every config.
+
+    ``"auto"`` and ``"packed"`` both meant today's packed keys, so those
+    artifacts load unchanged; ``"rolling"`` keys no longer exist and are refused.
+    """
+
+    @staticmethod
+    def _write(monkeypatch, tmp_path, model, mode):
+        """Registry version, npz and flat artifacts whose configs carry ``mode``."""
+        to_dict = ClassifierConfig.to_dict
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                ClassifierConfig, "to_dict", lambda self: {**to_dict(self), "hash_mode": mode}
+            )
+            registry = ModelRegistry(tmp_path / "registry")
+            registry.publish(model)
+            npz = model.save(tmp_path / "model.npz")
+            flat = model.save(tmp_path / "model.bin", format="flat")
+        assert registry.latest().manifest["config"]["hash_mode"] == mode
+        return [
+            registry.load,
+            lambda: LanguageIdentifier.load(npz),
+            lambda: LanguageIdentifier.load(flat),
+        ]
+
+    @pytest.mark.parametrize("mode", ["auto", "packed"])
+    def test_packed_modes_load_with_the_key_dropped(
+        self, monkeypatch, tmp_path, batch_model, corpus, mode
+    ):
+        texts = [doc.text for doc in corpus.documents[:6]]
+        expected = [result.match_counts for result in batch_model.classify_batch(texts)]
+        for load in self._write(monkeypatch, tmp_path, batch_model, mode):
+            loaded = load()
+            assert loaded.config == batch_model.config
+            assert [result.match_counts for result in loaded.classify_batch(texts)] == expected
+
+    def test_rolling_mode_is_refused(self, monkeypatch, tmp_path, batch_model):
+        for load in self._write(monkeypatch, tmp_path, batch_model, "rolling"):
+            with pytest.raises(ModelFormatError, match="rolling"):
+                load()
 
 
 # ------------------------------------------------------------------- fingerprint move

@@ -231,3 +231,5 @@ class TestNGramExtractor:
             NGramExtractor(n=0)
         with pytest.raises(ValueError):
             NGramExtractor(subsample_stride=0)
+        with pytest.raises(ValueError):
+            NGramExtractor(n=13)  # 13 five-bit codes do not pack into 64 bits

@@ -100,7 +100,7 @@ class TestSharedModel:
             clone = SharedModel.attach(shared.name).identifier()
             for profile in clone.profiles.values():
                 assert not profile.ngrams.flags.writeable
-            for filt in clone.backend.classifier.filters.values():
+            for filt in clone.backend.filters.values():
                 assert filt.is_read_only
                 with pytest.raises(RuntimeError, match="read-only"):
                     filt.add(3)

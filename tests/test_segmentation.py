@@ -31,6 +31,11 @@ from repro.segment import (
 LANGS = ("en", "fr", "fi", "es")
 
 
+def _doc_counts(backend, packed):
+    """The backend's per-language counts for one document (a batch of one)."""
+    return backend.match_counts_batch(packed, [packed.size])[0]
+
+
 @pytest.fixture(scope="module")
 def identifier():
     corpus = build_jrc_acquis_like(
@@ -58,7 +63,7 @@ class TestNgramHits:
         hits = clone.backend.ngram_hits(packed)
         assert hits.shape == (len(clone.languages), packed.size)
         np.testing.assert_array_equal(
-            hits.sum(axis=1, dtype=np.int64), clone.backend.match_counts(packed)
+            hits.sum(axis=1, dtype=np.int64), _doc_counts(clone.backend, packed)
         )
 
     def test_hw_sim_hits_bit_exact_with_bloom(self, identifier):
@@ -72,7 +77,7 @@ class TestNgramHits:
         hits = clone.backend.ngram_hits(packed)
         np.testing.assert_array_equal(hits, identifier.backend.ngram_hits(packed))
         np.testing.assert_array_equal(
-            hits.sum(axis=1, dtype=np.int64), clone.backend.match_counts(packed)
+            hits.sum(axis=1, dtype=np.int64), _doc_counts(clone.backend, packed)
         )
 
     def test_mguesser_hits_sum_within_rounding(self, identifier):
@@ -86,7 +91,7 @@ class TestNgramHits:
         assert hits.shape == (len(clone.languages), packed.size)
         np.testing.assert_allclose(
             hits.sum(axis=1, dtype=np.int64),
-            clone.backend.match_counts(packed),
+            _doc_counts(clone.backend, packed),
             atol=packed.size,
         )
 
@@ -96,7 +101,7 @@ class TestNgramHits:
         for i in range(packed.size):
             np.testing.assert_array_equal(
                 hits[:, i].astype(np.int64),
-                identifier.backend.match_counts(packed[i : i + 1]),
+                _doc_counts(identifier.backend, packed[i : i + 1]),
             )
 
     def test_empty_document(self, identifier):
@@ -119,7 +124,7 @@ class TestWindowedScorer:
         scores = scorer.score(packed)
         for w in range(scores.n_windows):
             start, end = int(scores.starts[w]), int(scores.ends[w])
-            naive = identifier.backend.match_counts(packed[start:end])
+            naive = _doc_counts(identifier.backend, packed[start:end])
             np.testing.assert_array_equal(scores.counts[w], naive)
 
     def test_windows_cover_every_ngram(self, identifier, mixed_doc):
@@ -136,7 +141,7 @@ class TestWindowedScorer:
         assert scores.n_windows == 1
         assert scores.ends[0] == packed.size
         np.testing.assert_array_equal(
-            scores.counts[0], identifier.backend.match_counts(packed)
+            scores.counts[0], _doc_counts(identifier.backend, packed)
         )
 
     def test_empty_document_yields_no_windows(self, identifier):
@@ -147,7 +152,7 @@ class TestWindowedScorer:
         packed = identifier.extractor.extract(mixed_doc.text)
         scores = WindowedScorer(identifier.backend, 100).score(packed)
         np.testing.assert_array_equal(
-            scores.range_counts(10, 200), identifier.backend.match_counts(packed[10:200])
+            scores.range_counts(10, 200), _doc_counts(identifier.backend, packed[10:200])
         )
 
     @pytest.mark.parametrize(
@@ -263,6 +268,7 @@ class TestSegmenter:
         result = identifier.segment("ab")
         assert len(result.spans) == 1
         assert result.spans[0].language == identifier.classify("ab").language
+        assert result.spans[0].confidence == 0.0
         assert result.ngram_count == 0 and result.window_count == 0
 
     def test_bytes_input_offsets_are_byte_offsets(self, identifier, mixed_doc):

@@ -6,13 +6,15 @@ classification, health and metrics endpoints, and the error mapping
 """
 
 import asyncio
+import io
 import json
 
 import pytest
 
 from repro.api import ClassifierConfig, LanguageIdentifier
 from repro.corpus.corpus import build_jrc_acquis_like
-from repro.serve import ClassificationService, ServeConfig, serve_http
+from repro.obs import JsonLogger
+from repro.serve import ClassificationService, ServeConfig, http, serve_http
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +188,28 @@ class TestClassifyEndpoint:
             return status
 
         assert run_with_server(identifier, scenario) == 404
+
+
+class TestInternalErrors:
+    def test_500_body_does_not_echo_the_exception(self, identifier, monkeypatch):
+        marker = "marker-7f3a9c /srv/models/private.bin"
+
+        async def failing_dispatch(*_request):
+            raise RuntimeError(marker)
+
+        monkeypatch.setattr(http, "_dispatch", failing_dispatch)
+        stream = io.StringIO()
+
+        async def scenario(client, service):
+            service.logger = JsonLogger(stream)
+            return await client.request("POST", "/classify", {"text": "bonjour"})
+
+        status, raw = run_with_server(identifier, scenario)
+        assert status == 500
+        assert marker not in raw.decode("utf-8")
+        assert json.loads(raw) == {"error": "internal error"}
+        # the operator still sees what went wrong
+        assert marker in stream.getvalue()
 
 
 class TestSegmentEndpoint:

@@ -45,7 +45,7 @@ def main() -> None:
 
     # 5. Save the trained model and reload it — bit-exact, no retraining.
     with tempfile.TemporaryDirectory() as tmp:
-        path = identifier.save(Path(tmp) / "model.npz")
+        path = identifier.save(Path(tmp) / "model.bin")
         restored = LanguageIdentifier.load(path)
         assert restored.classify(document.text).match_counts == result.match_counts
         print(f"saved + reloaded model artifact ({path.stat().st_size / 1024:.0f} KiB), "

@@ -60,11 +60,11 @@ True
 >>> len(results)
 8
 
-Trained models persist as versioned ``.npz`` artifacts::
+Trained models persist as versioned flat ``model.bin`` artifacts::
 
-    identifier.save("model.npz")
-    restored = LanguageIdentifier.load("model.npz")        # bit-exact reload
-    exact = LanguageIdentifier.load("model.npz", backend="exact")
+    identifier.save("model.bin")
+    restored = LanguageIdentifier.load("model.bin")        # bit-exact, memory-mapped
+    exact = LanguageIdentifier.load("model.bin", backend="exact")
 """
 
 from __future__ import annotations

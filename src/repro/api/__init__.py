@@ -16,7 +16,8 @@ routing) plugs into a single API:
     ``train`` / ``classify`` / ``classify_batch`` / ``classify_stream`` /
     ``save`` / ``load``.
 :mod:`repro.api.persistence`
-    The versioned ``.npz`` model-artifact format behind ``save``/``load``.
+    The versioned flat ``model.bin`` artifact behind ``save``/``load``, which
+    files, shared-memory segments and replica clones all parse the same way.
 """
 
 from __future__ import annotations

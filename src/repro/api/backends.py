@@ -5,7 +5,8 @@ Five engines are registered:
 ``bloom``
     The paper's design — per-language Parallel Bloom Filters
     (:class:`~repro.core.bloom.ParallelBloomFilter`) sharing one hash family.
-    Persists its bit-vectors so a loaded model answers without re-programming.
+    Persists its bit-vectors so a loaded model answers without re-programming,
+    straight out of the mapped artifact.
 ``exact``
     The no-false-positive reference — exact profile membership (a software
     stand-in for HAIL's direct memory table), used to separate errors inherent
@@ -166,60 +167,13 @@ class BloomBackend(_MembershipBackend):
     # -- persistence ---------------------------------------------------------
 
     def export_state(self) -> dict[str, np.ndarray]:
-        state: dict[str, np.ndarray] = {}
-        for language, filt in self.filters.items():
-            payload = filt.to_arrays()
-            state[f"bits:{language}"] = payload["bits"]
-            state[f"n_items:{language}"] = np.asarray([payload["n_items"]], dtype=np.int64)
-        return state
-
-    def _adopt(self, profiles: Mapping[str, LanguageProfile], bits, n_items, copy: bool):
-        """Install persisted filters, one ``bits``/``n_items`` entry per language."""
-        self.profiles = dict(profiles)
-        self.filters = {}
-        for language, language_bits, count in zip(profiles, bits, n_items):
-            payload = {
-                "kind": "parallel",
-                "m_bits": self.config.m_bits,
-                "k": self.config.k,
-                "key_bits": self.config.key_bits,
-                "bits": language_bits,
-                "n_items": int(count),
-            }
-            self.filters[language] = ParallelBloomFilter.from_arrays(
-                payload, hashes=self.hashes, copy=copy
-            )
-
-    def import_state(
-        self, profiles: Mapping[str, LanguageProfile], state: Mapping[str, np.ndarray]
-    ) -> None:
-        required = {f"bits:{language}" for language in profiles} | {
-            f"n_items:{language}" for language in profiles
-        }
-        present = {key for key in state if key.startswith(("bits:", "n_items:"))}
-        if present != required:
-            # Incomplete or mismatched state: rebuild deterministically instead.
-            self.fit_profiles(profiles)
-            return
-        self._stacked_bits = None
-        self._adopt(
-            profiles,
-            [state[f"bits:{language}"] for language in profiles],
-            [np.asarray(state[f"n_items:{language}"])[0] for language in profiles],
-            copy=True,
-        )
-
-    # -- zero-copy sharing ---------------------------------------------------
-
-    def export_shared_state(self) -> dict[str, np.ndarray]:
-        """The flat/shared-memory layout: unpacked stacked bit-vectors.
+        """The unpacked stacked bit-vectors, ready to be mapped zero-copy.
 
         ``stacked_bits`` is the hot-path ``(k, languages, m_bits)`` matrix
         (one byte per bit) that :meth:`ngram_hits` gathers from, in
         training-language order; ``n_items`` carries each language's
-        programmed-key count.  Stored unpacked (8x the packed ``.npz`` size)
-        precisely so a read-only mmap/shared-memory buffer can back the live
-        filters with zero copies.
+        programmed-key count.  Stored unpacked precisely so a read-only
+        mmap/shared-memory buffer can back the live filters with zero copies.
         """
         self._check_trained()
         stacked = self._stacked_bit_vectors()
@@ -230,17 +184,17 @@ class BloomBackend(_MembershipBackend):
             ),
         }
 
-    def import_shared_state(
+    def import_state(
         self, profiles: Mapping[str, LanguageProfile], state: Mapping[str, np.ndarray]
     ) -> None:
-        """Adopt :meth:`export_shared_state` arrays as live filter state, zero-copy.
+        """Adopt :meth:`export_state` arrays as live filter state, zero-copy.
 
         The stacked matrix becomes *the* batch-path gather target and each
         language's filter a ``(k, m_bits)`` view into it, so when the arrays
         are buffer-backed (mmap / shared memory) this backend owns no bit
         storage of its own — every replica process reads one physical copy.
         Incomplete or mismatched state falls back to a deterministic rebuild
-        from the profiles, exactly like :meth:`import_state`.
+        from the profiles.
         """
         stacked = state.get("stacked_bits")
         n_items = state.get("n_items")
@@ -254,15 +208,23 @@ class BloomBackend(_MembershipBackend):
         ):
             self.fit_profiles(profiles)
             return
-        stacked = np.asarray(stacked)
-        bits = stacked if stacked.dtype == np.dtype(bool) else stacked.view(bool)
+        bits = np.asarray(stacked).view(bool)
         self._stacked_bits = bits
-        self._adopt(
-            profiles,
-            [bits[:, index, :] for index in range(len(profiles))],
-            np.asarray(n_items, dtype=np.int64),
-            copy=False,
-        )
+        self.profiles = dict(profiles)
+        self.filters = {
+            language: ParallelBloomFilter.from_arrays(
+                {
+                    "kind": "parallel",
+                    "m_bits": self.config.m_bits,
+                    "k": self.config.k,
+                    "key_bits": self.config.key_bits,
+                    "bits": bits[:, index, :],
+                    "n_items": int(count),
+                },
+                hashes=self.hashes,
+            )
+            for index, (language, count) in enumerate(zip(profiles, n_items))
+        }
 
     def describe(self) -> dict:
         info = super().describe()

@@ -391,11 +391,10 @@ class EnsembleBackend(Backend):
 
     # ------------------------------------------------------------ persistence
 
-    def _export_members(self, shared: bool) -> dict[str, np.ndarray]:
+    def export_state(self) -> dict[str, np.ndarray]:
         state: dict[str, np.ndarray] = {}
         for name, member in self.members.items():
-            exported = member.export_shared_state() if shared else member.export_state()
-            for key, array in exported.items():
+            for key, array in member.export_state().items():
                 state[f"member:{name}:{key}"] = array
         for name, calibrator in self.calibrators.items():
             if calibrator is not None:
@@ -410,11 +409,8 @@ class EnsembleBackend(Backend):
             state["priors_json"] = np.frombuffer(blob, dtype=np.uint8)
         return state
 
-    def _import_members(
-        self,
-        profiles: Mapping[str, LanguageProfile],
-        state: Mapping[str, np.ndarray],
-        shared: bool,
+    def import_state(
+        self, profiles: Mapping[str, LanguageProfile], state: Mapping[str, np.ndarray]
     ) -> None:
         member_state: dict[str, dict[str, np.ndarray]] = {name: {} for name in self.members}
         calib_arrays: dict[str, dict[str, np.ndarray]] = {}
@@ -430,13 +426,7 @@ class EnsembleBackend(Backend):
             elif key == "priors_json":
                 priors_blob = array
         for name, member in self.members.items():
-            sub = member_state[name]
-            if shared:
-                member.import_shared_state(profiles, sub)
-            elif sub:
-                member.import_state(profiles, sub)
-            else:
-                member.fit_profiles(profiles)
+            member.import_state(profiles, member_state[name])
         self.profiles = dict(profiles)
         self.calibrators = {name: None for name in self.members}
         for name, arrays in calib_arrays.items():
@@ -450,22 +440,6 @@ class EnsembleBackend(Backend):
             self.set_priors(payload)
         else:
             self.set_priors(None)
-
-    def export_state(self) -> dict[str, np.ndarray]:
-        return self._export_members(shared=False)
-
-    def import_state(
-        self, profiles: Mapping[str, LanguageProfile], state: Mapping[str, np.ndarray]
-    ) -> None:
-        self._import_members(profiles, state, shared=False)
-
-    def export_shared_state(self) -> dict[str, np.ndarray]:
-        return self._export_members(shared=True)
-
-    def import_shared_state(
-        self, profiles: Mapping[str, LanguageProfile], state: Mapping[str, np.ndarray]
-    ) -> None:
-        self._import_members(profiles, state, shared=True)
 
     # ------------------------------------------------------------ introspection
 

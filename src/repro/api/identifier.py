@@ -8,8 +8,8 @@ streaming, and model persistence look identical whichever engine runs under it::
     config = ClassifierConfig(m_bits=16 * 1024, k=4, backend="bloom")
     identifier = LanguageIdentifier(config).train(corpus)
     identifier.classify("Quel est ce document ?").language
-    identifier.save("model.npz")
-    restored = LanguageIdentifier.load("model.npz")
+    identifier.save("model.bin")
+    restored = LanguageIdentifier.load("model.bin")
 """
 
 from __future__ import annotations
@@ -259,24 +259,25 @@ class LanguageIdentifier:
 
     # ------------------------------------------------------------ persistence
 
-    def save(self, path: str | Path, format: str = "npz") -> Path:
-        """Write a versioned model artifact (config + profiles + backend state).
+    def save(self, path: str | Path, format: str = "flat") -> Path:
+        """Write the versioned ``model.bin`` artifact (config + profiles + backend state).
 
-        ``format="npz"`` writes the compressed archive; ``format="flat"``
-        writes the page-aligned ``model.bin`` container that :meth:`load`
-        memory-maps zero-copy (the layout shared-memory replicas use).
+        ``path`` is written verbatim.  :meth:`load` memory-maps the artifact
+        zero-copy, the same layout shared-memory replicas read.  ``format``
+        names the container; ``"flat"`` is the only one.
         """
         from repro.api.persistence import save_model
 
-        return save_model(self, path, format=format)
+        if format != "flat":
+            raise ValueError(f"unknown artifact format {format!r}; the only format is 'flat'")
+        return save_model(self, path)
 
     @classmethod
     def load(cls, path: str | Path, backend: str | None = None) -> "LanguageIdentifier":
-        """Load a model artifact written by :meth:`save` (either container).
+        """Load a model artifact written by :meth:`save`.
 
-        The container is sniffed from the file's bytes.  ``backend``
-        optionally overrides the stored backend name: the model's profiles
-        are re-programmed into the requested engine (persisted
+        ``backend`` optionally overrides the stored backend name: the model's
+        profiles are re-programmed into the requested engine (persisted
         engine-specific state is only reused when the backend matches).
         """
         from repro.api.persistence import load_model

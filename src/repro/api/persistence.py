@@ -1,44 +1,33 @@
 """Versioned model artifacts: save/load a trained :class:`LanguageIdentifier`.
 
-Two containers carry the same logical payload (metadata + per-language profile
-arrays + backend state):
+One container, the flat ``model.bin``: a page-aligned, ``np.memmap``-able
+layout built for zero-copy sharing.  An 8-byte magic, a little-endian uint64
+header length, a JSON header (metadata + array table + payload CRC32), zero
+padding to the next page boundary, then every array's raw bytes with each
+array starting on a :data:`FLAT_ALIGN` boundary.  Array offsets are relative to
+the payload start, so the header can be generated before the payload is laid
+out.  The payload holds
 
-``.npz`` (``format="npz"``)
-    A compressed NumPy archive holding
+* ``profiles/<lang>/ngrams`` and ``profiles/<lang>/counts`` — the
+  per-language profile arrays (packed n-gram values + training counts);
+* ``state/<key>`` — backend-specific arrays from
+  :meth:`~repro.api.registry.Backend.export_state`.  The ``bloom`` backend
+  stores its bit-vectors *unpacked* (one byte per bit, the ``(k, languages,
+  m_bits)`` stacked hot-path layout), so a read-only ``np.memmap`` — or a
+  ``multiprocessing.shared_memory`` segment holding the same bytes — backs
+  the live filters directly: N worker processes share one physical copy of
+  the model (see :class:`repro.serve.shared_model.SharedModel`).
 
-    * ``meta`` — a JSON document with the artifact format name and version, the
-      full :class:`~repro.api.config.ClassifierConfig`, and the language order;
-    * ``profiles/<lang>/ngrams`` and ``profiles/<lang>/counts`` — the
-      per-language profile arrays (packed n-gram values + training counts);
-    * ``state/<key>`` — backend-specific arrays from
-      :meth:`~repro.api.registry.Backend.export_state` (for the ``bloom``
-      backend, the packed per-language bit-vectors, so loading needs no
-      re-programming).
-
-``flat`` (``model.bin``, ``format="flat"``)
-    A flat, page-aligned, ``np.memmap``-able container built for zero-copy
-    sharing: an 8-byte magic, a little-endian uint64 header length, a JSON
-    header (metadata + array table + payload CRC32), zero padding to the next
-    page boundary, then every array's raw bytes with each array starting on a
-    :data:`FLAT_ALIGN` boundary.  Array offsets are relative to the payload
-    start, so the header can be generated before the payload is laid out.  The
-    ``bloom`` backend stores its bit-vectors *unpacked* (one byte per bit, the
-    ``(k, languages, m_bits)`` stacked hot-path layout), so a read-only
-    ``np.memmap`` — or a ``multiprocessing.shared_memory`` segment holding the
-    same bytes — can back the live filters directly: N worker processes share
-    one physical copy of the model (see :class:`repro.serve.shared_model.SharedModel`).
-
-Nothing is pickled: metadata is JSON in both containers, so artifacts are
-loadable with ``allow_pickle=False`` and are safe to exchange.
-:func:`load_model` sniffs the container from the file's leading bytes, so
-callers never need to say which format they were handed.
+Nothing is pickled: metadata is JSON, so artifacts are safe to exchange.  Every
+reader — :func:`load_model` on a file, ``SharedModel`` on a segment,
+:func:`repro.serve.replicas.clone_identifier` on in-memory bytes — goes through
+the one parser, :func:`load_model_from_buffer`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import zipfile
 import zlib
 from pathlib import Path
 
@@ -66,10 +55,10 @@ class ModelFormatError(ValueError):
 
     Subclasses :class:`ValueError` so existing ``except ValueError`` call
     sites keep working; raised for every malformed-artifact path in
-    :func:`load_model` (bad zip container, missing metadata or arrays, wrong
-    format tag, unsupported version, undecodable configuration, flat-container
-    corruption caught by bounds checks or the payload checksum) instead of
-    letting NumPy's ``KeyError``/``ValueError``/OS internals leak through.
+    :func:`load_model` (wrong magic, missing metadata or arrays, wrong format
+    tag, unsupported version, undecodable configuration, corruption caught by
+    bounds checks or the payload checksum) instead of letting NumPy's
+    ``KeyError``/``ValueError``/OS internals leak through.
     """
 
 ARTIFACT_FORMAT = "repro-langid-model"
@@ -89,7 +78,7 @@ _PROFILE_PREFIX = "profiles/"
 _STATE_PREFIX = "state/"
 
 
-# --------------------------------------------------------------------- shared pieces
+# --------------------------------------------------------------------- metadata
 
 
 def model_fingerprint(identifier) -> bytes:
@@ -143,18 +132,8 @@ def _validate_meta(meta, source: str) -> ClassifierConfig:
             f"artifact version {meta.get('version')} is newer than supported "
             f"version {ARTIFACT_VERSION}; upgrade the library to load {source}"
         )
-    stored = meta.get("config")
-    if isinstance(stored, dict) and "hash_mode" in stored:
-        # artifacts written before rolling keys were removed carry a key mode;
-        # "auto" and "packed" both meant today's packed keys
-        stored = dict(stored)
-        mode = stored.pop("hash_mode")
-        if mode not in ("auto", "packed"):
-            raise ModelFormatError(
-                f"{source} uses hash_mode={mode!r}; rolling n-gram keys are no longer supported"
-            )
     try:
-        return ClassifierConfig.from_dict(stored)
+        return ClassifierConfig.from_dict(meta.get("config"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{source} has an invalid stored configuration: {exc}") from exc
 
@@ -186,18 +165,16 @@ def _profiles_from(meta, get_array, source: str) -> dict[str, LanguageProfile]:
     return profiles
 
 
-def _assemble_identifier(config, stored_backend, backend, profiles, state, shared: bool):
-    """Build the identifier, reusing persisted backend state when it still applies."""
+def _assemble_identifier(config, backend, profiles, state):
+    """Build the identifier, adopting persisted backend state when it still applies."""
     from repro.api.identifier import LanguageIdentifier
 
+    stored_backend = config.backend
     if backend is not None and backend != stored_backend:
         config = config.replace(backend=backend)
     identifier = LanguageIdentifier(config)
     if state and config.backend == stored_backend:
-        if shared:
-            identifier.backend.import_shared_state(profiles, state)
-        else:
-            identifier.backend.import_state(profiles, state)
+        identifier.backend.import_state(profiles, state)
     else:
         identifier.train_profiles(profiles)
     return identifier
@@ -206,43 +183,12 @@ def _assemble_identifier(config, stored_backend, backend, profiles, state, share
 # --------------------------------------------------------------------- saving
 
 
-def save_model(identifier, path: str | Path, format: str = "npz") -> Path:
-    """Serialise a trained identifier to ``path``.
-
-    ``format="npz"`` writes the compressed archive (``.npz`` appended if the
-    path has no matching suffix); ``format="flat"`` writes the page-aligned
-    memmap-able container (``.bin`` appended likewise).  Both carry the same
-    logical payload and round-trip bit-exactly through :func:`load_model`.
-    """
-    if not identifier.is_trained:
-        raise RuntimeError("cannot save an untrained identifier; call train() first")
-    if format == "npz":
-        return _save_npz(identifier, Path(path))
-    if format == "flat":
-        return _save_flat(identifier, Path(path))
-    raise ValueError(f"unknown artifact format {format!r}; choose 'npz' or 'flat'")
-
-
-def _save_npz(identifier, path: Path) -> Path:
-    if path.suffix != ".npz":
-        path = path.with_suffix(path.suffix + ".npz")
-    arrays: dict[str, np.ndarray] = {"meta": np.asarray(json.dumps(_build_meta(identifier)))}
-    for language, profile in identifier.profiles.items():
-        arrays[f"{_PROFILE_PREFIX}{language}/ngrams"] = profile.ngrams
-        arrays[f"{_PROFILE_PREFIX}{language}/counts"] = profile.counts
-    for key, value in identifier.backend.export_state().items():
-        arrays[f"{_STATE_PREFIX}{key}"] = np.asarray(value)
+def save_model(identifier, path: str | Path) -> Path:
+    """Write ``identifier`` to ``path`` as a flat artifact; the path is used verbatim."""
+    blob = flat_model_bytes(identifier)
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as handle:
-        np.savez_compressed(handle, **arrays)
-    return path
-
-
-def _save_flat(identifier, path: Path) -> Path:
-    if path.suffix != ".bin":
-        path = path.with_suffix(path.suffix + ".bin")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(flat_model_bytes(identifier))
+    path.write_bytes(blob)
     return path
 
 
@@ -253,12 +199,14 @@ def _align(value: int) -> int:
 def flat_model_bytes(identifier) -> bytearray:
     """The complete flat-container serialisation of a trained identifier.
 
-    This is exactly what ``save_model(..., format="flat")`` writes to disk;
+    This is exactly what :func:`save_model` writes to disk;
     :class:`repro.serve.shared_model.SharedModel` copies the same bytes into a
-    ``multiprocessing.shared_memory`` segment, so the one parser
-    (:func:`load_model_from_buffer`) serves files and segments alike.
+    ``multiprocessing.shared_memory`` segment and
+    :func:`repro.serve.replicas.clone_identifier` parses them straight back, so
+    the one parser (:func:`load_model_from_buffer`) serves files, segments and
+    in-process replicas alike.
 
-    The bloom state is deliberately unpacked (8x the ``.npz`` size), so the
+    The bloom state is deliberately unpacked (one byte per bit), so the
     serialisation avoids transient copies: the CRC is computed over the array
     buffers directly and every array is written straight into the one output
     buffer, which is returned without a final ``bytes()`` copy.
@@ -269,7 +217,7 @@ def flat_model_bytes(identifier) -> bytearray:
     for language, profile in identifier.profiles.items():
         arrays[f"{_PROFILE_PREFIX}{language}/ngrams"] = profile.ngrams
         arrays[f"{_PROFILE_PREFIX}{language}/counts"] = profile.counts
-    for key, value in identifier.backend.export_shared_state().items():
+    for key, value in identifier.backend.export_state().items():
         arrays[f"{_STATE_PREFIX}{key}"] = np.asarray(value)
 
     # Lay the payload out first (offsets relative to the payload start, each
@@ -330,14 +278,12 @@ def flat_model_bytes(identifier) -> bytearray:
 
 
 def load_model(path: str | Path, backend: str | None = None):
-    """Load an artifact written by :func:`save_model` (either container).
+    """Load an artifact written by :func:`save_model`, memory-mapped zero-copy.
 
     Parameters
     ----------
     path:
-        Artifact file path.  The container is sniffed from the file's leading
-        bytes: :data:`FLAT_MAGIC` selects the flat memmap parser, anything
-        else goes through the ``.npz`` reader.
+        Artifact file path.
     backend:
         Optional backend-name override; the stored profiles are re-programmed
         into the requested engine.  Persisted backend state is only reused when
@@ -348,62 +294,14 @@ def load_model(path: str | Path, backend: str | None = None):
     FileNotFoundError
         If no artifact exists at ``path``.
     ModelFormatError
-        If the file is not a valid artifact: corrupt/truncated container,
-        missing metadata or profile arrays, foreign format tag, version newer
-        than this library supports, failed payload checksum, or undecodable
-        configuration.
+        If the file is not a valid artifact (see :func:`load_model_from_buffer`),
+        including ``.npz`` archives from earlier releases, which must be loaded
+        with that release and saved again.
     """
-    path = Path(path)
-    # save_model appends .npz/.bin to suffix-less paths; accept the same
-    # spellings here so save("model") / load("model") round-trips.
-    if not path.exists() and path.suffix not in (".npz", ".bin"):
-        for suffix in (".npz", ".bin"):
-            candidate = path.with_suffix(path.suffix + suffix)
-            if candidate.exists():
-                path = candidate
-                break
-    try:
-        with path.open("rb") as handle:
-            leading = handle.read(len(FLAT_MAGIC))
-    except IsADirectoryError as exc:
-        raise ModelFormatError(f"{path} is a directory, not a model artifact") from exc
-    if leading == FLAT_MAGIC:
-        return _load_flat(path, backend=backend)
-    return _load_npz(path, backend=backend)
-
-
-def _load_npz(path: Path, backend: str | None):
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            if "meta" not in archive:
-                raise ModelFormatError(
-                    f"{path} is not a {ARTIFACT_FORMAT} artifact (no metadata)"
-                )
-            try:
-                meta = json.loads(str(archive["meta"]))
-            except json.JSONDecodeError as exc:
-                raise ModelFormatError(f"{path} has undecodable metadata: {exc}") from exc
-            config = _validate_meta(meta, str(path))
-            profiles = _profiles_from(meta, lambda name: archive[name], str(path))
-            state = {
-                key[len(_STATE_PREFIX) :]: archive[key]
-                for key in archive.files
-                if key.startswith(_STATE_PREFIX)
-            }
-    except ModelFormatError:
-        raise
-    except FileNotFoundError:
-        raise
-    except (zipfile.BadZipFile, EOFError, OSError, ValueError, KeyError) as exc:
-        # np.load and lazy member reads surface container corruption through a
-        # grab-bag of exception types; normalise them all.
-        raise ModelFormatError(f"{path} is not a readable .npz model artifact: {exc}") from exc
-    return _assemble_identifier(config, config.backend, backend, profiles, state, shared=False)
-
-
-def _load_flat(path: Path, backend: str | None):
     try:
         buffer = np.memmap(path, dtype=np.uint8, mode="r")
+    except FileNotFoundError:
+        raise
     except (OSError, ValueError) as exc:
         raise ModelFormatError(f"{path} is not a readable flat model artifact: {exc}") from exc
     return load_model_from_buffer(buffer, source=str(path), backend=backend)
@@ -418,8 +316,9 @@ def load_model_from_buffer(
     """Open a flat-container artifact held in any byte buffer, zero-copy.
 
     ``buffer`` is anything :func:`np.frombuffer` accepts — a read-only
-    ``np.memmap`` of ``model.bin``, or the ``buf`` of a
-    ``multiprocessing.shared_memory`` segment.  Arrays inside the returned
+    ``np.memmap`` of ``model.bin``, the ``buf`` of a
+    ``multiprocessing.shared_memory`` segment, or the output of
+    :func:`flat_model_bytes`.  Arrays inside the returned
     identifier are read-only *views* of that buffer: for the ``bloom``
     backend, the live bit-vectors address the buffer's bytes directly, so
     every process that maps the same bytes shares one physical model copy.
@@ -428,9 +327,9 @@ def load_model_from_buffer(
     ``verify=False`` skips the payload CRC32 pass (header and bounds checks
     still run).  File loads keep the default — corruption detection is the
     point — but trusted re-opens of bytes this process tree just wrote and
-    checked (N workers attaching one shared-memory segment) use it to avoid N
-    redundant full passes over the unpacked bit-vectors, and to keep an mmap
-    load lazy instead of paging the whole artifact in up front.
+    checked (N workers attaching one shared-memory segment, in-process replica
+    clones) use it to avoid N redundant full passes over the unpacked
+    bit-vectors.
 
     Raises :class:`ModelFormatError` for every malformed input: short or
     truncated buffers, wrong magic, undecodable or mismatched headers, array
@@ -502,4 +401,4 @@ def load_model_from_buffer(
         for key, value in arrays.items()
         if key.startswith(_STATE_PREFIX)
     }
-    return _assemble_identifier(config, config.backend, backend, profiles, state, shared=True)
+    return _assemble_identifier(config, backend, profiles, state)

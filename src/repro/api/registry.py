@@ -146,10 +146,13 @@ class Backend(abc.ABC):
     # ------------------------------------------------------------ persistence hooks
 
     def export_state(self) -> dict[str, np.ndarray]:
-        """Extra arrays to persist beyond the profiles (e.g. Bloom bit-vectors).
+        """Arrays to persist beyond the profiles, in the layout the engine probes.
 
-        Backends that are cheap and deterministic to rebuild from profiles
-        return an empty mapping (the default).
+        Backends whose hot-path structures can be views over a read-only
+        buffer export that layout directly (the ``bloom`` backend's unpacked
+        stacked bit-vectors), so a loaded model answers without
+        re-programming.  Backends that are cheap and deterministic to rebuild
+        from profiles return an empty mapping (the default).
         """
         return {}
 
@@ -158,33 +161,13 @@ class Backend(abc.ABC):
     ) -> None:
         """Restore from persisted profiles plus :meth:`export_state` arrays.
 
-        The default ignores ``state`` and re-fits from the profiles, which is
-        bit-exact for every deterministic backend.
+        ``state`` arrays may be read-only views over an ``np.memmap`` or a
+        ``multiprocessing.shared_memory`` buffer; overriding backends adopt
+        them without copying or mutating them.  The default ignores ``state``
+        and re-fits from the profiles, which is bit-exact for every
+        deterministic backend.
         """
         self.fit_profiles(profiles)
-
-    # ------------------------------------------------------------ zero-copy hooks
-
-    def export_shared_state(self) -> dict[str, np.ndarray]:
-        """Arrays for the flat/shared-memory artifact layout.
-
-        Backends whose hot-path structures can be rebuilt as *views* over a
-        read-only buffer override this pair to export a directly-mappable
-        layout (the ``bloom`` backend's unpacked stacked bit-vectors); the
-        default reuses the ordinary :meth:`export_state` arrays.
-        """
-        return self.export_state()
-
-    def import_shared_state(
-        self, profiles: Mapping[str, LanguageProfile], state: Mapping[str, np.ndarray]
-    ) -> None:
-        """Restore from :meth:`export_shared_state` arrays, adopting views zero-copy.
-
-        ``state`` arrays may be read-only views over an ``np.memmap`` or a
-        ``multiprocessing.shared_memory`` buffer; overriding backends must not
-        copy or mutate them.  The default delegates to :meth:`import_state`.
-        """
-        self.import_state(profiles, state)
 
     # ------------------------------------------------------------ introspection
 

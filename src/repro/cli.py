@@ -7,7 +7,7 @@ Subcommands
     language, one text file per document).
 ``train``
     Train a :class:`~repro.api.identifier.LanguageIdentifier` from a corpus
-    directory and save it as a versioned model artifact (``.npz``).
+    directory and save it as a versioned flat model artifact (``model.bin``).
 ``classify``
     Classify one or more text files (or stdin via ``-``) against a saved model;
     ``--backend`` re-programs the model's profiles into a different engine.
@@ -237,13 +237,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
             f" calibrated={backend.calibrated}"
             f" priors_sources={len(backend.priors_sources)}"
         )
-    path = identifier.save(Path(args.output), format=args.format)
+    path = identifier.save(Path(args.output))
     config = identifier.config
     print(
         f"trained {len(identifier.languages)} languages "
         f"(backend={config.backend}, n={config.n}, t={config.t}, "
-        f"m={config.m_kbits} Kbits, k={config.k}); model saved to {path} "
-        f"({args.format} container){extras}"
+        f"m={config.m_kbits} Kbits, k={config.k}); model saved to {path}{extras}"
     )
     return 0
 
@@ -832,11 +831,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train a model from a corpus directory and save it")
     train.add_argument("--corpus", required=True)
-    train.add_argument("--output", required=True, help="model artifact path (.npz or .bin)")
     train.add_argument(
-        "--format", choices=("npz", "flat"), default="npz",
-        help="artifact container: compressed .npz, or flat page-aligned .bin that "
-        "classify/serve can memmap zero-copy (default: npz)",
+        "--output", required=True,
+        help="model artifact path, written verbatim (flat container, e.g. model.bin)",
     )
     train.add_argument("--ngram", type=int, default=4)
     train.add_argument("--hash-family", choices=KNOWN_HASH_FAMILIES, default="h3")

@@ -216,7 +216,7 @@ class ParallelBloomFilter(_BloomBase):
         if self.is_read_only:
             raise RuntimeError(
                 "this filter's bit-vectors are a read-only shared/mmap-backed view; "
-                "rebuild it with from_arrays(..., copy=True) before mutating"
+                "build a new filter before mutating"
             )
 
     def clear(self) -> None:
@@ -303,39 +303,25 @@ class ParallelBloomFilter(_BloomBase):
         """Total memory footprint in Kbits (the unit used by the paper)."""
         return self.total_bits / 1024.0
 
-    def to_arrays(self) -> dict:
-        """Serialise the filter state."""
-        return {
-            "kind": "parallel",
-            "m_bits": self.m_bits,
-            "k": self.k,
-            "key_bits": self.key_bits,
-            "bits": np.packbits(self._bits, axis=1),
-            "n_items": self.n_items,
-        }
-
     @classmethod
     def from_arrays(
         cls,
         payload: dict,
         hashes: HashFamily | None = None,
         seed: int = 0,
-        copy: bool = True,
     ) -> "ParallelBloomFilter":
-        """Rebuild a filter from :meth:`to_arrays` output (model persistence).
+        """Adopt persisted bit-vectors as a filter (model loading), zero-copy.
+
+        ``payload["bits"]`` is the unpacked ``(k, m_bits)`` bool/uint8 matrix
+        (one byte per bit, the flat artifact layout).  It is adopted as-is —
+        no bytes are copied — so N processes can point their filters at one
+        physical buffer (``multiprocessing.shared_memory`` or an ``np.memmap``)
+        and share a single copy of the bit-vectors.  Filters over a read-only
+        buffer refuse :meth:`add_many` / :meth:`clear`.
 
         The hash family is not part of the payload; pass the same ``hashes`` (or
         ``seed``) the filter was built with so that lookups address the restored
         bit-vectors identically.
-
-        ``payload["bits"]`` may be either the packed ``(k, m_bits/8)`` uint8
-        matrix written by :meth:`to_arrays` or an already-unpacked
-        ``(k, m_bits)`` bool/uint8 matrix (the flat/shared-memory artifact
-        layout).  With ``copy=False`` an unpacked matrix is adopted as-is — no
-        bytes are copied, so N processes can point their filters at one
-        physical buffer (``multiprocessing.shared_memory`` or an ``np.memmap``)
-        and share a single copy of the bit-vectors.  Zero-copy filters are
-        read-only: :meth:`add_many` / :meth:`clear` refuse to run on them.
         """
         if payload.get("kind") != "parallel":
             raise ValueError(f"payload is not a parallel Bloom filter: {payload.get('kind')!r}")
@@ -347,20 +333,15 @@ class ParallelBloomFilter(_BloomBase):
             seed=seed,
         )
         raw = np.asarray(payload["bits"])
-        if raw.ndim != 2 or raw.shape[0] != filt.k:
+        if raw.shape != (filt.k, filt.m_bits) or raw.dtype not in (
+            np.dtype(bool),
+            np.dtype(np.uint8),
+        ):
             raise ValueError(
-                f"bits must have shape (k={filt.k}, m_bits) unpacked or "
-                f"(k, m_bits/8) packed; got {raw.shape}"
+                f"bits must be an unpacked (k={filt.k}, m_bits={filt.m_bits}) bool/uint8 "
+                f"matrix; got {raw.dtype} {raw.shape}"
             )
-        if raw.shape[1] == filt.m_bits and raw.dtype in (np.dtype(bool), np.dtype(np.uint8)):
-            # Unpacked layout: one byte per bit, directly addressable.
-            if copy:
-                filt._bits = raw.astype(bool)
-            else:
-                filt._bits = raw if raw.dtype == np.dtype(bool) else raw.view(bool)
-        else:
-            bits = np.unpackbits(raw.astype(np.uint8, copy=False), axis=1)
-            filt._bits = bits[:, : filt.m_bits].astype(bool)
+        filt._bits = raw.view(bool)
         filt.n_items = int(payload["n_items"])
         return filt
 

@@ -147,10 +147,10 @@ class ModelRegistry:
         """Store a trained model as the next version; returns its record.
 
         ``model`` is a trained :class:`~repro.api.identifier.LanguageIdentifier`
-        or a path to an existing artifact (either container — it is re-encoded
-        into the flat layout the serving tier maps zero-copy).  ``parent``
-        records lineage for incremental retraining; ``corpus_stats`` is an
-        arbitrary JSON-able dict (document/byte counts, accumulator telemetry).
+        or a path to an existing ``model.bin`` artifact (loaded, then written
+        into the new version directory).  ``parent`` records lineage for
+        incremental retraining; ``corpus_stats`` is an arbitrary JSON-able
+        dict (document/byte counts, accumulator telemetry).
         ``activate=False`` publishes without moving the ``LATEST`` pointer
         (e.g. to validate a candidate before cutting traffic over).
         """
@@ -171,7 +171,7 @@ class ModelRegistry:
             staging = self.versions_dir / f"{_TMP_PREFIX}{_version_name(number)}-{os.getpid()}"
             staging.mkdir(parents=True)
             try:
-                artifact = save_model(model, staging / "model", format="flat")
+                artifact = save_model(model, staging / _ARTIFACT_NAME)
                 manifest = {
                     "schema": MANIFEST_SCHEMA,
                     "version": number,

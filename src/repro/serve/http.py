@@ -43,7 +43,11 @@ serving stack adds no dependencies beyond NumPy.  Endpoints:
     started without a registry; 400 for unknown versions.
 
 The framing intentionally supports only what the service needs: one request
-per read, ``Content-Length`` bodies, keep-alive until the client closes.
+per read, ``Content-Length`` bodies, keep-alive until the client closes.  A
+request whose body length cannot be known (any ``Transfer-Encoding``, a bad
+``Content-Length``) or whose request line does not parse leaves the byte stream
+unaligned, so it gets one error response with ``Connection: close`` and the
+server hangs up.
 """
 
 from __future__ import annotations
@@ -80,6 +84,7 @@ _REASONS = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
 
@@ -118,24 +123,28 @@ class _HttpError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
-        # set when the request body was left unread, so the connection's byte
-        # stream is no longer aligned with request boundaries
+        # set when the connection's byte stream is no longer aligned with
+        # request boundaries (a body left unread or of unknown length, a
+        # request line that did not parse): the response says so and the
+        # server hangs up after sending it
         self.close_connection = close_connection
         # extra response headers (e.g. the Allow header RFC 9110 requires on 405)
-        self.headers = headers or {}
+        self.headers = dict(headers or {})
+        if close_connection:
+            self.headers["Connection"] = "close"
 
 
 def _encode_response(
     status: int, body: bytes, content_type: str, headers: dict | None = None
 ) -> bytes:
     reason = _REASONS.get(status, "Unknown")
-    extra = "".join(f"{name}: {value}\r\n" for name, value in (headers or {}).items())
+    headers = {"Connection": "keep-alive", **(headers or {})}
+    extra = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"
         f"Content-Type: {content_type}\r\n"
         f"Content-Length: {len(body)}\r\n"
         f"{extra}"
-        "Connection: keep-alive\r\n"
         "\r\n"
     )
     return head.encode("ascii") + body
@@ -160,26 +169,36 @@ async def _read_request(reader: asyncio.StreamReader, max_body_bytes: int):
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None
-        raise _HttpError(400, "truncated request head") from None
+        raise _HttpError(400, "truncated request head", close_connection=True) from None
     except asyncio.LimitOverrunError:
-        raise _HttpError(400, "request head too large") from None
+        raise _HttpError(400, "request head too large", close_connection=True) from None
     if len(head) > _MAX_HEADER_BYTES:
         raise _HttpError(400, "request head too large")
     lines = head.decode("latin-1").split("\r\n")
     try:
         method, target, _version = lines[0].split(" ", 2)
     except ValueError:
-        raise _HttpError(400, f"malformed request line {lines[0]!r}") from None
+        raise _HttpError(
+            400, f"malformed request line {lines[0]!r}", close_connection=True
+        ) from None
     headers = {}
     for line in lines[1:]:
         if not line:
             continue
         name, _sep, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        # the body's framing is unknown here, so its bytes would be parsed as
+        # the next request: refuse it, whatever Content-Length says
+        raise _HttpError(
+            501,
+            "Transfer-Encoding is not supported; send the body with Content-Length",
+            close_connection=True,
+        )
     try:
         content_length = int(headers.get("content-length", "0"))
     except ValueError:
-        raise _HttpError(400, "invalid Content-Length") from None
+        raise _HttpError(400, "invalid Content-Length", close_connection=True) from None
     if content_length < 0:
         raise _HttpError(400, "invalid Content-Length", close_connection=True)
     if content_length > max_body_bytes:

@@ -33,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Sequence
 
 from repro.api.identifier import LanguageIdentifier
+from repro.api.persistence import flat_model_bytes, load_model_from_buffer
 from repro.core.classifier import ClassificationResult
 
 __all__ = [
@@ -49,20 +50,13 @@ SHARDING_DISCIPLINES = ("round-robin", "hash")
 def clone_identifier(identifier: LanguageIdentifier) -> LanguageIdentifier:
     """A bit-exact, state-disjoint copy of a trained identifier.
 
-    Uses the backend's persisted-state fast path when it exports one (the
-    ``bloom`` backend's packed bit-vectors), otherwise re-programs the clone
-    from the profiles — both are deterministic, so every replica answers
-    identically to the source.
+    The model is serialised to the flat artifact layout in memory and parsed
+    back by the one parser that also opens files and shared-memory segments,
+    so every replica is built the same way.  The clone's arrays (for
+    ``bloom``, its live bit-vectors) are read-only views of its own private
+    buffer.
     """
-    if not identifier.is_trained:
-        raise RuntimeError("cannot replicate an untrained identifier")
-    clone = LanguageIdentifier(identifier.config)
-    state = identifier.backend.export_state()
-    if state:
-        clone.backend.import_state(identifier.profiles, state)
-    else:
-        clone.train_profiles(identifier.profiles)
-    return clone
+    return load_model_from_buffer(flat_model_bytes(identifier), verify=False)
 
 
 class ReplicaPoolBase:

@@ -157,7 +157,7 @@ class ClassificationService:
     ----------
     model:
         A trained :class:`~repro.api.identifier.LanguageIdentifier`, or a path
-        to a saved ``.npz`` model artifact (loaded on construction).
+        to a saved ``model.bin`` artifact (memory-mapped on construction).
     config:
         The :class:`ServeConfig`; defaults favour throughput with a 2 ms
         latency budget.

@@ -411,7 +411,7 @@ def analyze_setup(tmp_path_factory):
         )
         == 0
     )
-    model = root / "model.npz"
+    model = root / "model.bin"
     assert (
         main(
             [

@@ -141,12 +141,22 @@ class TestParallelBloomFilter:
         filt = ParallelBloomFilter.from_items(keys, m_bits=1024, k=2, seed=0)
         assert len(filt) == 2
 
-    def test_to_arrays_roundtrip_bits(self):
+    def test_from_arrays_adopts_bits_without_copy(self):
         filt = ParallelBloomFilter(m_bits=1024, k=2, seed=0)
-        filt.add_many(np.unique(_keys(50, seed=2)))
-        payload = payload = filt.to_arrays()
-        unpacked = np.unpackbits(payload["bits"], axis=1)[:, : filt.m_bits].astype(bool)
-        assert np.array_equal(unpacked, filt.bit_vectors)
+        keys = np.unique(_keys(50, seed=2))
+        filt.add_many(keys)
+        buffer = filt.bit_vectors.view(np.uint8)
+        buffer.flags.writeable = False
+        payload = {"kind": "parallel", "m_bits": 1024, "k": 2, "key_bits": 20,
+                   "bits": buffer, "n_items": len(filt)}
+        adopted = ParallelBloomFilter.from_arrays(payload, seed=0)
+        assert np.shares_memory(adopted._bits, buffer)
+        assert adopted.contains_many(keys).all() and len(adopted) == len(filt)
+        assert adopted.is_read_only
+        with pytest.raises(RuntimeError, match="read-only"):
+            adopted.add(7)
+        with pytest.raises(ValueError, match="unpacked"):
+            ParallelBloomFilter.from_arrays({**payload, "bits": np.packbits(buffer, axis=1)})
 
     def test_expected_fpr_uses_programmed_count_by_default(self):
         filt = ParallelBloomFilter(m_bits=4096, k=3, seed=0)

@@ -3,7 +3,6 @@
 import io
 import json
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -28,7 +27,7 @@ class TestParser:
                 "evaluate": ["evaluate"],
                 "sweep": ["sweep"],
                 "tables": ["tables"],
-                "serve": ["serve", "--model", "m.npz"],
+                "serve": ["serve", "--model", "m.bin"],
             }[command]
             parsed = parser.parse_args(args)
             assert parsed.command == command
@@ -65,7 +64,7 @@ class TestEndToEndCLI:
     @pytest.fixture()
     def trained_model(self, tmp_path):
         corpus_dir = tmp_path / "corpus"
-        model_path = tmp_path / "model.npz"
+        model_path = tmp_path / "model.bin"
         assert main(
             [
                 "generate-corpus",
@@ -169,12 +168,12 @@ class TestEndToEndCLI:
         output = capsys.readouterr().out
         assert output.startswith("<stdin>: 1 span(s), dominant=fr")
 
-    def test_model_artifact_is_versioned_npz(self, trained_model):
-        import json
-
+    def test_model_artifact_is_versioned(self, trained_model):
         _, model_path = trained_model
-        with np.load(model_path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
+        raw = model_path.read_bytes()
+        assert raw[:8] == b"RLIDFLT1"  # the flat container's magic
+        header_len = int.from_bytes(raw[8:16], "little")
+        meta = json.loads(raw[16 : 16 + header_len])["meta"]
         assert meta["format"] == "repro-langid-model"
         assert meta["version"] == 1
         assert set(meta["languages"]) == {"en", "fr"}
@@ -188,38 +187,19 @@ class TestEndToEndCLI:
                 "train",
                 "--corpus", str(corpus_dir),
                 "--output", str(flat_path),
-                "--format", "flat",
                 "--profile-size", "800",
             ]
         ) == 0
-        written = corpus_dir.parent / "model_flat.bin"
-        assert written.is_file()
-        assert written.read_bytes()[:8] == b"RLIDFLT1"
-        assert "flat container" in capsys.readouterr().out
+        assert flat_path.is_file()  # --output is written verbatim, no suffix added
+        assert flat_path.read_bytes()[:8] == b"RLIDFLT1"
+        assert f"model saved to {flat_path}" in capsys.readouterr().out
         en_file = sorted((corpus_dir / "en").glob("*.txt"))[0]
-        capsys.readouterr()
-        assert main(["classify", "--model", str(written), str(en_file)]) == 0
+        assert main(["classify", "--model", str(flat_path), str(en_file)]) == 0
         assert ": en" in capsys.readouterr().out
-
-    def test_flat_and_npz_models_classify_identically(self, trained_model, capsys):
-        corpus_dir, model_path = trained_model
-        flat_path = corpus_dir.parent / "same"
-        assert main(
-            [
-                "train",
-                "--corpus", str(corpus_dir),
-                "--output", str(flat_path),
-                "--format", "flat",
-                "--profile-size", "800",
-            ]
-        ) == 0
-        en_file = sorted((corpus_dir / "en").glob("*.txt"))[0]
-        capsys.readouterr()
-        assert main(["classify", "--model", str(model_path), str(en_file)]) == 0
-        npz_line = capsys.readouterr().out.splitlines()[-1].split(": ", 1)[1]
-        assert main(["classify", "--model", str(flat_path) + ".bin", str(en_file)]) == 0
-        flat_line = capsys.readouterr().out.splitlines()[-1].split(": ", 1)[1]
-        assert npz_line == flat_line  # same language and same top-3 counts
+        with pytest.raises(SystemExit):  # one container: there is nothing to choose
+            build_parser().parse_args(
+                ["train", "--corpus", "c", "--output", "o", "--format", "flat"]
+            )
 
     #: small fast evaluation-matrix invocation shared by the evaluate tests
     EVALUATE_ARGS = [
@@ -312,7 +292,7 @@ class TestEndToEndCLI:
 class TestBatchSizeFlag:
     def test_train_persists_batch_size_in_config(self, tmp_path):
         corpus_dir = tmp_path / "corpus"
-        model_path = tmp_path / "model.npz"
+        model_path = tmp_path / "model.bin"
         assert main(
             [
                 "generate-corpus",
@@ -338,7 +318,7 @@ class TestBatchSizeFlag:
 
     def test_classify_accepts_batch_size_override(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
-        model_path = tmp_path / "model.npz"
+        model_path = tmp_path / "model.bin"
         main(
             [
                 "generate-corpus",
@@ -379,7 +359,7 @@ class TestBatchSizeFlag:
 
 class TestServeParser:
     def test_serve_defaults(self):
-        parsed = build_parser().parse_args(["serve", "--model", "m.npz"])
+        parsed = build_parser().parse_args(["serve", "--model", "m.bin"])
         assert parsed.command == "serve"
         assert parsed.port == 8000
         assert parsed.max_batch == 64
@@ -393,7 +373,7 @@ class TestServeParser:
     def test_serve_overrides(self):
         parsed = build_parser().parse_args(
             [
-                "serve", "--model", "m.npz", "--port", "0", "--max-batch", "128",
+                "serve", "--model", "m.bin", "--port", "0", "--max-batch", "128",
                 "--max-delay-ms", "0.5", "--replicas", "4", "--sharding", "hash",
                 "--executor", "process", "--cache-size", "0", "--max-pending", "32",
             ]
@@ -405,7 +385,7 @@ class TestServeParser:
     def test_serve_rejects_unknown_executor(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["serve", "--model", "m.npz", "--executor", "fiber"]
+                ["serve", "--model", "m.bin", "--executor", "fiber"]
             )
         assert "invalid choice" in capsys.readouterr().err
 
@@ -414,12 +394,12 @@ class TestServeParser:
     )
     def test_serve_rejects_non_positive_knobs(self, flag, value, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--model", "m.npz", flag, value])
+            build_parser().parse_args(["serve", "--model", "m.bin", flag, value])
         assert "positive" in capsys.readouterr().err
 
     def test_serve_rejects_unknown_sharding(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--model", "m.npz", "--sharding", "nope"])
+            build_parser().parse_args(["serve", "--model", "m.bin", "--sharding", "nope"])
         capsys.readouterr()
 
 
@@ -427,7 +407,7 @@ class TestEnsembleCLI:
     @pytest.fixture()
     def ensemble_model(self, tmp_path):
         corpus_dir = tmp_path / "corpus"
-        model_path = tmp_path / "ensemble.npz"
+        model_path = tmp_path / "ensemble.bin"
         priors_path = tmp_path / "priors.json"
         main(
             [
@@ -511,7 +491,7 @@ class TestEnsembleCLI:
 
     def test_classify_priors_require_prior_aware_backend(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
-        model_path = tmp_path / "model.npz"
+        model_path = tmp_path / "model.bin"
         priors_path = tmp_path / "priors.json"
         main(
             [

@@ -276,13 +276,10 @@ class TestSourceThreading:
 
 
 class TestPersistence:
-    @pytest.mark.parametrize("format", ["npz", "flat"])
-    def test_artifact_round_trips_bit_exact(
-        self, calibrated_identifier, corpus, tmp_path, format
-    ):
+    def test_artifact_round_trips_bit_exact(self, calibrated_identifier, corpus, tmp_path):
         calibrated_identifier.backend.set_priors(priors_payload())
         try:
-            path = calibrated_identifier.save(tmp_path / f"model-{format}", format=format)
+            path = calibrated_identifier.save(tmp_path / "model.bin")
             restored = LanguageIdentifier.load(path)
             backend = restored.backend
             assert restored.config.backend == "ensemble"

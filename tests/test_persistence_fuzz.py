@@ -1,18 +1,19 @@
-"""Fuzz/robustness tests for model artifacts — both containers.
+"""Fuzz/robustness tests for the flat ``model.bin`` artifact.
 
 Every malformed input must surface as :class:`ModelFormatError` (which also
-``isinstance``-checks as ``ValueError``), never as a raw NumPy / zipfile / OS
-internal error: zero-length files, truncations at arbitrary offsets, random
-bit-flips anywhere in ``model.bin`` (header *or* payload — the payload CRC32
-catches the latter), and hand-corrupted headers (bad magic, absurd header
-lengths, foreign format tags, future versions, broken array tables, arrays
-pointing past EOF, unsupported dtypes).
+``isinstance``-checks as ``ValueError``), never as a raw NumPy / OS internal
+error: zero-length files, truncations at arbitrary offsets, random bit-flips
+anywhere in ``model.bin`` (header *or* payload — the payload CRC32 catches the
+latter), hand-corrupted headers (bad magic, absurd header lengths, foreign
+format tags, future versions, invalid configurations, broken array tables,
+arrays pointing past EOF, unsupported dtypes), and ``.npz`` archives written
+by earlier releases.
 
-Round-trip identity is checked both ways: ``.npz`` → flat → ``.npz`` must be
-bit-exact on the persisted state (profiles and Bloom bit-vectors), and a model
-loaded from either container must classify identically.
+Round-trip identity: save → load → save → load must be bit-exact on the
+persisted state (profiles and Bloom bit-vectors).
 """
 
+import io
 import json
 
 import numpy as np
@@ -44,10 +45,10 @@ def flat_blob(identifier):
     return flat_model_bytes(identifier)
 
 
-def _expect_format_error(tmp_path, blob: bytes, name="model.bin"):
+def _expect_format_error(tmp_path, blob: bytes, name="model.bin", match=None):
     path = tmp_path / name
     path.write_bytes(blob)
-    with pytest.raises(ModelFormatError):
+    with pytest.raises(ModelFormatError, match=match):
         load_model(path)
 
 
@@ -55,45 +56,30 @@ def _expect_format_error(tmp_path, blob: bytes, name="model.bin"):
 
 
 class TestRoundTrips:
-    def test_npz_flat_npz_is_bit_exact(self, identifier, tmp_path):
-        npz_path = save_model(identifier, tmp_path / "a")
-        via_npz = load_model(npz_path)
-        flat_path = save_model(via_npz, tmp_path / "b", format="flat")
-        via_flat = load_model(flat_path)
-        back_path = save_model(via_flat, tmp_path / "c")
-        back = load_model(back_path)
+    def test_save_load_save_load_is_bit_exact(self, identifier, tmp_path):
+        once = load_model(save_model(identifier, tmp_path / "a.bin"))
+        twice_path = save_model(once, tmp_path / "b.bin")
+        twice = load_model(twice_path)
+        assert twice_path.read_bytes() == (tmp_path / "a.bin").read_bytes()
 
-        reference = identifier.backend.export_shared_state()
-        for restored in (via_npz, via_flat, back):
-            state = restored.backend.export_shared_state()
-            assert np.array_equal(
-                np.asarray(state["stacked_bits"]), np.asarray(reference["stacked_bits"])
-            )
+        reference = identifier.backend.export_state()
+        for restored in (once, twice):
+            state = restored.backend.export_state()
+            assert np.array_equal(state["stacked_bits"], reference["stacked_bits"])
             assert np.array_equal(state["n_items"], reference["n_items"])
             for language, profile in identifier.profiles.items():
                 assert np.array_equal(restored.profiles[language].ngrams, profile.ngrams)
                 assert np.array_equal(restored.profiles[language].counts, profile.counts)
 
-    def test_both_containers_classify_identically(self, identifier, tmp_path):
-        texts = ["quel est ce document", "a plain english sentence", "el perro corre", ""]
-        npz = load_model(save_model(identifier, tmp_path / "m"))
-        flat = load_model(save_model(identifier, tmp_path / "m2", format="flat"))
-        direct = identifier.classify_batch(texts)
-        assert [r.match_counts for r in npz.classify_batch(texts)] == [
-            r.match_counts for r in direct
-        ]
-        assert [r.match_counts for r in flat.classify_batch(texts)] == [
-            r.match_counts for r in direct
-        ]
-
     def test_suffixless_save_load_round_trip(self, identifier, tmp_path):
-        path = save_model(identifier, tmp_path / "noext", format="flat")
-        assert path.name == "noext.bin"
+        path = save_model(identifier, tmp_path / "noext")
+        assert path == tmp_path / "noext"  # written verbatim, no suffix added
         assert load_model(tmp_path / "noext").languages == identifier.languages
 
     def test_unknown_format_rejected(self, identifier, tmp_path):
         with pytest.raises(ValueError, match="unknown artifact format"):
-            save_model(identifier, tmp_path / "x", format="tar")
+            identifier.save(tmp_path / "x", format="tar")
+        assert not (tmp_path / "x").exists()
 
 
 # ------------------------------------------------------------------- flat fuzzing
@@ -143,17 +129,6 @@ class TestFlatCorruption:
         padded = memoryview(flat_blob + b"\xcc" * 512)
         assert load_model_from_buffer(padded).is_trained
 
-    def test_npz_loaded_as_flat_and_vice_versa(self, identifier, tmp_path):
-        # a flat blob renamed .npz still load via magic sniffing ...
-        path = tmp_path / "disguised.npz"
-        path.write_bytes(flat_model_bytes(identifier))
-        assert load_model(path).languages == identifier.languages
-        # ... and an .npz blob with a .bin name routes to the zip reader
-        npz_path = save_model(identifier, tmp_path / "real")
-        renamed = tmp_path / "renamed.bin"
-        renamed.write_bytes(npz_path.read_bytes())
-        assert load_model(renamed).languages == identifier.languages
-
 
 def _rewrite_header(blob: bytes, mutate) -> bytes:
     """Apply ``mutate(header_dict)`` and re-serialise with a fixed-up preamble."""
@@ -178,8 +153,7 @@ class TestMismatchedHeaders:
         blob = b"NOTMAGIC" + flat_blob[len(FLAT_MAGIC) :]
         path = tmp_path / "magic.bin"
         path.write_bytes(blob)
-        # wrong magic routes to the npz reader, which must also reject it cleanly
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match="magic"):
             load_model(path)
 
     def test_absurd_header_length(self, flat_blob, tmp_path):
@@ -194,28 +168,57 @@ class TestMismatchedHeaders:
         _expect_format_error(tmp_path, bytes(blob), name="json.bin")
 
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate, match",
         [
-            lambda h: h["meta"].__setitem__("format", "other-model"),
-            lambda h: h["meta"].__setitem__("version", 99),
-            lambda h: h["meta"]["config"].__setitem__("nonsense_key", 1),
-            lambda h: h["meta"]["config"].__setitem__("m_bits", 12345),  # not a power of two
-            lambda h: h.__setitem__("arrays", "not-a-table"),
-            lambda h: h.pop("container"),
-            lambda h: h["meta"].pop("languages"),
-        ],
-        ids=[
-            "foreign-format",
-            "future-version",
-            "unknown-config-key",
-            "invalid-config-value",
-            "broken-array-table",
-            "missing-container-tag",
-            "missing-languages",
+            pytest.param(
+                lambda h: h["meta"].__setitem__("format", "other-model"),
+                "format=",
+                id="foreign-format",
+            ),
+            pytest.param(
+                lambda h: h["meta"].__setitem__("version", 99),
+                "newer than supported",
+                id="future-version",
+            ),
+            pytest.param(
+                lambda h: h["meta"]["config"].__setitem__("nonsense_key", 1),
+                "unknown configuration keys",
+                id="unknown-config-key",
+            ),
+            pytest.param(
+                # artifacts from before rolling keys were removed stored a key mode
+                lambda h: h["meta"]["config"].__setitem__("hash_mode", "packed"),
+                "unknown configuration keys",
+                id="hash-mode-config-key",
+            ),
+            pytest.param(
+                lambda h: h["meta"]["config"].__setitem__("m_bits", 12345),  # not a power of 2
+                "configuration",
+                id="invalid-config-value",
+            ),
+            pytest.param(
+                lambda h: h["meta"]["config"].__setitem__("k", 0),
+                "configuration",
+                id="invalid-stored-config",
+            ),
+            pytest.param(
+                lambda h: h["arrays"].pop(f"profiles/{h['meta']['languages'][0]}/ngrams"),
+                "profile",
+                id="missing-profile-ngrams",
+            ),
+            pytest.param(
+                lambda h: h.__setitem__("arrays", "not-a-table"), None, id="broken-array-table"
+            ),
+            pytest.param(lambda h: h.pop("container"), None, id="missing-container-tag"),
+            pytest.param(lambda h: h["meta"].pop("languages"), None, id="missing-languages"),
         ],
     )
-    def test_header_mutations_raise_model_format_error(self, flat_blob, tmp_path, mutate):
-        _expect_format_error(tmp_path, _rewrite_header(flat_blob, mutate), name="mut2.bin")
+    def test_header_mutations_raise_model_format_error(
+        self, flat_blob, tmp_path, mutate, match
+    ):
+        _expect_format_error(
+            tmp_path, _rewrite_header(flat_blob, mutate), name="mut2.bin", match=match
+        )
 
     @pytest.mark.parametrize(
         "mutate",
@@ -274,15 +277,31 @@ class TestMismatchedHeaders:
             load_model_from_buffer(memoryview(bytes(corrupt)))
 
 
-# ------------------------------------------------------------------- npz fuzzing
+# ------------------------------------------------------------------- legacy .npz inputs
+
+
+def _npz_archive(identifier) -> bytes:
+    """An ``np.savez`` archive shaped like the ``.npz`` artifacts of earlier releases."""
+    buffer = io.BytesIO()
+    arrays = {"meta": np.asarray(json.dumps({"format": "repro-langid-model", "version": 1}))}
+    for language, profile in identifier.profiles.items():
+        arrays[f"profiles/{language}/ngrams"] = profile.ngrams
+        arrays[f"profiles/{language}/counts"] = profile.counts
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
 
 
 class TestNpzCorruption:
+    """``.npz`` files — earlier releases' container — fail cleanly, never as a zip error."""
+
     def test_zero_length_npz(self, tmp_path):
         _expect_format_error(tmp_path, b"", name="empty.npz")
 
+    def test_npz_archive_rejected(self, identifier, tmp_path):
+        _expect_format_error(tmp_path, _npz_archive(identifier), name="old.npz", match="magic")
+
     def test_truncated_npz(self, identifier, tmp_path):
-        blob = save_model(identifier, tmp_path / "m").read_bytes()
+        blob = _npz_archive(identifier)
         _expect_format_error(tmp_path, blob[: len(blob) // 2], name="trunc.npz")
 
     def test_random_bytes_npz(self, tmp_path):

@@ -106,14 +106,14 @@ class TestSharedModel:
                     filt.add(3)
             # the live bit-vectors alias the segment, not a private copy
             assert clone.describe()["shared_bit_vectors"] is True
-            stacked = clone.backend.export_shared_state()["stacked_bits"]
+            stacked = clone.backend.export_state()["stacked_bits"]
             assert stacked.shape == (
                 identifier.config.k,
                 len(identifier.languages),
                 identifier.config.m_bits,
             )
             assert np.array_equal(
-                stacked, identifier.backend.export_shared_state()["stacked_bits"]
+                stacked, identifier.backend.export_state()["stacked_bits"]
             )
         finally:
             shared.unlink()
@@ -363,8 +363,7 @@ class TestProcessExecutorService:
         run(scenario())
 
     def test_service_on_flat_artifact_uses_memmapped_model(self, identifier, texts, tmp_path):
-        path = identifier.save(tmp_path / "model", format="flat")
-        assert path.suffix == ".bin"
+        path = identifier.save(tmp_path / "model.bin")
 
         async def scenario():
             async with ClassificationService(path) as service:

@@ -9,6 +9,7 @@ micro-batcher triggers, the replica pool, the LRU cache, and the metrics.
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.api import ClassifierConfig, LanguageIdentifier
@@ -471,6 +472,13 @@ class TestReplicaPool:
     def test_clone_is_bit_exact_and_disjoint(self, identifier):
         clone = clone_identifier(identifier)
         assert clone is not identifier and clone.backend is not identifier.backend
+        # built by the artifact parser: the bit-vectors are views of the clone's
+        # own read-only buffer, not the source's arrays
+        assert clone.describe()["shared_bit_vectors"] is True
+        assert not np.shares_memory(
+            clone.backend.export_state()["stacked_bits"],
+            identifier.backend.export_state()["stacked_bits"],
+        )
         text = "un texto cualquiera para comparar"
         assert clone.classify(text).match_counts == identifier.classify(text).match_counts
 
@@ -667,7 +675,7 @@ class TestClassificationService:
 
     def test_service_loads_model_from_path(self, identifier, tmp_path):
         async def scenario():
-            path = identifier.save(tmp_path / "model.npz")
+            path = identifier.save(tmp_path / "model.bin")
             async with ClassificationService(path) as service:
                 result = await service.classify("un document para el servicio")
             assert result.match_counts == identifier.classify(

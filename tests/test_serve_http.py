@@ -1,8 +1,10 @@
 """Tests for the stdlib asyncio JSON/HTTP front-end of ``repro.serve``.
 
 Drives the real server over a loopback socket: single and batched
-classification, health and metrics endpoints, and the error mapping
-(400 bad JSON, 404 unknown path, 405 wrong method, 413 oversized document).
+classification, health and metrics endpoints, the error mapping
+(400 bad JSON, 404 unknown path, 405 wrong method, 413 oversized document,
+501 transfer encodings), and connection closing once the request stream is
+unaligned.
 """
 
 import asyncio
@@ -448,6 +450,7 @@ class TestBodyLimits:
 
         status, remainder = asyncio.run(main())
         assert status == 413
+        assert b"Connection: close\r\n" in remainder
         assert b"error" in remainder  # the JSON body arrived before the close
 
     def test_negative_content_length_is_400(self, identifier):
@@ -500,3 +503,62 @@ class TestBodyLimits:
         assert snapshot["rejected_overload"] == 1
         assert snapshot["requests_total"] == 2
         assert snapshot["bytes_total"] == sum(len(f"queued doc {i}") for i in range(2))
+
+
+def _raw_exchange(identifier, request: bytes) -> bytes:
+    """Send ``request`` on a fresh connection; return every byte until the server closes."""
+
+    async def main():
+        service = ClassificationService(identifier, ServeConfig(max_delay_ms=1.0))
+        async with service:
+            server = await serve_http(service, host="127.0.0.1", port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(request)
+                await writer.drain()
+                # times out (and fails) if the server keeps the connection open
+                return await asyncio.wait_for(reader.read(), timeout=5)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+
+    return asyncio.run(main())
+
+
+_DOC = json.dumps({"text": "quel est ce document"}).encode("utf-8")
+_CHUNKED = b"%x\r\n%s\r\n0\r\n\r\n" % (len(_DOC), _DOC)
+_NEXT = b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+
+
+class TestUnalignedRequestsClose:
+    """A request whose framing the server cannot follow gets one response, then EOF.
+
+    Otherwise its body bytes would be parsed as further requests (a desync a
+    proxy in front of the server could be steered into).
+    """
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"POST /classify HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n" + _CHUNKED, 501),
+            (
+                b"POST /classify HTTP/1.1\r\nContent-Length: %d\r\n"
+                b"Transfer-Encoding: chunked\r\n\r\n%s" % (len(_CHUNKED), _CHUNKED),
+                501,
+            ),
+            (b"NONSENSE\r\n\r\n" + _NEXT, 400),
+        ],
+        ids=["chunked", "content-length-and-chunked", "malformed-request-line"],
+    )
+    def test_one_response_with_connection_close_then_eof(
+        self, identifier, request_bytes, status
+    ):
+        received = _raw_exchange(identifier, request_bytes + _NEXT)
+        assert received.count(b"HTTP/1.1 ") == 1
+        head, _sep, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert b"\r\nConnection: close" in head
+        assert "error" in json.loads(body)

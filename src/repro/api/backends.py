@@ -213,15 +213,7 @@ class BloomBackend(_MembershipBackend):
         self.profiles = dict(profiles)
         self.filters = {
             language: ParallelBloomFilter.from_arrays(
-                {
-                    "kind": "parallel",
-                    "m_bits": self.config.m_bits,
-                    "k": self.config.k,
-                    "key_bits": self.config.key_bits,
-                    "bits": bits[:, index, :],
-                    "n_items": int(count),
-                },
-                hashes=self.hashes,
+                bits[:, index, :], count, key_bits=self.config.key_bits, hashes=self.hashes
             )
             for index, (language, count) in enumerate(zip(profiles, n_items))
         }

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import secrets
 import zlib
 from pathlib import Path
 
@@ -184,11 +186,24 @@ def _assemble_identifier(config, backend, profiles, state):
 
 
 def save_model(identifier, path: str | Path) -> Path:
-    """Write ``identifier`` to ``path`` as a flat artifact; the path is used verbatim."""
+    """Write ``identifier`` to ``path`` as a flat artifact; the path is used verbatim.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path`` in one rename.  Models loaded from ``path`` map its old
+    file, so saving over the artifact a server is answering from (retrain,
+    then hot-swap) never rewrites or truncates the pages they read.
+    """
     blob = flat_model_bytes(identifier)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(blob)
+    staging = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(staging, "xb") as handle:
+            handle.write(blob)
+        os.replace(staging, path)
+    except BaseException:
+        staging.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -295,8 +310,8 @@ def load_model(path: str | Path, backend: str | None = None):
         If no artifact exists at ``path``.
     ModelFormatError
         If the file is not a valid artifact (see :func:`load_model_from_buffer`),
-        including ``.npz`` archives from earlier releases, which must be loaded
-        with that release and saved again.
+        including ``.npz`` archives and configurations with retired keys from
+        earlier releases; the README says how to migrate them.
     """
     try:
         buffer = np.memmap(path, dtype=np.uint8, mode="r")

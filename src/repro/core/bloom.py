@@ -306,43 +306,30 @@ class ParallelBloomFilter(_BloomBase):
     @classmethod
     def from_arrays(
         cls,
-        payload: dict,
+        bits: np.ndarray,
+        n_items: int,
+        key_bits: int = 20,
         hashes: HashFamily | None = None,
         seed: int = 0,
     ) -> "ParallelBloomFilter":
         """Adopt persisted bit-vectors as a filter (model loading), zero-copy.
 
-        ``payload["bits"]`` is the unpacked ``(k, m_bits)`` bool/uint8 matrix
-        (one byte per bit, the flat artifact layout).  It is adopted as-is —
-        no bytes are copied — so N processes can point their filters at one
-        physical buffer (``multiprocessing.shared_memory`` or an ``np.memmap``)
-        and share a single copy of the bit-vectors.  Filters over a read-only
-        buffer refuse :meth:`add_many` / :meth:`clear`.
+        ``bits`` is the unpacked ``(k, m_bits)`` bool/uint8 matrix (one byte
+        per bit, the flat artifact layout) and ``n_items`` the programmed-key
+        count.  The matrix is adopted as-is — no bytes are copied — so N
+        processes can point their filters at one physical buffer
+        (``multiprocessing.shared_memory`` or an ``np.memmap``) and share a
+        single copy of the bit-vectors.  Filters over a read-only buffer refuse
+        :meth:`add_many` / :meth:`clear`.
 
-        The hash family is not part of the payload; pass the same ``hashes`` (or
+        The hash family is not part of the bits; pass the same ``hashes`` (or
         ``seed``) the filter was built with so that lookups address the restored
         bit-vectors identically.
         """
-        if payload.get("kind") != "parallel":
-            raise ValueError(f"payload is not a parallel Bloom filter: {payload.get('kind')!r}")
-        filt = cls(
-            m_bits=int(payload["m_bits"]),
-            k=int(payload["k"]),
-            key_bits=int(payload["key_bits"]),
-            hashes=hashes,
-            seed=seed,
-        )
-        raw = np.asarray(payload["bits"])
-        if raw.shape != (filt.k, filt.m_bits) or raw.dtype not in (
-            np.dtype(bool),
-            np.dtype(np.uint8),
-        ):
-            raise ValueError(
-                f"bits must be an unpacked (k={filt.k}, m_bits={filt.m_bits}) bool/uint8 "
-                f"matrix; got {raw.dtype} {raw.shape}"
-            )
-        filt._bits = raw.view(bool)
-        filt.n_items = int(payload["n_items"])
+        k, m_bits = bits.shape
+        filt = cls(m_bits=m_bits, k=k, key_bits=key_bits, hashes=hashes, seed=seed)
+        filt._bits = bits.view(bool)
+        filt.n_items = int(n_items)
         return filt
 
     @classmethod

@@ -173,7 +173,8 @@ async def _read_request(reader: asyncio.StreamReader, max_body_bytes: int):
     except asyncio.LimitOverrunError:
         raise _HttpError(400, "request head too large", close_connection=True) from None
     if len(head) > _MAX_HEADER_BYTES:
-        raise _HttpError(400, "request head too large")
+        # its body, if any, stays unread
+        raise _HttpError(400, "request head too large", close_connection=True)
     lines = head.decode("latin-1").split("\r\n")
     try:
         method, target, _version = lines[0].split(" ", 2)

@@ -147,16 +147,18 @@ class TestParallelBloomFilter:
         filt.add_many(keys)
         buffer = filt.bit_vectors.view(np.uint8)
         buffer.flags.writeable = False
-        payload = {"kind": "parallel", "m_bits": 1024, "k": 2, "key_bits": 20,
-                   "bits": buffer, "n_items": len(filt)}
-        adopted = ParallelBloomFilter.from_arrays(payload, seed=0)
+        adopted = ParallelBloomFilter.from_arrays(buffer, len(filt), hashes=filt.hashes)
         assert np.shares_memory(adopted._bits, buffer)
+        assert (adopted.k, adopted.m_bits) == (2, 1024)
         assert adopted.contains_many(keys).all() and len(adopted) == len(filt)
         assert adopted.is_read_only
         with pytest.raises(RuntimeError, match="read-only"):
             adopted.add(7)
-        with pytest.raises(ValueError, match="unpacked"):
-            ParallelBloomFilter.from_arrays({**payload, "bits": np.packbits(buffer, axis=1)})
+        # packed bits would address a narrower vector than the hash family
+        with pytest.raises(ValueError, match="addresses"):
+            ParallelBloomFilter.from_arrays(
+                np.packbits(buffer, axis=1), len(filt), hashes=filt.hashes
+            )
 
     def test_expected_fpr_uses_programmed_count_by_default(self):
         filt = ParallelBloomFilter(m_bits=4096, k=3, seed=0)

@@ -71,6 +71,31 @@ class TestRoundTrips:
                 assert np.array_equal(restored.profiles[language].ngrams, profile.ngrams)
                 assert np.array_equal(restored.profiles[language].counts, profile.counts)
 
+    def test_saving_over_a_loaded_artifact_leaves_it_intact(self, identifier, tmp_path):
+        # the loaded model maps its file; a model of the same size saved to the
+        # same path must not change the bytes it reads
+        path = save_model(identifier, tmp_path / "model.bin")
+        loaded = load_model(path)
+        texts = [
+            document.text
+            for document in build_jrc_acquis_like(
+                ["en", "fr", "es"], docs_per_language=2, words_per_document=60, seed=9
+            ).documents
+        ]
+        before = [result.match_counts for result in loaded.classify_batch(texts)]
+        bits_before = np.array(loaded.backend.export_state()["stacked_bits"])
+
+        other = LanguageIdentifier(identifier.config.replace(seed=7))
+        other.train_profiles(identifier.profiles)
+        save_model(other, path)
+
+        assert [result.match_counts for result in loaded.classify_batch(texts)] == before
+        assert np.array_equal(loaded.backend.export_state()["stacked_bits"], bits_before)
+        reloaded = load_model(path).backend.export_state()["stacked_bits"]
+        assert np.array_equal(reloaded, other.backend.export_state()["stacked_bits"])
+        assert not np.array_equal(reloaded, bits_before)
+        assert [entry.name for entry in tmp_path.iterdir()] == ["model.bin"]
+
     def test_suffixless_save_load_round_trip(self, identifier, tmp_path):
         path = save_model(identifier, tmp_path / "noext")
         assert path == tmp_path / "noext"  # written verbatim, no suffix added

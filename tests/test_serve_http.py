@@ -550,8 +550,18 @@ class TestUnalignedRequestsClose:
                 501,
             ),
             (b"NONSENSE\r\n\r\n" + _NEXT, 400),
+            (
+                b"POST /classify HTTP/1.1\r\nX-Filler: %s\r\nContent-Length: %d\r\n\r\n%s"
+                % (b"a" * 20 * 1024, len(_NEXT), _NEXT),
+                400,
+            ),
         ],
-        ids=["chunked", "content-length-and-chunked", "malformed-request-line"],
+        ids=[
+            "chunked",
+            "content-length-and-chunked",
+            "malformed-request-line",
+            "head-over-16kib-with-body",
+        ],
     )
     def test_one_response_with_connection_close_then_eof(
         self, identifier, request_bytes, status

@@ -218,7 +218,7 @@ class LanguageIdentifier:
         if overrides:
             return Segmenter(self, **overrides).segment(text)
         segmenter = getattr(self, "_default_segmenter", None)
-        if segmenter is None or segmenter.identifier is not self:
+        if segmenter is None:
             segmenter = self._default_segmenter = Segmenter(self)
         return segmenter.segment(text)
 

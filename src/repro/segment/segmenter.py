@@ -106,7 +106,11 @@ class Segmenter:
             config = config.replace(**overrides)
         if not identifier.is_trained:
             raise RuntimeError("identifier has not been trained; call train() first")
-        self.identifier = identifier
+        # the extractor and backend, not the identifier: the identifier caches
+        # its default segmenter, and a reference back would make a cycle that
+        # keeps a dropped identifier (and its mapped model file) alive until
+        # the next full garbage collection
+        self.extractor = identifier.extractor
         self.config = config
         self.scorer = WindowedScorer(
             identifier.backend,
@@ -119,7 +123,7 @@ class Segmenter:
     def segment(self, text: str | bytes) -> SegmentationResult:
         """Segment one document into contiguous single-language spans."""
         text_length = len(text)
-        packed = self.identifier.extractor.extract(text)
+        packed = self.extractor.extract(text)
         scores = self.scorer.score(packed)
         if scores.n_windows == 0:
             # Too short for a single n-gram: no evidence, so label the whole
@@ -168,7 +172,7 @@ class Segmenter:
         boundaries = np.flatnonzero(labels[1:] != labels[:-1]) + 1
         run_starts = np.concatenate(([0], boundaries))
         run_ends = np.concatenate((boundaries, [labels.size]))
-        stride = self.identifier.extractor.subsample_stride
+        stride = self.extractor.subsample_stride
         single_run = run_starts.size == 1
 
         spans: list[Span] = []

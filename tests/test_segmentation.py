@@ -9,6 +9,8 @@ both executors, and the result wire forms.
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -311,6 +313,19 @@ class TestSegmenter:
         assert identifier._default_segmenter is first
         identifier.segment("overridden call", window_ngrams=64)
         assert identifier._default_segmenter is first
+
+    def test_cached_segmenter_does_not_keep_identifier_alive(self, identifier, tmp_path):
+        # a dropped identifier must release its mapped model file at once,
+        # not at the next full garbage collection
+        loaded = LanguageIdentifier.load(identifier.save(tmp_path / "model.bin"))
+        loaded.segment("warm the cache up with this text")
+        alive = weakref.ref(loaded)
+        gc.disable()
+        try:
+            del loaded
+            assert alive() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize(
         "kwargs",

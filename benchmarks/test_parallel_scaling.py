@@ -16,8 +16,10 @@ with ≥ 4 cores the process tier must be at least ``BENCH_PARALLEL_MIN_SPEEDUP`
 single-core CI sandbox) the ratio is recorded but not asserted, since there is
 no parallel hardware to scale onto.  That ``timing`` test writes
 ``BENCH_parallel.json`` (set ``BENCH_PARALLEL_OUTPUT`` to redirect), which CI
-uploads next to ``BENCH_serve.json``; tier-1 only checks that both tiers
-answer bit-identically to the bare batch path and genuinely micro-batch.
+uploads as a build artifact; tier-1 only checks that both tiers answer
+bit-identically to the bare batch path and genuinely micro-batch.  Serving
+speed at the default single replica is measured end to end by
+``layerbench``'s ``serve_http`` workload.
 """
 
 from __future__ import annotations

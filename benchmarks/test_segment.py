@@ -16,8 +16,8 @@ Two gates, one artifact:
   checks only that both paths count every window identically.
 
 Results land in ``BENCH_segment.json`` (set ``BENCH_SEGMENT_OUTPUT`` to
-redirect) and CI uploads the file next to ``BENCH_serve.json`` /
-``BENCH_parallel.json`` as part of the repo's perf trajectory.
+redirect), which CI uploads as a build artifact.  End-to-end segmentation
+speed is measured by ``layerbench``'s ``segment_mixed`` workload.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 Five engines are registered:
 
 ``bloom``
-    The paper's design — per-language Parallel Bloom Filters
-    (:class:`~repro.core.bloom.ParallelBloomFilter`) sharing one hash family.
-    Persists its bit-vectors so a loaded model answers without re-programming,
-    straight out of the mapped artifact.
+    The paper's design — per-language Parallel Bloom Filters sharing one hash
+    family, stored as one ``(k, languages, m_bits)`` bit matrix.  Persists
+    that matrix so a loaded model answers without re-programming, straight
+    out of the mapped artifact.
 ``exact``
     The no-false-positive reference — exact profile membership (a software
     stand-in for HAIL's direct memory table), used to separate errors inherent
@@ -18,16 +18,20 @@ Five engines are registered:
 ``mguesser``
     An mguesser-style frequency scorer over the packed n-gram pipeline: each
     language scores a document by the summed training-set frequency of its
-    n-grams.  Scores are fixed-point integers (1e-6 units) so the backend shares
-    the integer counter semantics of the hardware.
+    n-grams.  Frequencies are rounded once, at fit, to fixed-point integers
+    (1e-6 units), so the backend shares the integer counter semantics of the
+    hardware.
 ``hail``
     The competing HAIL design — a direct-lookup SRAM table with per-bucket
     language bitmaps (:class:`repro.baselines.hail.HailClassifier`).
 
 All adapters consume the same per-language :class:`~repro.core.profile.LanguageProfile`
 objects and classify a whole concatenated batch in ``match_counts_batch``.
-``bloom``, ``exact`` and ``hail`` only supply per-n-gram membership
+The four *table backends* — ``bloom``, ``exact``, ``hail`` and ``mguesser``,
+whose per-n-gram answer is a lookup — supply only integer per-n-gram scores
 (``ngram_hits``); their per-document counts come from one shared reduction.
+Only ``hw-sim`` (cycle model) and ``ensemble`` (votes) keep their own batch
+kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ import numpy as np
 from repro.api.config import ClassifierConfig
 from repro.api.registry import Backend, register_backend
 from repro.baselines.hail import HailClassifier
-from repro.core.bloom import ParallelBloomFilter
 from repro.core.fpr import false_positive_rate
 from repro.core.ngram import segment_sums
 from repro.core.profile import LanguageProfile
@@ -64,12 +67,14 @@ BATCH_CHUNK_NGRAMS = 1 << 16
 
 
 class _MembershipBackend(Backend):
-    """A backend whose per-n-gram scores are 0/1 profile-membership hits.
+    """A table backend: its per-n-gram answer is a lookup.
 
-    Subclasses supply :meth:`ngram_hits`; a document's count for a language
-    is the number of its n-grams that hit, which is one
-    :func:`~repro.core.ngram.segment_sums` reduction per language over the
-    whole batch's hit matrix.
+    Subclasses supply only :meth:`ngram_hits`, integer per-n-gram scores:
+    0/1 hits for ``bloom``, ``exact`` and ``hail``, fixed-point weights for
+    ``mguesser``.  A document's count for a language is the sum of its
+    n-grams' scores — one :func:`~repro.core.ngram.segment_sums` reduction per
+    language over the whole batch's score matrix — so summing ``ngram_hits``
+    along the n-gram axis reproduces the document's counts exactly.
     """
 
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -98,6 +103,10 @@ class BloomBackend(_MembershipBackend):
     bit-vectors — the sharing the hardware gets by broadcasting the hashed
     addresses to every filter.  Built with the same seed, the filters address
     the same cells as the ``hw-sim`` engine.
+
+    The one bit store is :attr:`bits`, a ``(k, languages, m_bits)`` matrix
+    with one byte per bit (vector ``i`` of language ``j`` is ``bits[i, j]``),
+    plus :attr:`n_items`, each language's programmed-key count.
     """
 
     def __init__(self, config: ClassifierConfig):
@@ -109,92 +118,65 @@ class BloomBackend(_MembershipBackend):
             out_bits=int(np.log2(config.m_bits)),
             seed=config.seed,
         )
-        self.filters: dict[str, ParallelBloomFilter] = {}
-        self._stacked_bits: np.ndarray | None = None
+        self.bits: np.ndarray | None = None
+        self.n_items: np.ndarray | None = None
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
+        """Program every language's bit-vectors with one ``hash_all`` per profile."""
         _require_profiles(profiles)
-        self.filters = {}
-        for language, profile in profiles.items():
-            filt = ParallelBloomFilter(
-                m_bits=self.config.m_bits,
-                k=self.config.k,
-                key_bits=self.config.key_bits,
-                hashes=self.hashes,
-            )
-            filt.add_many(profile.ngrams)
-            self.filters[language] = filt
+        bits = np.zeros((self.config.k, len(profiles), self.config.m_bits), dtype=bool)
+        for column, profile in enumerate(profiles.values()):
+            addresses = self.hashes.hash_all(profile.ngrams)
+            for i in range(self.config.k):
+                bits[i, column, addresses[i]] = True
+        self.bits = bits
+        self.n_items = np.asarray([len(p) for p in profiles.values()], dtype=np.int64)
         self.profiles = dict(profiles)
-        self._stacked_bits = None
-
-    def _stacked_bit_vectors(self) -> np.ndarray:
-        """All languages' bit-vectors as one ``(k, languages, m_bits)`` matrix.
-
-        Gathering from the stacked matrix tests one hash function against every
-        language in a single fancy-index, instead of one gather per (language,
-        hash) pair.
-        """
-        if self._stacked_bits is None:
-            self._stacked_bits = np.stack(
-                [filt.bit_vectors for filt in self.filters.values()], axis=1
-            )
-        return self._stacked_bits
 
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
         """Boolean ``(languages, n_ngrams)`` membership matrix, one hash pass.
 
-        Each n-gram is hashed exactly once and the addresses are reused across
-        every language's bit-vectors; chunking keeps the hash temporaries
-        cache-resident.  This matrix is both the batch path's intermediate and
-        the windowed segmentation scorer's input.
+        Each n-gram is hashed exactly once and each hash function's addresses
+        are tested against every language in a single gather; chunking keeps
+        the hash temporaries cache-resident.  This matrix is both the batch
+        path's intermediate and the windowed segmentation scorer's input.
         """
         self._check_trained()
         packed = np.asarray(packed, dtype=np.uint64)
-        n_languages = len(self.filters)
-        if packed.size == 0:
-            return np.zeros((n_languages, 0), dtype=bool)
-        stacked = self._stacked_bit_vectors()
-        hits = np.empty((n_languages, packed.size), dtype=bool)
+        bits = self.bits
+        hits = np.empty((bits.shape[1], packed.size), dtype=bool)
         for start in range(0, packed.size, BATCH_CHUNK_NGRAMS):
             segment = packed[start : start + BATCH_CHUNK_NGRAMS]
             addresses = self.hashes.hash_all(segment)
-            chunk_hits = stacked[0][:, addresses[0]]
+            chunk_hits = bits[0][:, addresses[0]]
             for i in range(1, self.config.k):
-                chunk_hits &= stacked[i][:, addresses[i]]
+                chunk_hits &= bits[i][:, addresses[i]]
             hits[:, start : start + segment.size] = chunk_hits
         return hits
 
     # -- persistence ---------------------------------------------------------
 
     def export_state(self) -> dict[str, np.ndarray]:
-        """The unpacked stacked bit-vectors, ready to be mapped zero-copy.
+        """The bit store, ready to be mapped zero-copy.
 
-        ``stacked_bits`` is the hot-path ``(k, languages, m_bits)`` matrix
-        (one byte per bit) that :meth:`ngram_hits` gathers from, in
-        training-language order; ``n_items`` carries each language's
+        ``stacked_bits`` is :attr:`bits` viewed as ``uint8`` (one byte per
+        bit, training-language order) and ``n_items`` each language's
         programmed-key count.  Stored unpacked precisely so a read-only
-        mmap/shared-memory buffer can back the live filters with zero copies.
+        mmap/shared-memory buffer can back the live bits with zero copies.
         """
         self._check_trained()
-        stacked = self._stacked_bit_vectors()
-        return {
-            "stacked_bits": np.ascontiguousarray(stacked).view(np.uint8),
-            "n_items": np.asarray(
-                [filt.n_items for filt in self.filters.values()], dtype=np.int64
-            ),
-        }
+        return {"stacked_bits": self.bits.view(np.uint8), "n_items": self.n_items}
 
     def import_state(
         self, profiles: Mapping[str, LanguageProfile], state: Mapping[str, np.ndarray]
     ) -> None:
-        """Adopt :meth:`export_state` arrays as live filter state, zero-copy.
+        """Adopt :meth:`export_state` arrays as the bit store, zero-copy.
 
-        The stacked matrix becomes *the* batch-path gather target and each
-        language's filter a ``(k, m_bits)`` view into it, so when the arrays
-        are buffer-backed (mmap / shared memory) this backend owns no bit
-        storage of its own — every replica process reads one physical copy.
-        Incomplete or mismatched state falls back to a deterministic rebuild
-        from the profiles.
+        The stacked matrix becomes a read-only view that :meth:`ngram_hits`
+        gathers from, so when the arrays are buffer-backed (mmap / shared
+        memory) this backend owns no bit storage of its own — every replica
+        process reads one physical copy.  Incomplete or mismatched state
+        falls back to a deterministic rebuild from the profiles.
         """
         stacked = state.get("stacked_bits")
         n_items = state.get("n_items")
@@ -209,14 +191,10 @@ class BloomBackend(_MembershipBackend):
             self.fit_profiles(profiles)
             return
         bits = np.asarray(stacked).view(bool)
-        self._stacked_bits = bits
+        bits.flags.writeable = False
+        self.bits = bits
+        self.n_items = np.asarray(n_items)
         self.profiles = dict(profiles)
-        self.filters = {
-            language: ParallelBloomFilter.from_arrays(
-                bits[:, index, :], count, key_bits=self.config.key_bits, hashes=self.hashes
-            )
-            for index, (language, count) in enumerate(zip(profiles, n_items))
-        }
 
     def describe(self) -> dict:
         info = super().describe()
@@ -228,10 +206,19 @@ class BloomBackend(_MembershipBackend):
             if self.profiles
             else None
         )
-        info["shared_bit_vectors"] = (
-            self._stacked_bits is not None and not self._stacked_bits.flags.writeable
-        )
+        info["shared_bit_vectors"] = self.bits is not None and not self.bits.flags.writeable
         return info
+
+
+def _profile_positions(sorted_ngrams: np.ndarray, packed: np.ndarray):
+    """Look ``packed`` up in one language's sorted, non-empty profile n-grams.
+
+    Returns ``(positions, member)``: ``member`` marks the n-grams the profile
+    holds, and for those ``sorted_ngrams[positions] == packed``.
+    """
+    positions = np.searchsorted(sorted_ngrams, packed)
+    np.clip(positions, 0, sorted_ngrams.size - 1, out=positions)
+    return positions, sorted_ngrams[positions] == packed
 
 
 @register_backend("exact")
@@ -240,13 +227,11 @@ class ExactBackend(_MembershipBackend):
 
     def __init__(self, config: ClassifierConfig):
         super().__init__(config)
-        self._sorted_profiles: dict[str, np.ndarray] = {}
+        self._sorted_profiles: list[np.ndarray] = []
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
         _require_profiles(profiles)
-        self._sorted_profiles = {
-            language: np.sort(profile.ngrams) for language, profile in profiles.items()
-        }
+        self._sorted_profiles = [np.sort(profile.ngrams) for profile in profiles.values()]
         self.profiles = dict(profiles)
 
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
@@ -254,13 +239,9 @@ class ExactBackend(_MembershipBackend):
         self._check_trained()
         packed = np.asarray(packed, dtype=np.uint64)
         hits = np.zeros((len(self._sorted_profiles), packed.size), dtype=bool)
-        if packed.size == 0:
-            return hits
-        for row, sorted_ngrams in enumerate(self._sorted_profiles.values()):
+        for row, sorted_ngrams in enumerate(self._sorted_profiles):
             if sorted_ngrams.size:
-                positions = np.searchsorted(sorted_ngrams, packed)
-                np.clip(positions, 0, sorted_ngrams.size - 1, out=positions)
-                hits[row] = sorted_ngrams[positions] == packed
+                hits[row] = _profile_positions(sorted_ngrams, packed)[1]
         return hits
 
 
@@ -309,9 +290,8 @@ class HardwareSimBackend(Backend):
 
         Reads the first engine copy's bit-vector snapshots directly (every copy
         is programmed identically), so the result is bit-exact with the
-        cycle-accurate datapath but skips the per-cycle simulation — without
-        this override the generic fallback would run one full
-        ``process_document`` simulation per n-gram.  No cycles are accounted.
+        cycle-accurate datapath but skips the per-cycle simulation.  No cycles
+        are accounted.
         """
         self._check_trained()
         packed = np.asarray(packed, dtype=np.uint64)
@@ -335,70 +315,44 @@ class HardwareSimBackend(Backend):
 
 
 @register_backend("mguesser")
-class MguesserBackend(Backend):
+class MguesserBackend(_MembershipBackend):
     """Mguesser-style frequency scoring over the packed n-gram pipeline.
 
-    Each language weights its profile n-grams by normalised training frequency;
-    a document's score is the summed weight of its n-grams (with multiplicity),
-    reported as fixed-point integers in units of ``1 / MGUESSER_SCORE_SCALE``.
+    Each language weights its profile n-grams by normalised training
+    frequency, rounded once, at fit, to fixed-point integers in units of
+    ``1 / MGUESSER_SCORE_SCALE``.  An n-gram's score is its weight in each
+    language (0 where the profile lacks it, found by exact's sorted-profile
+    lookup), and a document's score is the sum of its n-grams' scores (with
+    multiplicity).
     """
 
     def __init__(self, config: ClassifierConfig):
         super().__init__(config)
-        self._sorted_ngrams: dict[str, np.ndarray] = {}
-        self._weights: dict[str, np.ndarray] = {}
+        self._sorted_profiles: list[np.ndarray] = []
+        self._weights: list[np.ndarray] = []
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
         _require_profiles(profiles)
-        self._sorted_ngrams = {}
-        self._weights = {}
-        for language, profile in profiles.items():
+        self._sorted_profiles = []
+        self._weights = []
+        for profile in profiles.values():
             order = np.argsort(profile.ngrams)
             total = float(profile.counts.sum()) or 1.0
-            self._sorted_ngrams[language] = profile.ngrams[order]
-            self._weights[language] = profile.counts[order].astype(np.float64) / total
+            frequencies = profile.counts[order].astype(np.float64) / total
+            self._sorted_profiles.append(profile.ngrams[order])
+            self._weights.append(np.round(frequencies * MGUESSER_SCORE_SCALE).astype(np.int64))
         self.profiles = dict(profiles)
 
-    def _weights_of(self, language: str, packed: np.ndarray) -> np.ndarray:
-        sorted_ngrams = self._sorted_ngrams[language]
-        weights = self._weights[language]
-        positions = np.searchsorted(sorted_ngrams, packed)
-        positions = np.clip(positions, 0, max(sorted_ngrams.size - 1, 0))
-        if sorted_ngrams.size == 0:
-            return np.zeros(packed.size, dtype=np.float64)
-        member = sorted_ngrams[positions] == packed
-        return np.where(member, weights[positions], 0.0)
-
-    def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        self._check_trained()
-        lengths = np.asarray(lengths, dtype=np.int64)
-        out = np.zeros((lengths.size, len(self.languages)), dtype=np.int64)
-        if packed.size == 0:
-            return out
-        packed = np.asarray(packed, dtype=np.uint64)
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        for column, language in enumerate(self.languages):
-            weights = self._weights_of(language, packed)
-            # Sum each document's slice on its own, then round: a whole-batch
-            # cumulative sum would make a document's fixed-point score depend
-            # on the documents batched before it.
-            for row in range(lengths.size):
-                score = float(weights[starts[row] : ends[row]].sum())
-                out[row, column] = int(round(score * MGUESSER_SCORE_SCALE))
-        return out
-
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
+        """Each n-gram's fixed-point weight in every language's profile."""
         self._check_trained()
         packed = np.asarray(packed, dtype=np.uint64)
-        if packed.size == 0:
-            return np.zeros((len(self.languages), 0), dtype=np.int64)
-        out = np.zeros((len(self.languages), packed.size), dtype=np.int64)
-        for row, language in enumerate(self.languages):
-            out[row] = np.round(
-                self._weights_of(language, packed) * MGUESSER_SCORE_SCALE
-            ).astype(np.int64)
-        return out
+        scores = np.zeros((len(self._weights), packed.size), dtype=np.int64)
+        for row, (sorted_ngrams, weights) in enumerate(zip(self._sorted_profiles, self._weights)):
+            if sorted_ngrams.size:
+                positions, member = _profile_positions(sorted_ngrams, packed)
+                scores[row] = np.where(member, weights[positions], 0)
+        return scores
 
     def describe(self) -> dict:
         info = super().describe()

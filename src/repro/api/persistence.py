@@ -15,7 +15,7 @@ out.  The payload holds
   stores its bit-vectors *unpacked* (one byte per bit, the ``(k, languages,
   m_bits)`` stacked hot-path layout), so a read-only ``np.memmap`` — or a
   ``multiprocessing.shared_memory`` segment holding the same bytes — backs
-  the live filters directly: N worker processes share one physical copy of
+  the live bit store directly: N worker processes share one physical copy of
   the model (see :class:`repro.serve.shared_model.SharedModel`).
 
 Nothing is pickled: metadata is JSON, so artifacts are safe to exchange.  Every
@@ -87,11 +87,14 @@ def model_fingerprint(identifier) -> bytes:
     """128-bit digest identifying a trained model's exact behaviour.
 
     Covers the full :class:`~repro.api.config.ClassifierConfig` (n-gram order,
-    Bloom geometry, hash family, seed, backend, ...) and every language's
-    profile arrays in training order.  Backends are deterministic functions of
-    ``(config, profiles)``, so two identifiers with equal fingerprints return
-    identical results for every document.  This is the identity the serving
-    cache keys on and the versioned model registry records in its manifests.
+    Bloom geometry, hash family, seed, backend, ...), every language's
+    profile arrays in training order, and every array of the backend's
+    :meth:`~repro.api.registry.Backend.export_state` (key, dtype, shape and
+    bytes, keys sorted).  Profiles alone do not fix a backend's answers — an
+    ensemble's priors and calibrators live only in its state — so two
+    identifiers with equal fingerprints return identical results for every
+    document.  This is the identity the serving cache keys on and the
+    versioned model registry records in its manifests.
     """
     digest = hashlib.blake2b(digest_size=16)
     digest.update(json.dumps(identifier.config.to_dict(), sort_keys=True).encode("utf-8"))
@@ -100,6 +103,13 @@ def model_fingerprint(identifier) -> bytes:
         digest.update(language.encode("utf-8", "surrogatepass"))
         digest.update(np.ascontiguousarray(profile.ngrams).tobytes())
         digest.update(np.ascontiguousarray(profile.counts).tobytes())
+    state = identifier.backend.export_state()
+    for key in sorted(state):
+        array = np.asarray(state[key])
+        digest.update(json.dumps([key, array.dtype.str, array.shape]).encode("utf-8"))
+        # hashed in place: a copy of the bloom bit store would be a
+        # half-megabyte temporary per call
+        digest.update(np.ascontiguousarray(array))
     return digest.digest()
 
 

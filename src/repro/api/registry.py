@@ -5,9 +5,9 @@ the exact-lookup reference, the cycle-approximate hardware simulator, and the
 HAIL / Mguesser baselines — answers the same question: *given a stream of packed
 n-grams, how many of them does each language's profile claim?*  The
 :class:`Backend` base class pins that contract down (``fit_profiles`` /
-``match_counts_batch`` / ``describe``), and the registry maps short names onto
-implementations so callers select an engine with a string instead of importing
-five different constructors.
+``ngram_hits`` / ``match_counts_batch`` / ``describe``), and the registry maps
+short names onto implementations so callers select an engine with a string
+instead of importing five different constructors.
 
 Registering a backend::
 
@@ -16,8 +16,8 @@ Registering a backend::
         ...
 
 Backends receive a :class:`~repro.api.config.ClassifierConfig` and must be
-deterministic for a given ``(config, profiles)`` pair so that saved models
-reload bit-exactly.
+deterministic for a given configuration, profiles and
+:meth:`Backend.export_state` arrays, so that saved models reload bit-exactly.
 """
 
 from __future__ import annotations
@@ -43,9 +43,12 @@ class Backend(abc.ABC):
     """A membership engine behind the :class:`~repro.api.identifier.LanguageIdentifier`.
 
     Subclasses implement :meth:`fit_profiles` (program the engine from
-    per-language profiles) and :meth:`match_counts_batch` (per-language counts
-    for a concatenated batch of documents).  A single document is a batch of
-    one: there is no separate per-document kernel.
+    per-language profiles), :meth:`ngram_hits` (per-n-gram scores) and
+    :meth:`match_counts_batch` (per-language counts for a concatenated batch
+    of documents).  The table backends in :mod:`repro.api.backends` derive
+    the counts from :meth:`ngram_hits` through one shared reduction; only
+    ``hw-sim`` and ``ensemble`` keep a batch kernel of their own.  A single
+    document is a batch of one: there is no separate per-document kernel.
     """
 
     #: registry name; filled in by :func:`register_backend`
@@ -116,32 +119,26 @@ class Backend(abc.ABC):
         """
         return None
 
+    @abc.abstractmethod
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
-        """Per-n-gram, per-language scores for one document's packed n-grams.
+        """Per-n-gram, per-language integer scores for one document's packed n-grams.
 
         The primitive behind windowed segmentation
         (:class:`repro.segment.windows.WindowedScorer`): instead of one count
         per (document, language), every n-gram keeps its own column of
         per-language scores, so sliding-window totals fall out of a cumulative
-        sum.  For the membership backends the scores are 0/1 hits and summing
-        along the n-gram axis reproduces the document's
-        :meth:`match_counts_batch` row exactly; scoring backends
-        (``mguesser``) return per-n-gram fixed-point weights whose sum may
-        differ from it by rounding.
+        sum.  The table backends (``bloom``, ``exact``, ``hail``,
+        ``mguesser``) compute :meth:`match_counts_batch` from this method
+        alone, so summing along the n-gram axis reproduces a document's
+        counts exactly: 0/1 hits for the membership backends, fixed-point
+        weights for ``mguesser``.
 
         Returns
         -------
         numpy.ndarray
             Integer (or boolean) array of shape ``(len(self.languages),
-            n_ngrams)``.  The generic fallback reuses
-            :meth:`match_counts_batch` with unit-length segments — correct for
-            every backend, and already vectorized wherever the batch path is.
+            n_ngrams)``.
         """
-        self._check_trained()
-        packed = np.asarray(packed, dtype=np.uint64)
-        if packed.size == 0:
-            return np.zeros((len(self.languages), 0), dtype=np.int64)
-        return self.match_counts_batch(packed, np.ones(packed.size, dtype=np.int64)).T
 
     # ------------------------------------------------------------ persistence hooks
 

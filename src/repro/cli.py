@@ -669,7 +669,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_delay_ms=args.max_delay_ms,
         replicas=args.replicas,
         executor=args.executor,
-        sharding=args.sharding,
         cache_size=args.cache_size,
         max_pending=args.max_pending,
         trace_sample_rate=args.trace_sample_rate,
@@ -716,7 +715,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"serving {len(service.languages)} languages from {source} "
                 f"on http://{bound[0]}:{bound[1]} "
                 f"(max_batch={args.max_batch}, max_delay={args.max_delay_ms} ms, "
-                f"replicas={args.replicas} x {args.executor}, sharding={args.sharding}, "
+                f"replicas={args.replicas} x {args.executor}, "
                 f"trace_sample_rate={args.trace_sample_rate})"
             )
             try:
@@ -1120,10 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", choices=("thread", "process"), default="thread",
         help="replica execution tier: 'thread' (in-process, GIL-bound) or 'process' "
         "(worker processes sharing one shared-memory model copy; true multi-core)",
-    )
-    serve.add_argument(
-        "--sharding", choices=("round-robin", "hash"), default="round-robin",
-        help="request dispatch across replicas",
     )
     serve.add_argument(
         "--cache-size", type=int, default=1024,

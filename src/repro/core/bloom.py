@@ -14,6 +14,11 @@ Both filters share the same public interface:
 
 Keys are integers (packed n-grams); hashing is delegated to a
 :class:`repro.hashes.base.HashFamily`, H3 by default.
+
+Every filter owns its writable bit-vectors.  These classes are the Section 3.1
+reference: tests compare the ``bloom`` backend's stacked bit store
+(:attr:`repro.api.backends.BloomBackend.bits`) against independently programmed
+filters, and the ``hw-sim`` engine is programmed from them.
 """
 
 from __future__ import annotations
@@ -207,27 +212,13 @@ class ParallelBloomFilter(_BloomBase):
         """Copy of the ``(k, m_bits)`` boolean matrix of bit-vectors."""
         return self._bits.copy()
 
-    @property
-    def is_read_only(self) -> bool:
-        """True when the bit-vectors are a read-only view (shared-memory / mmap clone)."""
-        return not self._bits.flags.writeable
-
-    def _check_writable(self) -> None:
-        if self.is_read_only:
-            raise RuntimeError(
-                "this filter's bit-vectors are a read-only shared/mmap-backed view; "
-                "build a new filter before mutating"
-            )
-
     def clear(self) -> None:
         """Reset all bit-vectors to zero (the paper's preprocessing step)."""
-        self._check_writable()
         self._bits[:] = False
         self.n_items = 0
 
     def add_many(self, keys: np.ndarray) -> None:
         """Program an array of keys: set ``H_i(key)`` in vector ``i`` for every hash."""
-        self._check_writable()
         keys = np.asarray(keys, dtype=np.uint64)
         if keys.size == 0:
             return
@@ -246,11 +237,10 @@ class ParallelBloomFilter(_BloomBase):
     def test_addresses(self, addresses: np.ndarray) -> np.ndarray:
         """Membership test on precomputed hash addresses.
 
-        When many filters share one hash family (the per-language filters of the
-        classifier), the addresses can be computed once with
-        ``hashes.hash_all(keys)`` and tested against every filter through this
-        method — the same sharing the hardware gets by broadcasting the hashed
-        addresses to every language's bit-vectors.
+        When many filters share one hash family, the addresses can be computed
+        once with ``hashes.hash_all(keys)`` and tested against every filter
+        through this method — the same sharing the hardware gets by
+        broadcasting the hashed addresses to every language's bit-vectors.
 
         Parameters
         ----------
@@ -302,35 +292,6 @@ class ParallelBloomFilter(_BloomBase):
     def memory_kbits(self) -> float:
         """Total memory footprint in Kbits (the unit used by the paper)."""
         return self.total_bits / 1024.0
-
-    @classmethod
-    def from_arrays(
-        cls,
-        bits: np.ndarray,
-        n_items: int,
-        key_bits: int = 20,
-        hashes: HashFamily | None = None,
-        seed: int = 0,
-    ) -> "ParallelBloomFilter":
-        """Adopt persisted bit-vectors as a filter (model loading), zero-copy.
-
-        ``bits`` is the unpacked ``(k, m_bits)`` bool/uint8 matrix (one byte
-        per bit, the flat artifact layout) and ``n_items`` the programmed-key
-        count.  The matrix is adopted as-is — no bytes are copied — so N
-        processes can point their filters at one physical buffer
-        (``multiprocessing.shared_memory`` or an ``np.memmap``) and share a
-        single copy of the bit-vectors.  Filters over a read-only buffer refuse
-        :meth:`add_many` / :meth:`clear`.
-
-        The hash family is not part of the bits; pass the same ``hashes`` (or
-        ``seed``) the filter was built with so that lookups address the restored
-        bit-vectors identically.
-        """
-        k, m_bits = bits.shape
-        filt = cls(m_bits=m_bits, k=k, key_bits=key_bits, hashes=hashes, seed=seed)
-        filt._bits = bits.view(bool)
-        filt.n_items = int(n_items)
-        return filt
 
     @classmethod
     def from_items(

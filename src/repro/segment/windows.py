@@ -6,11 +6,11 @@ way — one ``classify`` call per window — re-hashes every n-gram once per
 window it appears in (``window / stride`` times).  The scorer here is O(doc)
 regardless of window count:
 
-1. every n-gram is hashed once and tested against every language's stacked
-   bit-vectors (:meth:`repro.api.registry.Backend.ngram_hits`, which the
-   ``bloom`` backend implements with the shared-address
-   :meth:`~repro.core.bloom.ParallelBloomFilter.test_addresses` gather of the
-   batch path);
+1. every n-gram is scored once against every language
+   (:meth:`repro.api.registry.Backend.ngram_hits`, the same probe the batch
+   path reduces; the ``bloom`` backend hashes each n-gram once and gathers
+   each hash function's addresses from its stacked bit-vectors for every
+   language at once);
 2. a per-language cumulative sum over the n-gram axis turns any window's hit
    count into two lookups: ``cum[end] - cum[start]``.
 

@@ -9,8 +9,8 @@ subsystem applies the same architecture to the software engine:
     Bounded request queue flushed by size (``max_batch``) or deadline
     (``max_delay_ms``) into the vectorized ``classify_batch`` path.
 :class:`~repro.serve.replicas.ThreadReplicaPool`
-    N bit-exact model replicas, each with a dedicated worker thread;
-    round-robin or digest-hash sharding (GIL-bound for CPU-heavy batches).
+    N bit-exact model replicas, each with a dedicated worker thread,
+    dispatched round-robin (GIL-bound for CPU-heavy batches).
 :class:`~repro.serve.process_pool.ProcessReplicaPool`
     N worker *processes* reading one
     :class:`~repro.serve.shared_model.SharedModel` shared-memory copy of the
@@ -65,12 +65,7 @@ from repro.serve.errors import (
 from repro.serve.http import result_to_json, segmentation_to_json, serve_http
 from repro.serve.metrics import ServiceMetrics, percentile
 from repro.serve.process_pool import ProcessReplicaPool
-from repro.serve.replicas import (
-    ReplicaPool,
-    ReplicaPoolBase,
-    ThreadReplicaPool,
-    clone_identifier,
-)
+from repro.serve.replicas import ReplicaPoolBase, ThreadReplicaPool, clone_identifier
 from repro.serve.service import EXECUTORS, ClassificationService, ServeConfig
 from repro.serve.shared_model import SharedModel
 
@@ -86,7 +81,6 @@ __all__ = [
     "WorkerCrashedError",
     "ServiceMetrics",
     "percentile",
-    "ReplicaPool",
     "ReplicaPoolBase",
     "ThreadReplicaPool",
     "ProcessReplicaPool",

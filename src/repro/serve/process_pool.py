@@ -14,15 +14,14 @@ Topology per worker:
 * a ``spawn``-context :class:`multiprocessing.Process` running
   :func:`_worker_main` (spawn keeps workers free of inherited locks/threads,
   so a crashing or forking parent cannot wedge them);
-* a duplex :class:`multiprocessing.Pipe` carrying ``("classify", texts,
-  trace_ids)`` / ``("segment", texts, trace_ids)`` data frames and
-  ``("ok", results, meta)`` replies — documents and trace ids cross the pipe,
-  the model never does.  The reply ``meta`` echoes the trace ids (so the
-  parent can prove which worker generation served which requests), the
-  worker-measured kernel seconds (so serving overhead never pollutes kernel
-  timing), and the worker pid.  Control frames (``swap`` / ``stop``) stay
-  two-element, and a bare ``(op, texts)`` data frame is still honoured for
-  untraced callers;
+* a duplex :class:`multiprocessing.Pipe` carrying ``(op, texts, trace_ids,
+  sources)`` data frames (``op`` is ``"classify"`` or ``"segment"``; absent
+  trace ids or sources are ``None``) and ``("ok", results, meta)`` replies —
+  documents and trace ids cross the pipe, the model never does.  The reply
+  ``meta`` echoes the trace ids (so the parent can prove which worker
+  generation served which requests), the worker-measured kernel seconds (so
+  serving overhead never pollutes kernel timing), and the worker pid.
+  Control frames (``swap`` / ``stop``) are two-element;
 * a single-thread dispatcher executor that performs the blocking pipe
   round-trip off the event loop, preserving the one-in-flight-batch-per-replica
   discipline of the thread tier.
@@ -85,12 +84,9 @@ def _worker_main(conn, segment_name: str, backend: str | None) -> None:
                 frame = conn.recv()
             except (EOFError, OSError):
                 break  # parent went away: exit quietly
-            # Data frames may carry trace ids as a third element and source
-            # tags as a fourth; control frames (stop/swap) are always
-            # two-element.
+            # control frames (stop/swap) are two-element, data frames
+            # (classify/segment) four-element
             kind, payload = frame[0], frame[1]
-            trace_ids = frame[2] if len(frame) > 2 else None
-            sources = frame[3] if len(frame) > 3 else None
             if kind == "stop":
                 break
             if kind == "swap":
@@ -116,6 +112,7 @@ def _worker_main(conn, segment_name: str, backend: str | None) -> None:
             if kind not in ("classify", "segment"):  # pragma: no cover - protocol guard
                 conn.send(("error", f"unknown frame kind {kind!r}"))
                 continue
+            _, _, trace_ids, sources = frame
             try:
                 kernel_start = time.perf_counter()
                 if kind == "segment":
@@ -275,8 +272,8 @@ class ProcessReplicaPool(ReplicaPoolBase):
         this batch, across any number of crash/respawn cycles — and each trace
         gets its ``ipc_roundtrip`` / ``kernel`` spans plus the serving worker's
         pid before the results are handed back.  ``sources`` (classify only)
-        cross the pipe as an optional fourth frame element for prior-aware
-        backends.
+        feed prior-aware backends.  ``swap`` is a two-element control frame;
+        every other ``op`` is a four-element data frame.
         """
         worker = self._workers[index]
         trace_ids = (
@@ -284,12 +281,7 @@ class ProcessReplicaPool(ReplicaPoolBase):
             if contexts
             else None
         )
-        if sources is not None:
-            frame_out = (op, payload, trace_ids, sources)
-        elif trace_ids is not None:
-            frame_out = (op, payload, trace_ids)
-        else:
-            frame_out = (op, payload)
+        frame_out = (op, payload) if op == "swap" else (op, payload, trace_ids, sources)
         try:
             self._ensure_ready(worker)
             try:
@@ -331,16 +323,9 @@ class ProcessReplicaPool(ReplicaPoolBase):
         contexts: Sequence | None = None,
         sources: Sequence[str | None] | None = None,
     ) -> list[ClassificationResult]:
-        """Run one worker's vectorized batch path off the event loop.
-
-        ``sources`` only cross the pipe when at least one document carries a
-        tag — untagged batches keep the compact two/three-element frame.
-        """
+        """Run one worker's vectorized batch path off the event loop."""
         if self._closed:
             raise RuntimeError("replica pool is closed")
-        source_list = list(sources) if sources is not None else None
-        if source_list is not None and all(source is None for source in source_list):
-            source_list = None
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._dispatchers[replica_index],
@@ -349,7 +334,7 @@ class ProcessReplicaPool(ReplicaPoolBase):
             "classify",
             list(texts),
             list(contexts) if contexts else None,
-            source_list,
+            list(sources) if sources is not None else None,
         )
 
     async def segment_batch(

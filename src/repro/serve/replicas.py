@@ -15,14 +15,7 @@ concurrently.  Two execution tiers implement one contract
     (:class:`~repro.serve.shared_model.SharedModel`) — true multi-core
     scaling, the software analogue of the paper's many parallel Bloom engines.
 
-Two dispatch disciplines are offered by both tiers:
-
-``round-robin``
-    Strict rotation — even load, best for uniform traffic.
-``hash``
-    Shard by the document digest, so identical documents always land on the
-    same replica (keeps per-replica working sets disjoint and makes any
-    replica-local caching coherent).
+Both tiers dispatch in strict rotation (:meth:`ReplicaPoolBase.next_round_robin`).
 """
 
 from __future__ import annotations
@@ -39,12 +32,8 @@ from repro.core.classifier import ClassificationResult
 __all__ = [
     "ReplicaPoolBase",
     "ThreadReplicaPool",
-    "ReplicaPool",
     "clone_identifier",
-    "SHARDING_DISCIPLINES",
 ]
-
-SHARDING_DISCIPLINES = ("round-robin", "hash")
 
 
 def clone_identifier(identifier: LanguageIdentifier) -> LanguageIdentifier:
@@ -53,8 +42,7 @@ def clone_identifier(identifier: LanguageIdentifier) -> LanguageIdentifier:
     The model is serialised to the flat artifact layout in memory and parsed
     back by the one parser that also opens files and shared-memory segments,
     so every replica is built the same way.  The clone's arrays (for
-    ``bloom``, its live bit-vectors) are read-only views of its own private
-    buffer.
+    ``bloom``, its bit store) are read-only views of its own private buffer.
     """
     return load_model_from_buffer(flat_model_bytes(identifier), verify=False)
 
@@ -63,7 +51,7 @@ class ReplicaPoolBase:
     """The contract every replica pool honours.
 
     A pool exposes ``n_replicas`` bit-exact engine replicas behind integer
-    indices: :meth:`next_round_robin` / :meth:`shard_for` pick an index,
+    indices: :meth:`next_round_robin` picks an index,
     :meth:`classify_batch` runs one replica's vectorized batch path without
     blocking the event loop, and :meth:`close` releases every execution
     resource (threads, processes, shared-memory segments).  Subclasses set
@@ -88,10 +76,6 @@ class ReplicaPoolBase:
         index = self._rr_next
         self._rr_next = (self._rr_next + 1) % self._n_replicas
         return index
-
-    def shard_for(self, digest: bytes) -> int:
-        """The replica a digest shards onto (stable across calls)."""
-        return int.from_bytes(digest[:8], "little") % self._n_replicas
 
     # ------------------------------------------------------------ tracing
 
@@ -274,7 +258,3 @@ class ThreadReplicaPool(ReplicaPoolBase):
             for index in range(self._n_replicas)
         ]
         return info
-
-
-#: backwards-compatible name — PR 2 shipped the thread tier as ``ReplicaPool``
-ReplicaPool = ThreadReplicaPool

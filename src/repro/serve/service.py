@@ -4,7 +4,7 @@ Wires the pieces together the way Section 5.4's asynchronous driver wires the
 XD1000: submissions land in bounded per-replica queues
 (:class:`~repro.serve.batcher.MicroBatcher`), each queue drains through its
 replica's vectorized ``classify_batch`` in a dedicated thread
-(:class:`~repro.serve.replicas.ReplicaPool`), results resolve the caller's
+(:class:`~repro.serve.replicas.ThreadReplicaPool`), results resolve the caller's
 futures, and an LRU cache short-circuits repeated documents before they ever
 reach a queue.  Every decision is observable through
 :class:`~repro.serve.metrics.ServiceMetrics`.
@@ -41,7 +41,7 @@ from repro.serve.errors import (
 )
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.process_pool import ProcessReplicaPool
-from repro.serve.replicas import SHARDING_DISCIPLINES, ReplicaPoolBase, ThreadReplicaPool
+from repro.serve.replicas import ReplicaPoolBase, ThreadReplicaPool
 
 __all__ = ["ServeConfig", "ClassificationService", "EXECUTORS"]
 
@@ -67,8 +67,6 @@ class ServeConfig:
         CPU-bound work serialises on the GIL); ``"process"`` runs them as
         worker processes sharing one shared-memory model copy — true
         multi-core scaling (see :class:`~repro.serve.process_pool.ProcessReplicaPool`).
-    sharding:
-        ``"round-robin"`` rotation or ``"hash"`` (shard by document digest).
     cache_size:
         LRU result-cache entries; 0 disables caching.
     max_pending:
@@ -104,7 +102,6 @@ class ServeConfig:
     max_delay_ms: float = 2.0
     replicas: int = 1
     executor: str = "thread"
-    sharding: str = "round-robin"
     cache_size: int = 1024
     max_pending: int = 1024
     max_document_bytes: int = 1 << 20
@@ -133,11 +130,6 @@ class ServeConfig:
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {self.executor!r}; choose from {list(EXECUTORS)}"
-            )
-        if self.sharding not in SHARDING_DISCIPLINES:
-            raise ValueError(
-                f"unknown sharding discipline {self.sharding!r}; "
-                f"choose from {list(SHARDING_DISCIPLINES)}"
             )
         if self.cache_size < 0:
             raise ValueError("cache_size must be non-negative")
@@ -423,11 +415,6 @@ class ClassificationService:
     def _document_bytes(self, text: str | bytes) -> int:
         return len(text) if isinstance(text, (bytes, bytearray)) else len(text.encode("utf-8"))
 
-    def _pick_batcher(self, batchers: list[MicroBatcher], digest: bytes) -> MicroBatcher:
-        if self.config.sharding == "hash":
-            return batchers[self._pool.shard_for(digest)]
-        return batchers[self._pool.next_round_robin()]
-
     async def _submit(
         self,
         text: str | bytes,
@@ -502,7 +489,7 @@ class ClassificationService:
                         self._analytics_record(cached, source, text, None, True)
                 return cached, ctx
             try:
-                future = self._pick_batcher(batchers, digest).submit_nowait(
+                future = batchers[self._pool.next_round_robin()].submit_nowait(
                     (text, ctx, source)
                 )
             except ServiceOverloadedError:
@@ -625,7 +612,6 @@ class ClassificationService:
             "max_delay_ms": self.config.max_delay_ms,
             "replicas": self.config.replicas,
             "executor": self.config.executor,
-            "sharding": self.config.sharding,
             "cache": self.cache.stats(),
             "model_fingerprint": self._fingerprint.hex(),
             "model_version": self.model_version,

@@ -22,12 +22,12 @@ The asynchronous driver has a software twin: :mod:`repro.serve` applies the same
 submission/collection decoupling to the software engine, with
 :class:`~repro.serve.batcher.MicroBatcher` playing the role of the streaming send
 thread and :class:`~repro.serve.service.ClassificationService` the role of this
-driver (the serve load-generator benchmark reproduces the sync-vs-async ratio).
+driver (``examples/serving_demo.py`` replays the sync-vs-async comparison).
 
 The *engine parallelism* axis has a software twin too: where the FPGA instantiates
 many Bloom engines reading one set of programmed bit-vectors out of on-chip RAM,
 :class:`~repro.serve.process_pool.ProcessReplicaPool` runs N worker processes
-whose live filters are read-only views of one
+whose bit stores are read-only views of one
 :class:`~repro.serve.shared_model.SharedModel` shared-memory segment — one
 physical model copy, N cores probing it concurrently (the
 ``benchmarks/test_parallel_scaling.py`` load generator measures this tier against

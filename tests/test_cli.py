@@ -366,7 +366,6 @@ class TestServeParser:
         assert parsed.max_delay_ms == 2.0
         assert parsed.replicas == 1
         assert parsed.executor == "thread"
-        assert parsed.sharding == "round-robin"
         assert parsed.cache_size == 1024
         assert parsed.max_pending == 1024
 
@@ -374,11 +373,11 @@ class TestServeParser:
         parsed = build_parser().parse_args(
             [
                 "serve", "--model", "m.bin", "--port", "0", "--max-batch", "128",
-                "--max-delay-ms", "0.5", "--replicas", "4", "--sharding", "hash",
+                "--max-delay-ms", "0.5", "--replicas", "4",
                 "--executor", "process", "--cache-size", "0", "--max-pending", "32",
             ]
         )
-        assert (parsed.max_batch, parsed.replicas, parsed.sharding) == (128, 4, "hash")
+        assert (parsed.max_batch, parsed.replicas) == (128, 4)
         assert parsed.max_delay_ms == 0.5 and parsed.cache_size == 0
         assert parsed.executor == "process"
 
@@ -396,11 +395,6 @@ class TestServeParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--model", "m.bin", flag, value])
         assert "positive" in capsys.readouterr().err
-
-    def test_serve_rejects_unknown_sharding(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--model", "m.bin", "--sharding", "nope"])
-        capsys.readouterr()
 
 
 class TestEnsembleCLI:

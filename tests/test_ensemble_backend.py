@@ -18,8 +18,10 @@ import pytest
 
 from repro.api import ClassifierConfig, EnsembleConfig, LanguageIdentifier
 from repro.api.ensemble import PRIORS_SCHEMA, load_priors
+from repro.api.persistence import model_fingerprint
 from repro.core.classifier import UNDETERMINED_LANGUAGE
 from repro.corpus.corpus import build_jrc_acquis_like
+from repro.registry import ModelRegistry, ModelSwitch
 from repro.serve import ClassificationService, ServeConfig
 
 LANGS = ["en", "fr", "es"]
@@ -302,6 +304,41 @@ class TestPersistence:
             assert [r.language for r in after] == [r.language for r in before]
         finally:
             calibrated_identifier.backend.set_priors(None)
+
+    def test_priors_change_the_fingerprint(self, corpus):
+        plain = make_identifier(corpus)
+        with_priors = make_identifier(corpus)
+        with_priors.backend.set_priors(priors_payload())
+        assert model_fingerprint(plain) != model_fingerprint(with_priors)
+
+    def test_registry_swaps_between_versions_differing_only_in_priors(
+        self, corpus, tmp_path
+    ):
+        plain = make_identifier(corpus)
+        with_priors = make_identifier(corpus)
+        with_priors.backend.set_priors(priors_payload())
+        text = next(d for d in corpus.documents if d.language == "fr").text
+        expected = with_priors.classify(text, source="wire").match_counts
+        assert expected != plain.classify(text, source="wire").match_counts
+        registry = ModelRegistry(tmp_path / "registry")
+        blue = registry.publish(plain)
+        green = registry.publish(with_priors, activate=False)
+
+        async def main():
+            service = ClassificationService(
+                registry.load(blue.version), ServeConfig(max_delay_ms=1.0),
+                model_version=blue.name,
+            )
+            async with service:
+                report = await ModelSwitch(service, registry).swap_to(green.name)
+                answer = await service.classify(text, source="wire")
+                return report, service.model_version, answer
+
+        report, serving, answer = asyncio.run(main())
+        assert "noop" not in report
+        assert serving == green.name
+        assert registry.resolve("latest").name == green.name
+        assert answer.match_counts == expected
 
 
 # -------------------------------------------------------------------- serving

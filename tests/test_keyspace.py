@@ -1,7 +1,7 @@
-"""Exhaustive key-space proofs for the membership backends.
+"""Exhaustive key-space proofs for the table backends and ``hw-sim``.
 
 Packed 4-grams of 5-bit codes have a 2^20 key space, small enough to check a
-backend's per-n-gram membership against an independent reference for *every*
+backend's per-n-gram scores against an independent reference for *every*
 key rather than for sampled documents.  Each backend's ``ngram_hits`` is the
 only kernel behind its counts (``match_counts_batch`` is a reduction of it),
 so these proofs cover classification over the whole packed key space.
@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro.api import LanguageIdentifier
+from repro.api.backends import MGUESSER_SCORE_SCALE
+from repro.core.bloom import ParallelBloomFilter
 
 #: every packed 4-gram key
 ALL_KEYS = np.arange(1 << 20, dtype=np.uint64)
@@ -27,9 +29,17 @@ def bloom_hits(profiles):
 def test_bloom_hits_equal_each_languages_filter(bloom_hits, profiles):
     bloom, hits = bloom_hits
     assert hits.shape == (len(profiles), ALL_KEYS.size)
-    for row, language in enumerate(profiles):
-        reference = bloom.backend.filters[language].contains_many(ALL_KEYS)
-        np.testing.assert_array_equal(hits[row], reference)
+    config = bloom.config
+    for row, profile in enumerate(profiles.values()):
+        # programmed on its own, sharing only the hash family with the backend
+        reference = ParallelBloomFilter.from_items(
+            profile.ngrams,
+            m_bits=config.m_bits,
+            k=config.k,
+            key_bits=config.key_bits,
+            hashes=bloom.backend.hashes,
+        )
+        np.testing.assert_array_equal(hits[row], reference.contains_many(ALL_KEYS))
 
 
 def test_exact_hits_equal_profile_membership(profiles):
@@ -37,6 +47,21 @@ def test_exact_hits_equal_profile_membership(profiles):
     hits = exact.backend.ngram_hits(ALL_KEYS)
     for row, profile in enumerate(profiles.values()):
         np.testing.assert_array_equal(hits[row], profile.contains_many(ALL_KEYS))
+
+
+def test_mguesser_hits_equal_rounded_profile_weights(profiles):
+    mguesser = LanguageIdentifier(backend="mguesser").train_profiles(profiles)
+    hits = mguesser.backend.ngram_hits(ALL_KEYS)
+    assert hits.shape == (len(profiles), ALL_KEYS.size)
+    for row, profile in enumerate(profiles.values()):
+        total = int(profile.counts.sum())
+        weights = {
+            int(key): round(int(count) / total * MGUESSER_SCORE_SCALE)
+            for key, count in zip(profile.ngrams, profile.counts)
+        }
+        reference = np.zeros(ALL_KEYS.size, dtype=np.int64)
+        reference[list(weights)] = list(weights.values())
+        np.testing.assert_array_equal(hits[row], reference)
 
 
 def test_hail_hits_equal_bucket_membership(profiles):

@@ -100,10 +100,9 @@ class TestSharedModel:
             clone = SharedModel.attach(shared.name).identifier()
             for profile in clone.profiles.values():
                 assert not profile.ngrams.flags.writeable
-            for filt in clone.backend.filters.values():
-                assert filt.is_read_only
-                with pytest.raises(RuntimeError, match="read-only"):
-                    filt.add(3)
+            assert not clone.backend.bits.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                clone.backend.bits[0, 0, 0] = True
             # the live bit-vectors alias the segment, not a private copy
             assert clone.describe()["shared_bit_vectors"] is True
             stacked = clone.backend.export_state()["stacked_bits"]

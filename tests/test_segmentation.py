@@ -56,7 +56,7 @@ def mixed_doc():
 
 
 class TestNgramHits:
-    @pytest.mark.parametrize("backend", ["bloom", "exact", "hail"])
+    @pytest.mark.parametrize("backend", ["bloom", "exact", "hail", "mguesser"])
     def test_hits_sum_to_match_counts(self, identifier, backend):
         clone = LanguageIdentifier(identifier.config, backend=backend).train_profiles(
             identifier.profiles
@@ -80,21 +80,6 @@ class TestNgramHits:
         np.testing.assert_array_equal(hits, identifier.backend.ngram_hits(packed))
         np.testing.assert_array_equal(
             hits.sum(axis=1, dtype=np.int64), _doc_counts(clone.backend, packed)
-        )
-
-    def test_mguesser_hits_sum_within_rounding(self, identifier):
-        # fixed-point scores round per n-gram here vs once per document in
-        # match_counts, so sums agree only to the accumulated rounding error
-        clone = LanguageIdentifier(identifier.config, backend="mguesser").train_profiles(
-            identifier.profiles
-        )
-        packed = clone.extractor.extract("the quick brown fox jumps over the lazy dog")
-        hits = clone.backend.ngram_hits(packed)
-        assert hits.shape == (len(clone.languages), packed.size)
-        np.testing.assert_allclose(
-            hits.sum(axis=1, dtype=np.int64),
-            _doc_counts(clone.backend, packed),
-            atol=packed.size,
         )
 
     def test_bloom_hits_match_per_ngram_counts(self, identifier):

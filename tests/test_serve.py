@@ -18,13 +18,13 @@ from repro.corpus.corpus import build_jrc_acquis_like
 from repro.serve import (
     ClassificationService,
     MicroBatcher,
-    ReplicaPool,
     RequestTooLargeError,
     ResultCache,
     ServeConfig,
     ServiceClosedError,
     ServiceMetrics,
     ServiceOverloadedError,
+    ThreadReplicaPool,
     clone_identifier,
     model_fingerprint,
     percentile,
@@ -487,21 +487,13 @@ class TestReplicaPool:
             clone_identifier(LanguageIdentifier(ClassifierConfig()))
 
     def test_round_robin_cycles(self, identifier):
-        pool = ReplicaPool(identifier, 3)
+        pool = ThreadReplicaPool(identifier, 3)
         assert [pool.next_round_robin() for _ in range(6)] == [0, 1, 2, 0, 1, 2]
-        pool.close()
-
-    def test_hash_sharding_is_stable_and_in_range(self, identifier):
-        pool = ReplicaPool(identifier, 3)
-        digest = text_digest("always the same document")
-        shard = pool.shard_for(digest)
-        assert all(pool.shard_for(digest) == shard for _ in range(5))
-        assert 0 <= shard < 3
         pool.close()
 
     def test_replica_batches_match_source(self, identifier):
         async def scenario():
-            pool = ReplicaPool(identifier, 2)
+            pool = ThreadReplicaPool(identifier, 2)
             texts = ["le chien court vite", "the dog runs fast", "el perro corre"]
             try:
                 for index in range(2):
@@ -526,7 +518,6 @@ class TestServeConfig:
             {"max_batch": 0},
             {"max_delay_ms": -1},
             {"replicas": 0},
-            {"sharding": "modulo"},
             {"cache_size": -1},
             {"max_pending": 0},
             {"max_document_bytes": 0},
@@ -645,21 +636,6 @@ class TestClassificationService:
 
         run(scenario())
 
-    def test_hash_sharding_routes_duplicates_to_one_replica(self, identifier):
-        async def scenario():
-            config = ServeConfig(
-                max_batch=2, max_delay_ms=1.0, replicas=3, sharding="hash", cache_size=0
-            )
-            async with ClassificationService(identifier, config) as service:
-                shard = service._pool.shard_for(text_digest("same text"))
-                for _ in range(4):
-                    await service.classify("same text")
-                assert service._pool.shard_for(text_digest("same text")) == shard
-                pending = service.describe()["pending"]
-                assert len(pending) == 3
-
-        run(scenario())
-
     def test_describe_reports_topology(self, identifier):
         async def scenario():
             config = ServeConfig(replicas=2, max_batch=16)
@@ -667,6 +643,7 @@ class TestClassificationService:
                 info = service.describe()
                 assert info["status"] == "ok"
                 assert info["replicas"] == 2
+                assert len(info["pending"]) == 2  # one queue per replica
                 assert info["max_batch"] == 16
                 assert info["languages"] == identifier.languages
             assert service.describe()["status"] == "stopped"

@@ -139,8 +139,8 @@ def evaluate_classifier_batch(
 
     ``identifier`` needs ``classify_batch`` (the
     :class:`~repro.api.identifier.LanguageIdentifier` facade and the serving
-    replicas both have it): the whole corpus is hashed once per hash function
-    and tested against every language's stacked bit-vectors, which is what lets
+    replicas both have it): the whole corpus goes through one membership pass
+    that tests every n-gram against every language at once, which is what lets
     the evaluation matrix (:mod:`repro.eval`) sweep backend × scenario × length
     grids in seconds rather than minutes.
     """

@@ -6,7 +6,9 @@ Five engines are registered:
     The paper's design — per-language Parallel Bloom Filters sharing one hash
     family, stored as one ``(k, languages, m_bits)`` bit matrix.  Persists
     that matrix so a loaded model answers without re-programming, straight
-    out of the mapped artifact.
+    out of the mapped artifact.  At n <= 4 every key's verdicts are read out
+    of it once, on first use, into a key table that answers each n-gram with
+    one gather.
 ``exact``
     The no-false-positive reference — exact profile membership (a software
     stand-in for HAIL's direct memory table), used to separate errors inherent
@@ -65,6 +67,15 @@ MGUESSER_SCORE_SCALE = 1_000_000
 #: multi-megabyte intermediates through DRAM
 BATCH_CHUNK_NGRAMS = 1 << 16
 
+#: widest packed key (n <= 4) whose bloom verdicts are read out into a key
+#: table: one word per key, 2 MB at 2^20 keys and up to 16 languages
+KEY_TABLE_MAX_BITS = 20
+#: most languages a key-table word holds (one bit each in a uint64)
+KEY_TABLE_MAX_LANGUAGES = 64
+#: log2 of the keys read out per step of the key-table build; 16 K keys keep
+#: each step's k address blocks (128 KB each) cache-resident
+KEY_TABLE_BLOCK_BITS = 14
+
 
 class _MembershipBackend(Backend):
     """A table backend: its per-n-gram answer is a lookup.
@@ -107,6 +118,16 @@ class BloomBackend(_MembershipBackend):
     The one bit store is :attr:`bits`, a ``(k, languages, m_bits)`` matrix
     with one byte per bit (vector ``i`` of language ``j`` is ``bits[i, j]``),
     plus :attr:`n_items`, each language's programmed-key count.
+
+    Keys of at most ``KEY_TABLE_MAX_BITS`` bits (n <= 4) are few enough to
+    read every key's verdict out of :attr:`bits` once: the *key table* holds
+    one word per key whose bit ``j`` is language ``j``'s verdict, so
+    :meth:`ngram_hits` answers each n-gram with one gather instead of ``k``
+    hashes and ``k`` probes — HAIL's direct lookup, built from the Bloom
+    filters themselves.  The table is derived data: built on the first probe
+    after :meth:`fit_profiles` or :meth:`import_state`, and never exported.
+    Wider keys and more than ``KEY_TABLE_MAX_LANGUAGES`` languages use
+    :meth:`probe`.
     """
 
     def __init__(self, config: ClassifierConfig):
@@ -120,6 +141,7 @@ class BloomBackend(_MembershipBackend):
         )
         self.bits: np.ndarray | None = None
         self.n_items: np.ndarray | None = None
+        self._key_table: np.ndarray | None = None
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
         """Program every language's bit-vectors with one ``hash_all`` per profile."""
@@ -132,14 +154,48 @@ class BloomBackend(_MembershipBackend):
         self.bits = bits
         self.n_items = np.asarray([len(p) for p in profiles.values()], dtype=np.int64)
         self.profiles = dict(profiles)
+        self._key_table = None
 
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
-        """Boolean ``(languages, n_ngrams)`` membership matrix, one hash pass.
+        """Boolean ``(languages, n_ngrams)`` membership matrix.
+
+        One key-table gather per n-gram where the table applies (see the
+        class docstring), unpacked one language row at a time; otherwise
+        :meth:`probe`.  Both give the same matrix, which is the batch path's
+        intermediate and the windowed segmentation scorer's input.
+        """
+        self._check_trained()
+        packed = np.asarray(packed, dtype=np.uint64)
+        table = self._key_table
+        if table is None:
+            if (
+                self.config.key_bits > KEY_TABLE_MAX_BITS
+                or self.bits.shape[1] > KEY_TABLE_MAX_LANGUAGES
+            ):
+                return self.probe(packed)
+            # built into a local and published with one assignment: racing
+            # first calls at worst build it twice
+            table = self._key_table = self._build_key_table()
+        if packed.size and int(packed.max()) >> self.config.key_bits:
+            raise ValueError(
+                f"key does not fit in {self.config.key_bits} bits "
+                f"(max value seen: {int(packed.max())})"
+            )
+        words = np.take(table, packed)
+        hits = np.empty((self.bits.shape[1], packed.size), dtype=bool)
+        scratch = np.empty_like(words)
+        for row in range(hits.shape[0]):
+            np.bitwise_and(words, table.dtype.type(1 << row), out=scratch)
+            np.not_equal(scratch, 0, out=hits[row])
+        return hits
+
+    def probe(self, packed: np.ndarray) -> np.ndarray:
+        """:meth:`ngram_hits` by hashing: ``k`` hashes and ``k`` probes per n-gram.
 
         Each n-gram is hashed exactly once and each hash function's addresses
         are tested against every language in a single gather; chunking keeps
-        the hash temporaries cache-resident.  This matrix is both the batch
-        path's intermediate and the windowed segmentation scorer's input.
+        the hash temporaries cache-resident.  The only path for keys too wide
+        for a key table, and the key table's reference.
         """
         self._check_trained()
         packed = np.asarray(packed, dtype=np.uint64)
@@ -153,6 +209,25 @@ class BloomBackend(_MembershipBackend):
                 chunk_hits &= bits[i][:, addresses[i]]
             hits[:, start : start + segment.size] = chunk_hits
         return hits
+
+    def _build_key_table(self) -> np.ndarray:
+        """Every key's language word: the AND over the ``k`` vectors' cells it hashes to."""
+        k, languages, m_bits = self.bits.shape
+        dtype = np.min_scalar_type((1 << languages) - 1)
+        # cell a of vector i as one word whose bit j is bits[i, j, a]
+        cells = np.zeros((k, m_bits), dtype=dtype)
+        for row in range(languages):
+            cells |= self.bits[:, row].astype(dtype) << dtype.type(row)
+        table = np.empty(1 << self.config.key_bits, dtype=dtype)
+        start = 0
+        for addresses in zip(*(h.hash_key_space(KEY_TABLE_BLOCK_BITS) for h in self.hashes)):
+            words = np.take(cells[0], addresses[0])
+            for i in range(1, k):
+                words &= np.take(cells[i], addresses[i])
+            table[start : start + words.size] = words
+            start += words.size
+        table.flags.writeable = False
+        return table
 
     # -- persistence ---------------------------------------------------------
 
@@ -195,6 +270,7 @@ class BloomBackend(_MembershipBackend):
         self.bits = bits
         self.n_items = np.asarray(n_items)
         self.profiles = dict(profiles)
+        self._key_table = None
 
     def describe(self) -> dict:
         info = super().describe()

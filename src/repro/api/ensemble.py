@@ -7,8 +7,8 @@ label.  This backend closes that loop over the existing machinery:
 
 1. **Fan-out.**  Every document's packed n-grams are handed to each member
    backend's vectorized batch path (members share the surrounding
-   :class:`~repro.api.config.ClassifierConfig`, so the batch is hashed once
-   per member, never once per document).
+   :class:`~repro.api.config.ClassifierConfig`, so each member scores the
+   whole batch in one pass, never once per document).
 2. **Calibrated votes.**  Each member's raw top-vs-runner separation is
    mapped through its fitted
    :class:`~repro.eval.calibration.ConfidenceCalibrator` to a measured

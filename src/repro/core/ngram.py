@@ -188,16 +188,19 @@ def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
     Reduces a concatenated multi-document stream (hits, counts, bitmap tests)
     back to per-document totals — the reduction shared by every batch
-    classification path.  Implemented with a cumulative sum so zero-length
-    segments correctly yield 0 (``np.add.reduceat`` does not handle empty
-    segments).  Integer-only: the cumulative-difference trick is exact for
-    integers but would accumulate rounding error for floats.
+    classification path.  ``np.add.reduceat`` sums the non-empty segments in
+    int64; it reads an empty segment as the single value at its start, so
+    empty segments are left out of the call and stay 0.  Values past the
+    last segment are ignored.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     ends = np.cumsum(lengths)
-    starts = ends - lengths
-    cumulative = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
-    return cumulative[ends] - cumulative[starts]
+    sums = np.zeros(lengths.size, dtype=np.int64)
+    nonempty = lengths > 0
+    if nonempty.any():
+        starts = (ends - lengths)[nonempty]
+        sums[nonempty] = np.add.reduceat(values[: ends[-1]], starts, dtype=np.int64)
+    return sums
 
 
 def subsample(packed: np.ndarray, stride: int) -> np.ndarray:

@@ -58,7 +58,8 @@ class LanguageProfile:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.ngrams.shape != self.counts.shape:
             raise ValueError("ngrams and counts must have the same length")
-        if self.ngrams.size and np.unique(self.ngrams).size != self.ngrams.size:
+        ordered = np.sort(self.ngrams)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("profile n-grams must be distinct")
 
     # ------------------------------------------------------------ constructors

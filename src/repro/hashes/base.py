@@ -10,7 +10,7 @@ address exactly the same bit-vector cells.
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +39,18 @@ class KeyHash(abc.ABC):
         numpy.ndarray
             ``uint64`` array of the same shape with values in ``[0, 2**out_bits)``.
         """
+
+    def hash_key_space(self, block_bits: int) -> Iterator[np.ndarray]:
+        """Every key's hash, in key order, ``2 ** block_bits`` keys per block.
+
+        Enumerates the whole ``key_bits``-wide key space, the input of a
+        lookup table over every key; each block is a ``hash_array`` of the
+        next run of consecutive keys.
+        """
+        size = 1 << self.key_bits
+        block = 1 << min(block_bits, self.key_bits)
+        for start in range(0, size, block):
+            yield self.hash_array(np.arange(start, start + block, dtype=np.uint64))
 
     def hash_scalar(self, key: int) -> int:
         """Hash a single integer key."""

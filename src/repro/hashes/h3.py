@@ -69,25 +69,15 @@ class H3Hash(KeyHash):
         tables: list[np.ndarray] = []
         shifts: list[int] = []
         masks: list[int] = []
-        bit = 0
-        while bit < self.key_bits:
-            width = min(self.chunk_bits, self.key_bits - bit)
-            size = 1 << width
-            table = np.zeros(size, dtype=np.uint64)
-            for value in range(size):
-                acc = np.uint64(0)
-                v = value
-                j = 0
-                while v:
-                    if v & 1:
-                        acc ^= self._matrix[bit + j]
-                    v >>= 1
-                    j += 1
-                table[value] = acc
+        for bit in range(0, self.key_bits, self.chunk_bits):
+            # entry v is the XOR of the rows of v's set bits: each doubling
+            # step's upper half is its lower half XOR the next row
+            table = np.zeros(1, dtype=np.uint64)
+            for row in self._matrix[bit : bit + self.chunk_bits]:
+                table = np.concatenate((table, table ^ row))
             tables.append(table)
             shifts.append(bit)
-            masks.append(size - 1)
-            bit += width
+            masks.append(table.size - 1)
         return tables, np.asarray(shifts, dtype=np.uint64), np.asarray(masks, dtype=np.uint64)
 
     # ------------------------------------------------------------ evaluation
@@ -104,6 +94,18 @@ class H3Hash(KeyHash):
             chunk = (keys >> shift) & mask
             result ^= table[chunk]
         return result
+
+    def hash_key_space(self, block_bits: int):
+        """Every key's hash, in key order, ``2 ** block_bits`` keys per block.
+
+        H3 is linear over XOR, and a block's keys share their high bits, so
+        each block is the chunk tables' hashes of the low bits (computed
+        once) XOR-ed with the hash of the block's first key.
+        """
+        block = 1 << min(block_bits, self.key_bits)
+        low = self.hash_array(np.arange(block, dtype=np.uint64))
+        for high in self.hash_array(np.arange(0, 1 << self.key_bits, block, dtype=np.uint64)):
+            yield low ^ high
 
     def hash_scalar_reference(self, key: int) -> int:
         """Bit-serial reference implementation (used by tests to validate the tables)."""

@@ -8,9 +8,9 @@ regardless of window count:
 
 1. every n-gram is scored once against every language
    (:meth:`repro.api.registry.Backend.ngram_hits`, the same probe the batch
-   path reduces; the ``bloom`` backend hashes each n-gram once and gathers
-   each hash function's addresses from its stacked bit-vectors for every
-   language at once);
+   path reduces; at n <= 4 the ``bloom`` backend reads each n-gram's
+   language word from its key table, otherwise it hashes each n-gram once
+   and gathers each hash function's addresses for every language at once);
 2. a per-language cumulative sum over the n-gram axis turns any window's hit
    count into two lookups: ``cum[end] - cum[start]``.
 

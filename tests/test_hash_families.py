@@ -9,7 +9,7 @@ from repro.hashes.families import (
     TabulationHash,
     make_hash_family,
 )
-from repro.hashes.h3 import H3Family
+from repro.hashes.h3 import H3Family, H3Hash
 
 ALL_CLASSES = [MultiplyShiftHash, FNV1aHash, TabulationHash]
 
@@ -51,6 +51,17 @@ class TestCommonBehaviour:
         values = h.hash_array(keys)
         distinct = np.unique(values).size
         assert distinct > (1 << 10) * 0.6
+
+
+@pytest.mark.parametrize("cls", [H3Hash, *ALL_CLASSES])
+@pytest.mark.parametrize("block_bits", [0, 5, 12, 20])
+def test_key_space_enumeration_hashes_every_key_in_order(cls, block_bits):
+    h = cls(key_bits=12, out_bits=10, seed=4)
+    blocks = list(h.hash_key_space(block_bits))
+    assert len(blocks) == 1 << (12 - min(block_bits, 12))
+    np.testing.assert_array_equal(
+        np.concatenate(blocks), h.hash_array(np.arange(1 << 12, dtype=np.uint64))
+    )
 
 
 class TestMakeHashFamily:

@@ -40,12 +40,14 @@ class TestConstruction:
             LanguageProfile("xx", np.asarray([1, 2], dtype=np.uint64), np.asarray([1], dtype=np.int64))
 
     def test_duplicate_ngrams_rejected(self):
-        with pytest.raises(ValueError):
-            LanguageProfile(
-                "xx",
-                np.asarray([7, 7], dtype=np.uint64),
-                np.asarray([2, 1], dtype=np.int64),
-            )
+        # adjacent and non-adjacent repeats, in frequency (not value) order
+        for ngrams in ([7, 7], [7, 3, 7], [1, 9, 4, 2, 9]):
+            with pytest.raises(ValueError, match="distinct"):
+                LanguageProfile(
+                    "xx",
+                    np.asarray(ngrams, dtype=np.uint64),
+                    np.arange(len(ngrams), 0, -1, dtype=np.int64),
+                )
 
 
 class TestQueries:

@@ -1,13 +1,19 @@
 """Property-based tests (hypothesis) for the core data structures and invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.alphabet import ALPHABET_SIZE, SPACE_CODE, encode_text
 from repro.core.bloom import ParallelBloomFilter
 from repro.core.fpr import false_positive_rate
-from repro.core.ngram import merge_ngram_counts, pack_ngrams, top_ngrams, unpack_ngram
+from repro.core.ngram import (
+    merge_ngram_counts,
+    pack_ngrams,
+    segment_sums,
+    top_ngrams,
+    unpack_ngram,
+)
 from repro.core.profile import LanguageProfile
 from repro.hashes.h3 import H3Hash
 from repro.system.commands import document_to_words, xor_checksum
@@ -143,6 +149,33 @@ def test_h3_output_always_in_range(keys):
     values = h.hash_array(keys)
     if values.size:
         assert int(values.max()) < (1 << 14)
+
+
+# -- segment sums ------------------------------------------------------------------
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=6), max_size=12),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([np.bool_, np.int64]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example([0, 3, 2], 0, np.bool_, 1)  # empty first segment
+@example([3, 0, 2], 0, np.int64, 2)  # empty middle segment
+@example([3, 2, 0], 2, np.bool_, 3)  # empty last segment, then values past it
+@example([0, 0, 0], 3, np.int64, 4)  # every segment empty
+@example([], 2, np.int64, 5)  # no segments
+@settings(max_examples=60)
+def test_segment_sums_matches_a_python_loop(lengths, extra, dtype, seed):
+    values = np.random.default_rng(seed).integers(-1000, 1000, size=sum(lengths) + extra)
+    values = values > 0 if dtype is np.bool_ else values
+    expected, start = [], 0
+    for length in lengths:
+        expected.append(sum(int(v) for v in values[start : start + length]))
+        start += length
+    sums = segment_sums(values, np.asarray(lengths, dtype=np.int64))
+    assert sums.dtype == np.int64
+    assert sums.tolist() == expected
 
 
 # -- Bloom filter ------------------------------------------------------------------

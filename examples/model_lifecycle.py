@@ -13,9 +13,9 @@ reprogramming path, end to end:
 3. ``extend()`` the same trainer with freshly arrived documents and publish
    the child version (lineage recorded in its manifest),
 4. hot-swap the running service onto the child with
-   :class:`repro.registry.ModelSwitch` — replicas roll one at a time, the
-   load never stops, and every in-flight response stays bit-identical to one
-   published version,
+   :class:`repro.registry.ModelSwitch` — the new model takes over between
+   two batches, the load never stops, and every response stays
+   bit-identical to one published version,
 5. garbage-collect old versions while the active one stays pinned.
 
 Run with:  python examples/model_lifecycle.py
@@ -55,7 +55,7 @@ async def lifecycle(registry_dir: Path) -> None:
         languages=LANGUAGES, docs_per_language=3, words_per_document=120, seed=99
     )
     texts = [doc.text[:400] for doc in held_out.documents]
-    config = ServeConfig(max_batch=16, max_delay_ms=1.0, replicas=2, cache_size=0)
+    config = ServeConfig(max_batch=16, max_delay_ms=1.0, cache_size=0)
     service = ClassificationService(registry.load(v1.version), config, model_version=v1.name)
     service.switch = ModelSwitch(service, registry)
 
@@ -82,7 +82,7 @@ async def lifecycle(registry_dir: Path) -> None:
         )
         print(f"published {v2.name}  parent={v2.parent}")
 
-        # -- 4. hot swap under load: replicas roll one at a time -----------
+        # -- 4. hot swap under load, between two batches -------------------
         report = await service.switch.swap_to("latest")
         await asyncio.sleep(0.1)
         stop.set()

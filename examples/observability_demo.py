@@ -76,7 +76,6 @@ def main() -> None:
     config = ServeConfig(
         max_batch=64,
         max_delay_ms=2.0,
-        replicas=2,
         cache_size=2 * N_REQUESTS,
         max_pending=2 * N_REQUESTS,
         trace_sample_rate=1.0,  # retain every trace for the demo

@@ -13,8 +13,9 @@ short documents is classified
    repeated documents (boilerplate/retries), where hits skip the engine,
 4. and finally with ``executor="process"`` — replicas as worker processes
    reading one shared-memory model copy, the software analogue of the paper's
-   many parallel Bloom engines (only faster than threads when the machine has
-   spare cores; on one core it shows the IPC overhead honestly).
+   many parallel Bloom engines (only faster than the default single inline
+   replica when the machine has spare cores; on one core it shows the IPC
+   overhead honestly).
 
 Run with:  python examples/serving_demo.py
 """
@@ -100,7 +101,7 @@ def main() -> None:
     cached_mb_s = 2 * total_bytes / cached_seconds / 1e6
 
     # 4. Process replicas over one shared-memory model copy (cache off): true
-    #    multi-core scaling where the thread tier is pinned by the GIL.
+    #    multi-core scaling, where the thread tier runs one inline replica.
     workers = max(2, min(4, os.cpu_count() or 1))
     process_config = ServeConfig(
         max_batch=256, max_delay_ms=5.0, replicas=workers, executor="process",
@@ -138,7 +139,7 @@ def main() -> None:
     print(f"cached run: {cached_metrics['cache_hits']} hits on "
           f"{cached_metrics['requests_total']} requests")
     print(f"process replicas: {workers} workers on {os.cpu_count()} core(s), "
-          f"{process_mb_s:.1f} MB/s vs {serve_mb_s:.1f} MB/s threaded "
+          f"{process_mb_s:.1f} MB/s vs {serve_mb_s:.1f} MB/s inline "
           f"(respawns: {process_metrics['worker_respawns_total']})")
 
 

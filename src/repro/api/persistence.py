@@ -19,9 +19,8 @@ out.  The payload holds
   the model (see :class:`repro.serve.shared_model.SharedModel`).
 
 Nothing is pickled: metadata is JSON, so artifacts are safe to exchange.  Every
-reader — :func:`load_model` on a file, ``SharedModel`` on a segment,
-:func:`repro.serve.replicas.clone_identifier` on in-memory bytes — goes through
-the one parser, :func:`load_model_from_buffer`.
+reader — :func:`load_model` on a file, ``SharedModel`` on a segment — goes
+through the one parser, :func:`load_model_from_buffer`.
 """
 
 from __future__ import annotations
@@ -226,10 +225,8 @@ def flat_model_bytes(identifier) -> bytearray:
 
     This is exactly what :func:`save_model` writes to disk;
     :class:`repro.serve.shared_model.SharedModel` copies the same bytes into a
-    ``multiprocessing.shared_memory`` segment and
-    :func:`repro.serve.replicas.clone_identifier` parses them straight back, so
-    the one parser (:func:`load_model_from_buffer`) serves files, segments and
-    in-process replicas alike.
+    ``multiprocessing.shared_memory`` segment, so the one parser
+    (:func:`load_model_from_buffer`) serves files and segments alike.
 
     The bloom state is deliberately unpacked (one byte per bit), so the
     serialisation avoids transient copies: the CRC is computed over the array
@@ -352,9 +349,8 @@ def load_model_from_buffer(
     ``verify=False`` skips the payload CRC32 pass (header and bounds checks
     still run).  File loads keep the default — corruption detection is the
     point — but trusted re-opens of bytes this process tree just wrote and
-    checked (N workers attaching one shared-memory segment, in-process replica
-    clones) use it to avoid N redundant full passes over the unpacked
-    bit-vectors.
+    checked (N workers attaching one shared-memory segment) use it to avoid N
+    redundant full passes over the unpacked bit-vectors.
 
     Raises :class:`ModelFormatError` for every malformed input: short or
     truncated buffers, wrong magic, undecodable or mismatched headers, array

@@ -664,23 +664,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("serve needs exactly one of --model or --registry", file=sys.stderr)
         return 2
 
-    serve_config = ServeConfig(
-        max_batch=args.max_batch,
-        max_delay_ms=args.max_delay_ms,
-        replicas=args.replicas,
-        executor=args.executor,
-        cache_size=args.cache_size,
-        max_pending=args.max_pending,
-        trace_sample_rate=args.trace_sample_rate,
-        trace_slow_ms=args.trace_slow_ms,
-        analytics=not args.no_analytics,
-        analytics_config=AnalyticsConfig(
-            window_seconds=args.analytics_window,
-            max_windows=args.analytics_max_windows,
-            drift_metric=args.drift_metric,
-            drift_threshold=args.drift_threshold,
-        ),
-    )
+    try:
+        serve_config = ServeConfig(
+            max_batch=args.max_batch,
+            max_delay_ms=args.max_delay_ms,
+            replicas=args.replicas,
+            executor=args.executor,
+            cache_size=args.cache_size,
+            max_pending=args.max_pending,
+            trace_sample_rate=args.trace_sample_rate,
+            trace_slow_ms=args.trace_slow_ms,
+            analytics=not args.no_analytics,
+            analytics_config=AnalyticsConfig(
+                window_seconds=args.analytics_window,
+                max_windows=args.analytics_max_windows,
+                drift_metric=args.drift_metric,
+                drift_threshold=args.drift_threshold,
+            ),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     logger = None
     if args.log_json:
         from repro.obs import JsonLogger
@@ -1113,12 +1117,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--replicas", type=_positive_int, default=1,
-        help="independent model replicas classifying concurrently",
+        help="worker processes classifying concurrently (--executor process; "
+        "the thread executor runs exactly one replica)",
     )
     serve.add_argument(
         "--executor", choices=("thread", "process"), default="thread",
-        help="replica execution tier: 'thread' (in-process, GIL-bound) or 'process' "
-        "(worker processes sharing one shared-memory model copy; true multi-core)",
+        help="replica execution tier: 'thread' (one replica on the serving "
+        "thread; the kernel blocks the event loop while it runs) or 'process' "
+        "(worker processes sharing one shared-memory model copy; multi-core)",
     )
     serve.add_argument(
         "--cache-size", type=int, default=1024,

@@ -17,12 +17,14 @@ tier mirrors that decomposition in software: every request admitted to the
 ``batch_assembly``
     Flush bookkeeping between the queue pop and the replica dispatch.
 ``ipc_roundtrip``
-    Transport overhead to the replica and back — thread-pool handoff for the
-    thread executor, pipe serialisation + scheduling for worker processes —
-    *excluding* the kernel time it brackets.
+    Transport overhead to the replica and back — ≈ 0 for the thread
+    executor, whose kernel runs inline on the event loop; pipe serialisation
+    + scheduling for worker processes — *excluding* the kernel time it
+    brackets.
 ``kernel``
     The vectorized engine itself (``classify_batch`` / windowed segmentation),
-    measured inside the worker so serving overhead can never pollute it.
+    timed around the call itself (inside the worker process on the process
+    tier) so serving overhead can never pollute it.
 ``respond``
     Future resolution, cache store, and metric bookkeeping back on the event
     loop.

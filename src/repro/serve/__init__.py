@@ -9,12 +9,13 @@ subsystem applies the same architecture to the software engine:
     Bounded request queue flushed by size (``max_batch``) or deadline
     (``max_delay_ms``) into the vectorized ``classify_batch`` path.
 :class:`~repro.serve.replicas.ThreadReplicaPool`
-    N bit-exact model replicas, each with a dedicated worker thread,
-    dispatched round-robin (GIL-bound for CPU-heavy batches).
+    One model replica run inline on the serving thread — no hand-off, but
+    the kernel blocks the event loop while it runs.
 :class:`~repro.serve.process_pool.ProcessReplicaPool`
     N worker *processes* reading one
     :class:`~repro.serve.shared_model.SharedModel` shared-memory copy of the
-    model — true multi-core scaling with crash detection and respawn.
+    model, dispatched round-robin — multi-core scaling with crash detection
+    and respawn, and the event loop stays free while batches run.
 :class:`~repro.serve.cache.ResultCache`
     LRU result cache keyed on (model fingerprint, document digest).
 :class:`~repro.serve.metrics.ServiceMetrics`
@@ -65,7 +66,7 @@ from repro.serve.errors import (
 from repro.serve.http import result_to_json, segmentation_to_json, serve_http
 from repro.serve.metrics import ServiceMetrics, percentile
 from repro.serve.process_pool import ProcessReplicaPool
-from repro.serve.replicas import ReplicaPoolBase, ThreadReplicaPool, clone_identifier
+from repro.serve.replicas import ReplicaPoolBase, ThreadReplicaPool
 from repro.serve.service import EXECUTORS, ClassificationService, ServeConfig
 from repro.serve.shared_model import SharedModel
 
@@ -85,7 +86,6 @@ __all__ = [
     "ThreadReplicaPool",
     "ProcessReplicaPool",
     "SharedModel",
-    "clone_identifier",
     "ClassificationService",
     "ServeConfig",
     "EXECUTORS",

@@ -1,9 +1,10 @@
 """Process-based replica pool: true multi-core serving over one shared model.
 
-:class:`~repro.serve.replicas.ThreadReplicaPool` fakes the paper's parallel
-engines with Python threads, so CPU-bound ``match_counts_batch`` work serialises on
-the GIL.  This module provides the real thing: N worker *processes*, each
-running the vectorized batch path against read-only views of a single
+:class:`~repro.serve.replicas.ThreadReplicaPool` runs one replica inline on
+the serving thread, so its CPU-bound ``match_counts_batch`` work both
+serialises on the GIL and blocks the event loop while it runs.  This module
+provides the parallel engines: N worker *processes*, each running the
+vectorized batch path against read-only views of a single
 :class:`~repro.serve.shared_model.SharedModel` segment — one physical copy of
 the profiles and bit-vectors, N cores reading it concurrently, exactly the
 shared-read-only-state shape of the paper's hardware (many Bloom engines, one
@@ -23,8 +24,7 @@ Topology per worker:
   serving overhead never pollutes kernel timing), and the worker pid.
   Control frames (``swap`` / ``stop``) are two-element;
 * a single-thread dispatcher executor that performs the blocking pipe
-  round-trip off the event loop, preserving the one-in-flight-batch-per-replica
-  discipline of the thread tier.
+  round-trip off the event loop, keeping one batch in flight per replica.
 
 Crash handling: the dispatcher waits on the pipe *and* the process sentinel,
 so a worker dying mid-batch is detected immediately, reported to the caller as

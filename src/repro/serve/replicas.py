@@ -1,4 +1,4 @@
-"""Replica pools: N engine replicas classifying batches concurrently.
+"""Replica pools: where a flushed batch runs.
 
 The paper scales by instantiating one classifier pipeline per language and
 streaming every document past all of them; the serving layer scales the other
@@ -7,44 +7,31 @@ concurrently.  Two execution tiers implement one contract
 (:class:`ReplicaPoolBase`):
 
 :class:`ThreadReplicaPool`
-    N bit-exact in-process model clones, one worker thread each.  Cheap to
-    start and share nothing mutable, but CPU-bound NumPy work from different
-    replicas contends on the GIL, so throughput tops out near one core.
+    One identifier whose batch path runs inline on the serving thread (the
+    event loop), like the paper's asynchronous driver streaming documents to
+    one engine with no per-batch hand-off.  CPU-bound NumPy work cannot
+    overlap under the GIL, so more in-process replicas would only split the
+    queue and copy the model; the kernel blocks the loop while it runs.
 :class:`~repro.serve.process_pool.ProcessReplicaPool`
     N worker *processes* reading one shared-memory model copy
     (:class:`~repro.serve.shared_model.SharedModel`) — true multi-core
     scaling, the software analogue of the paper's many parallel Bloom engines.
 
-Both tiers dispatch in strict rotation (:meth:`ReplicaPoolBase.next_round_robin`).
+Dispatch picks replicas in strict rotation (:meth:`ReplicaPoolBase.next_round_robin`).
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Sequence
 
 from repro.api.identifier import LanguageIdentifier
-from repro.api.persistence import flat_model_bytes, load_model_from_buffer
 from repro.core.classifier import ClassificationResult
 
 __all__ = [
     "ReplicaPoolBase",
     "ThreadReplicaPool",
-    "clone_identifier",
 ]
-
-
-def clone_identifier(identifier: LanguageIdentifier) -> LanguageIdentifier:
-    """A bit-exact, state-disjoint copy of a trained identifier.
-
-    The model is serialised to the flat artifact layout in memory and parsed
-    back by the one parser that also opens files and shared-memory segments,
-    so every replica is built the same way.  The clone's arrays (for
-    ``bloom``, its bit store) are read-only views of its own private buffer.
-    """
-    return load_model_from_buffer(flat_model_bytes(identifier), verify=False)
 
 
 class ReplicaPoolBase:
@@ -52,9 +39,9 @@ class ReplicaPoolBase:
 
     A pool exposes ``n_replicas`` bit-exact engine replicas behind integer
     indices: :meth:`next_round_robin` picks an index,
-    :meth:`classify_batch` runs one replica's vectorized batch path without
-    blocking the event loop, and :meth:`close` releases every execution
-    resource (threads, processes, shared-memory segments).  Subclasses set
+    :meth:`classify_batch` runs one replica's vectorized batch path, and
+    :meth:`close` releases every execution resource (worker processes,
+    dispatcher threads, shared-memory segments).  Subclasses set
     ``_n_replicas`` and ``_languages`` and implement ``classify_batch`` /
     ``close``.
     """
@@ -86,7 +73,8 @@ class ReplicaPoolBase:
         Splits the wall time since each context's last checkpoint into
         ``ipc_roundtrip`` and ``kernel`` spans (see
         :meth:`repro.obs.trace.TraceContext.dispatch`); ``kernel_seconds`` was
-        measured inside the worker, so serving overhead never pollutes it.
+        measured around the kernel call itself (inside the worker process on
+        the process tier), so serving overhead never pollutes it.
         """
         if not contexts:
             return
@@ -138,22 +126,19 @@ class ReplicaPoolBase:
 
 
 class ThreadReplicaPool(ReplicaPoolBase):
-    """``n_replicas`` identifier clones with one single-thread executor each."""
+    """One identifier whose batch path runs on the serving thread itself.
+
+    ``classify_batch`` calls the identifier directly, with no executor hop,
+    so the kernel blocks the event loop while it runs: large documents and
+    segmentation-heavy traffic belong on the process tier.
+    """
 
     executor_kind = "thread"
 
-    def __init__(self, identifier: LanguageIdentifier, n_replicas: int = 1):
-        if n_replicas <= 0:
-            raise ValueError("n_replicas must be positive")
-        # Replica 0 reuses the caller's identifier; further replicas are clones.
-        self.replicas: list[LanguageIdentifier] = [identifier]
-        self.replicas += [clone_identifier(identifier) for _ in range(n_replicas - 1)]
-        self._n_replicas = n_replicas
+    def __init__(self, identifier: LanguageIdentifier):
+        self.identifier = identifier
+        self._n_replicas = 1
         self._languages = identifier.languages
-        self._executors = [
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"repro-serve-replica-{i}")
-            for i in range(n_replicas)
-        ]
         self._rr_next = 0
         self._closed = False
 
@@ -166,95 +151,55 @@ class ThreadReplicaPool(ReplicaPoolBase):
         contexts: Sequence | None = None,
         sources: Sequence[str | None] | None = None,
     ) -> list[ClassificationResult]:
-        """Run one replica's vectorized batch path in its dedicated thread.
+        """Run the vectorized batch path inline on the calling thread.
 
         When trace ``contexts`` ride along (one per text, ``None`` gaps
-        allowed), the kernel is timed on the worker thread itself and each
-        trace gets ``ipc_roundtrip`` + ``kernel`` spans on completion.
-        ``sources`` are passed straight to the facade's batch path for
-        prior-aware backends.
+        allowed), the kernel is timed around the call and each trace gets
+        ``ipc_roundtrip`` (≈ 0 here) + ``kernel`` spans.  ``sources`` are
+        passed straight to the facade's batch path for prior-aware backends.
         """
         if self._closed:
             raise RuntimeError("replica pool is closed")
-        replica = self.replicas[replica_index]
-        executor = self._executors[replica_index]
-        batch = list(texts)
-        batch_sources = list(sources) if sources is not None else None
-        loop = asyncio.get_running_loop()
-
-        def work():
-            t0 = time.perf_counter()
-            results = replica.classify_batch(batch, sources=batch_sources)
-            return results, time.perf_counter() - t0
-
-        results, kernel_seconds = await loop.run_in_executor(executor, work)
-        self._record_dispatch(contexts, kernel_seconds)
+        t0 = time.perf_counter()
+        results = self.identifier.classify_batch(texts, sources=sources)
+        self._record_dispatch(contexts, time.perf_counter() - t0)
         return results
 
     async def segment_batch(
         self, replica_index: int, texts: Sequence[str | bytes], contexts: Sequence | None = None
     ) -> list:
-        """Run one replica's windowed segmentation over a batch in its thread."""
+        """Run windowed segmentation over a batch inline on the calling thread."""
         if self._closed:
             raise RuntimeError("replica pool is closed")
-        replica = self.replicas[replica_index]
-        executor = self._executors[replica_index]
-        batch = list(texts)
-        loop = asyncio.get_running_loop()
-
-        def work():
-            t0 = time.perf_counter()
-            results = [replica.segment(text) for text in batch]
-            return results, time.perf_counter() - t0
-
-        results, kernel_seconds = await loop.run_in_executor(executor, work)
-        self._record_dispatch(contexts, kernel_seconds)
+        t0 = time.perf_counter()
+        results = [self.identifier.segment(text) for text in texts]
+        self._record_dispatch(contexts, time.perf_counter() - t0)
         return results
 
     # ------------------------------------------------------------ lifecycle
 
     async def swap_model(self, identifier: LanguageIdentifier) -> None:
-        """Install bit-exact clones of ``identifier`` replica by replica.
+        """Install ``identifier`` with one assignment.
 
-        Each install runs *on the replica's own single worker thread*, so it
-        serialises after that replica's in-flight batch; the other replicas
-        keep classifying throughout.  The clone is built off-thread first so
-        the replica is only paused for a reference assignment.
+        Batches run inline without yielding to the event loop, so none is in
+        flight while this coroutine runs: the swap lands between two batches
+        and no batch mixes models.
         """
         if self._closed:
             raise RuntimeError("replica pool is closed")
         if not identifier.is_trained:
             raise RuntimeError("cannot swap to an untrained identifier")
-        loop = asyncio.get_running_loop()
-        for index in range(self._n_replicas):
-            # replica 0 adopts the caller's identifier (mirroring __init__);
-            # the rest get state-disjoint clones built on the default executor
-            if index == 0:
-                clone = identifier
-            else:
-                clone = await loop.run_in_executor(None, clone_identifier, identifier)
-
-            def install(i=index, model=clone):
-                self.replicas[i] = model
-
-            await loop.run_in_executor(self._executors[index], install)
+        self.identifier = identifier
         self._languages = identifier.languages
 
     def close(self) -> None:
-        """Shut the worker threads down (waits for in-flight batches)."""
-        if self._closed:
-            return
+        """Refuse further batches (idempotent; nothing to join)."""
         self._closed = True
-        for executor in self._executors:
-            executor.shutdown(wait=True)
 
     def describe(self) -> dict:
         info = super().describe()
         info["executor"] = self.executor_kind
-        info["backend"] = self.replicas[0].config.backend
-        # Thread replicas live and die with the pool: liveness is the pool's.
-        info["workers"] = [
-            {"index": index, "alive": not self._closed}
-            for index in range(self._n_replicas)
-        ]
+        info["backend"] = self.identifier.config.backend
+        # The replica lives and dies with the pool: liveness is the pool's.
+        info["workers"] = [{"index": 0, "alive": not self._closed}]
         return info

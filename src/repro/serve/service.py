@@ -2,11 +2,12 @@
 
 Wires the pieces together the way Section 5.4's asynchronous driver wires the
 XD1000: submissions land in bounded per-replica queues
-(:class:`~repro.serve.batcher.MicroBatcher`), each queue drains through its
-replica's vectorized ``classify_batch`` in a dedicated thread
-(:class:`~repro.serve.replicas.ThreadReplicaPool`), results resolve the caller's
-futures, and an LRU cache short-circuits repeated documents before they ever
-reach a queue.  Every decision is observable through
+(:class:`~repro.serve.batcher.MicroBatcher`), each queue flushes by size or
+deadline into its replica's vectorized ``classify_batch`` — inline on the
+serving thread (:class:`~repro.serve.replicas.ThreadReplicaPool`) or in worker
+processes (:class:`~repro.serve.process_pool.ProcessReplicaPool`) — results
+resolve the caller's futures, and an LRU cache short-circuits repeated
+documents before they ever reach a queue.  Every decision is observable through
 :class:`~repro.serve.metrics.ServiceMetrics`.
 
 Typical use::
@@ -16,7 +17,7 @@ Typical use::
         result = await service.classify("quel est ce document ?")
 
 Shutdown is graceful by contract: ``close()`` stops admissions, drains every
-queued request through the engine, then joins the worker threads.
+queued request through the engine, then stops the replica pool.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.serve.replicas import ReplicaPoolBase, ThreadReplicaPool
 
 __all__ = ["ServeConfig", "ClassificationService", "EXECUTORS"]
 
-#: replica execution tiers: GIL-bound worker threads vs true multi-core processes
+#: replica execution tiers: one replica on the serving thread vs multi-core processes
 EXECUTORS = ("thread", "process")
 
 
@@ -61,12 +62,14 @@ class ServeConfig:
         Longest a request may wait for its batch to fill (the deadline flush
         trigger); the knee of the latency/throughput trade-off.
     replicas:
-        Number of independent model replicas classifying concurrently.
+        Number of independent model replicas classifying concurrently; must
+        be 1 for the thread executor.
     executor:
-        ``"thread"`` runs replicas on worker threads (cheap start-up, but
-        CPU-bound work serialises on the GIL); ``"process"`` runs them as
-        worker processes sharing one shared-memory model copy — true
-        multi-core scaling (see :class:`~repro.serve.process_pool.ProcessReplicaPool`).
+        ``"thread"`` runs one replica on the serving thread itself (no
+        hand-off, but the kernel blocks the event loop while it runs);
+        ``"process"`` runs ``replicas`` worker processes sharing one
+        shared-memory model copy — multi-core scaling, and the loop stays
+        free (see :class:`~repro.serve.process_pool.ProcessReplicaPool`).
     cache_size:
         LRU result-cache entries; 0 disables caching.
     max_pending:
@@ -131,6 +134,11 @@ class ServeConfig:
             raise ValueError(
                 f"unknown executor {self.executor!r}; choose from {list(EXECUTORS)}"
             )
+        if self.executor == "thread" and self.replicas != 1:
+            raise ValueError(
+                f"the thread executor runs exactly one replica (got replicas="
+                f"{self.replicas}); use --executor process for more"
+            )
         if self.cache_size < 0:
             raise ValueError("cache_size must be non-negative")
         if self.max_pending <= 0:
@@ -152,7 +160,7 @@ class ClassificationService:
         to a saved ``model.bin`` artifact (memory-mapped on construction).
     config:
         The :class:`ServeConfig`; defaults favour throughput with a 2 ms
-        latency budget.
+        latency budget, on one replica run by the serving thread.
     cache:
         Optional pre-existing :class:`~repro.serve.cache.ResultCache` to reuse
         (e.g. kept warm across a model reload).  Safe by construction: every
@@ -235,6 +243,11 @@ class ClassificationService:
         self._batchers: list[MicroBatcher] = []
         self._segment_batchers: list[MicroBatcher] = []
         self._swap_lock = asyncio.Lock()
+        #: bumped as each pool roll starts and again as it ends, so it is odd
+        #: while one is in progress; a result is cached only when it stayed
+        #: even and unchanged between admission and the put (the re-key and
+        #: eviction that follow a roll never yield, so none sees them half done)
+        self._swap_generation = 0
         self._started = False
         self._closing = False
 
@@ -255,7 +268,7 @@ class ClassificationService:
                 on_respawn=self._handle_respawn,
             )
         else:
-            self._pool = ThreadReplicaPool(self.identifier, self.config.replicas)
+            self._pool = ThreadReplicaPool(self.identifier)
         self._batchers = []
         self._segment_batchers = []
         for replica_index in range(self.config.replicas):
@@ -290,8 +303,8 @@ class ClassificationService:
         for batcher in (*self._batchers, *self._segment_batchers):
             await batcher.close()
         if self._pool is not None:
-            # Pool shutdown blocks (joins threads or worker processes); keep
-            # the event loop responsive while it happens.
+            # Process-pool shutdown blocks (joins workers and dispatchers);
+            # keep the event loop responsive while it happens.
             await asyncio.get_running_loop().run_in_executor(None, self._pool.close)
         self._started = False
 
@@ -339,7 +352,11 @@ class ClassificationService:
                 raise ServiceClosedError("cannot swap models on a stopped service")
             old_fingerprint = self._fingerprint
             old_version = self.model_version
-            await self._pool.swap_model(model)
+            self._swap_generation += 1
+            try:
+                await self._pool.swap_model(model)
+            finally:
+                self._swap_generation += 1
             # Past this point every replica answers with the new model; the
             # bookkeeping below only has to catch up.
             self.identifier = model
@@ -465,6 +482,7 @@ class ClassificationService:
             # be replayed for a segment request (and vice versa) on the shared
             # cache.
             cache_key = self._fingerprint + kind.encode("ascii") + b":" + digest
+            generation = self._swap_generation
             if self._source_aware and kind == "classify":
                 # Prior-aware model: the answer may depend on the source tag,
                 # so the tag joins the key (untagged traffic keys separately).
@@ -499,7 +517,10 @@ class ClassificationService:
             # service accepted, so rejections never inflate throughput_mb_s
             self.metrics.record_request(n_bytes, kind=kind)
             result = await future
-            self.cache.put(cache_key, result)
+            # A swap that began or ran since admission may have answered this
+            # request with the new model after the old key was evicted.
+            if generation == self._swap_generation and not generation & 1:
+                self.cache.put(cache_key, result)
             self.tracer.finish(ctx)
             self.metrics.record_response(ctx.duration_seconds)
             if kind == "classify":

@@ -31,7 +31,8 @@ whose bit stores are read-only views of one
 :class:`~repro.serve.shared_model.SharedModel` shared-memory segment — one
 physical model copy, N cores probing it concurrently (the
 ``benchmarks/test_parallel_scaling.py`` load generator measures this tier against
-the GIL-bound :class:`~repro.serve.replicas.ThreadReplicaPool`).
+:class:`~repro.serve.replicas.ThreadReplicaPool`, one replica run inline on the
+serving thread).
 """
 
 from __future__ import annotations

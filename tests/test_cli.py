@@ -396,6 +396,27 @@ class TestServeParser:
             build_parser().parse_args(["serve", "--model", "m.bin", flag, value])
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--replicas", "2"], "--executor process"),
+            (["--trace-sample-rate", "2"], "sample_rate"),
+            (["--max-delay-ms", "-1"], "max_delay_ms"),
+        ],
+        ids=["replicas", "trace-sample-rate", "max-delay-ms"],
+    )
+    def test_serve_reports_an_invalid_setting_in_one_line(
+        self, flags, message, tmp_path, capsys
+    ):
+        # the settings are checked before the model is opened, so a missing
+        # model file never gets a chance to fail first
+        missing = tmp_path / "missing.bin"
+        assert main(["serve", "--model", str(missing), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and message in lines[0]
+
 
 class TestEnsembleCLI:
     @pytest.fixture()

@@ -216,7 +216,7 @@ class TestExecutionPathIdentity:
             config = ServeConfig(
                 max_batch=128,
                 max_delay_ms=2.0,
-                replicas=2,
+                replicas=1 if executor == "thread" else 2,
                 executor=executor,
                 cache_size=0,
                 max_pending=4 * len(documents),

@@ -151,6 +151,7 @@ class TestProcessReplicaPool:
         async def scenario():
             pool = ProcessReplicaPool(identifier, 2)
             try:
+                assert [pool.next_round_robin() for _ in range(4)] == [0, 1, 0, 1]
                 direct = identifier.classify_batch(texts)
                 for index in range(2):
                     served = await pool.classify_batch(index, texts)
@@ -327,7 +328,11 @@ class TestProcessExecutorService:
     def test_service_process_executor_matches_thread_executor(self, identifier, texts):
         async def serve(executor):
             config = ServeConfig(
-                max_batch=8, max_delay_ms=1.0, replicas=2, executor=executor, cache_size=0
+                max_batch=8,
+                max_delay_ms=1.0,
+                replicas=1 if executor == "thread" else 2,
+                executor=executor,
+                cache_size=0,
             )
             async with ClassificationService(identifier, config) as service:
                 results = await service.classify_many(texts)

@@ -387,9 +387,7 @@ class TestServiceSegmentation:
         from repro.serve import ClassificationService, ServeConfig
 
         async def main():
-            service = ClassificationService(
-                identifier, ServeConfig(max_delay_ms=1.0, replicas=2)
-            )
+            service = ClassificationService(identifier, ServeConfig(max_delay_ms=1.0))
             async with service:
                 served = await service.segment(mixed_doc.text)
                 many = await service.segment_many([mixed_doc.text, "plain english words"])

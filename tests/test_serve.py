@@ -8,11 +8,13 @@ micro-batcher triggers, the replica pool, the LRU cache, and the metrics.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 
 from repro.api import ClassifierConfig, LanguageIdentifier
+from repro.api.persistence import flat_model_bytes, load_model_from_buffer
 from repro.core.classifier import UNDETERMINED_LANGUAGE, ClassificationResult
 from repro.corpus.corpus import build_jrc_acquis_like
 from repro.serve import (
@@ -25,7 +27,6 @@ from repro.serve import (
     ServiceMetrics,
     ServiceOverloadedError,
     ThreadReplicaPool,
-    clone_identifier,
     model_fingerprint,
     percentile,
     text_digest,
@@ -470,7 +471,7 @@ class TestMicroBatcher:
 
 class TestReplicaPool:
     def test_clone_is_bit_exact_and_disjoint(self, identifier):
-        clone = clone_identifier(identifier)
+        clone = load_model_from_buffer(flat_model_bytes(identifier), verify=False)
         assert clone is not identifier and clone.backend is not identifier.backend
         # built by the artifact parser: the bit-vectors are views of the clone's
         # own read-only buffer, not the source's arrays
@@ -484,28 +485,85 @@ class TestReplicaPool:
 
     def test_clone_untrained_rejected(self):
         with pytest.raises(RuntimeError):
-            clone_identifier(LanguageIdentifier(ClassifierConfig()))
-
-    def test_round_robin_cycles(self, identifier):
-        pool = ThreadReplicaPool(identifier, 3)
-        assert [pool.next_round_robin() for _ in range(6)] == [0, 1, 2, 0, 1, 2]
-        pool.close()
+            flat_model_bytes(LanguageIdentifier(ClassifierConfig()))
 
     def test_replica_batches_match_source(self, identifier):
         async def scenario():
-            pool = ThreadReplicaPool(identifier, 2)
+            pool = ThreadReplicaPool(identifier)
             texts = ["le chien court vite", "the dog runs fast", "el perro corre"]
             try:
-                for index in range(2):
-                    results = await pool.classify_batch(index, texts)
-                    direct = identifier.classify_batch(texts)
-                    assert [r.match_counts for r in results] == [
-                        r.match_counts for r in direct
-                    ]
+                assert len(pool) == 1 and pool.next_round_robin() == 0
+                results = await pool.classify_batch(0, texts)
+                direct = identifier.classify_batch(texts)
+                assert [r.match_counts for r in results] == [
+                    r.match_counts for r in direct
+                ]
             finally:
                 pool.close()
+            with pytest.raises(RuntimeError):
+                await pool.classify_batch(0, texts)
 
         run(scenario())
+
+    def test_thread_tier_runs_the_kernel_on_the_event_loop_thread(
+        self, identifier, monkeypatch
+    ):
+        kernel_threads = []
+        original = LanguageIdentifier.classify_batch
+
+        def recording(self, *args, **kwargs):
+            kernel_threads.append(threading.get_ident())
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LanguageIdentifier, "classify_batch", recording)
+
+        async def scenario():
+            async with ClassificationService(identifier, ServeConfig(cache_size=0)) as service:
+                await service.classify_many(["le chien court", "the dog runs"])
+            return threading.get_ident()
+
+        loop_thread = run(scenario())
+        assert kernel_threads and set(kernel_threads) == {loop_thread}
+
+    def test_thread_tier_swap_lands_between_batches(self, identifier):
+        green = LanguageIdentifier(
+            ClassifierConfig(m_bits=8 * 1024, k=4, t=1500, seed=1)
+        ).train(
+            build_jrc_acquis_like(
+                ["en", "fi", "pt"], docs_per_language=6, words_per_document=150, seed=3
+            )
+        )
+        texts = [f"document numero {i} avec un peu de texte" for i in range(16)]
+
+        async def scenario():
+            config = ServeConfig(max_batch=4, cache_size=0)
+            async with ClassificationService(identifier, config) as service:
+                batches = []
+                pool_classify = service._pool.classify_batch
+
+                async def recording(replica_index, batch, contexts=None, sources=None):
+                    results = await pool_classify(replica_index, batch, contexts, sources)
+                    batches.append({tuple(sorted(r.match_counts)) for r in results})
+                    return results
+
+                service._pool.classify_batch = recording
+                before = await service.classify_many(texts[:8])
+                # admitted and queued under blue, but not yet flushed ...
+                queued = [asyncio.ensure_future(service.classify(t)) for t in texts[8:]]
+                await asyncio.sleep(0)
+                assert len(service._batchers[0]) == 8
+                # ... so the swap, one assignment, lands before their batches
+                await service.swap_model(green)
+                after = await asyncio.gather(*queued)
+            return batches, before, after
+
+        batches, before, after = run(scenario())
+        blue_languages = tuple(sorted(identifier.languages))
+        green_languages = tuple(sorted(green.languages))
+        # no batch mixes models, and the models switch once, between batches
+        assert batches == [{blue_languages}] * 2 + [{green_languages}] * 2
+        assert {tuple(sorted(r.match_counts)) for r in before} == {blue_languages}
+        assert {tuple(sorted(r.match_counts)) for r in after} == {green_languages}
 
 
 # ------------------------------------------------------------------- service
@@ -526,6 +584,11 @@ class TestServeConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ServeConfig(**kwargs)
+
+    def test_thread_replicas_rejection_names_the_process_executor(self):
+        with pytest.raises(ValueError, match="--executor process"):
+            ServeConfig(replicas=2)
+        assert ServeConfig(replicas=2, executor="process").replicas == 2
 
 
 class TestClassificationService:
@@ -553,7 +616,7 @@ class TestClassificationService:
 
     def test_results_match_direct_classification(self, identifier):
         async def scenario():
-            config = ServeConfig(max_batch=4, max_delay_ms=1.0, replicas=2, cache_size=0)
+            config = ServeConfig(max_batch=4, max_delay_ms=1.0, cache_size=0)
             texts = [f"document numero {i} avec un peu de texte" for i in range(10)]
             async with ClassificationService(identifier, config) as service:
                 served = await service.classify_many(texts)
@@ -638,12 +701,13 @@ class TestClassificationService:
 
     def test_describe_reports_topology(self, identifier):
         async def scenario():
-            config = ServeConfig(replicas=2, max_batch=16)
+            config = ServeConfig(max_batch=16)
             async with ClassificationService(identifier, config) as service:
                 info = service.describe()
                 assert info["status"] == "ok"
-                assert info["replicas"] == 2
-                assert len(info["pending"]) == 2  # one queue per replica
+                assert info["replicas"] == 1 and info["executor"] == "thread"
+                assert len(info["pending"]) == 1  # one queue per replica
+                assert info["pool"]["workers"] == [{"index": 0, "alive": True}]
                 assert info["max_batch"] == 16
                 assert info["languages"] == identifier.languages
             assert service.describe()["status"] == "stopped"

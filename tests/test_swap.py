@@ -31,9 +31,9 @@ CONFIG = ClassifierConfig(m_bits=8 * 1024, k=4, t=1000, seed=1)
 N_MODELS = 4  # v1 (initial) + 3 consecutive swaps
 
 
-def _train(seed: int) -> LanguageIdentifier:
+def _train(seed: int, languages=("en", "fr", "es")) -> LanguageIdentifier:
     corpus = build_jrc_acquis_like(
-        ["en", "fr", "es"], docs_per_language=8, words_per_document=150, seed=seed
+        list(languages), docs_per_language=8, words_per_document=150, seed=seed
     )
     return LanguageIdentifier(CONFIG).train(corpus)
 
@@ -75,7 +75,7 @@ class TestZeroDowntimeSwap:
             config = ServeConfig(
                 max_batch=8,
                 max_delay_ms=1.0,
-                replicas=2,
+                replicas=1 if executor == "thread" else 2,
                 executor=executor,
                 cache_size=0,
             )
@@ -191,6 +191,34 @@ class TestSwapCacheEviction:
                 assert service.cache.get(stale_key) is None
 
         run(scenario())
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_answer_queued_across_a_swap_is_not_cached_under_the_old_model(
+        self, models, texts, executor
+    ):
+        blue = models[0]
+        green = _train(7, languages=("en", "fi", "pt"))
+        text = texts[0]
+
+        async def scenario():
+            config = ServeConfig(executor=executor, cache_size=64)
+            async with ClassificationService(blue, config) as service:
+                # admitted, and keyed, under blue; the swap below starts before
+                # its batch runs, so green answers it
+                queued = asyncio.ensure_future(service.classify(text))
+                await asyncio.sleep(0)
+                await service.swap_model(green)
+                assert sorted((await queued).match_counts) == sorted(green.languages)
+                # rolling back must not replay green's answer from blue's key
+                await service.swap_model(blue)
+                hits_before = service.metrics.cache_hits
+                result = await service.classify(text)
+                return result, service.metrics.cache_hits - hits_before
+
+        result, hits = run(scenario())
+        assert sorted(result.match_counts) == sorted(blue.languages)
+        assert result.match_counts == blue.classify(text).match_counts
+        assert hits == 0
 
 
 # ------------------------------------------------------------------- admin endpoint

@@ -79,7 +79,7 @@ from repro.api.registry import (
     get_backend,
     register_backend,
 )
-from repro.core.alphabet import AlphabetConverter, encode_text
+from repro.core.alphabet import encode_text
 from repro.core.bloom import BloomFilter, ParallelBloomFilter
 from repro.core.classifier import ClassificationResult
 from repro.core.fpr import false_positive_rate, false_positives_per_thousand
@@ -107,7 +107,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "available_backends",
-    "AlphabetConverter",
     "encode_text",
     "BloomFilter",
     "ParallelBloomFilter",

@@ -14,6 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.core.alphabet import CODE_BITS
 from repro.core.ngram import DEFAULT_N
 from repro.core.profile import DEFAULT_PROFILE_SIZE
 
@@ -34,9 +35,6 @@ DEFAULT_BACKEND = "bloom"
 
 #: documents gathered per vectorized step by batch/stream classification
 DEFAULT_STREAM_BATCH_SIZE = 64
-
-#: bits per character code of the 5-bit alphabet (Section 3 of the paper)
-_CODE_BITS = 5
 
 #: member backends the ensemble fans out to when none are specified
 DEFAULT_ENSEMBLE_MEMBERS: tuple[str, ...] = ("bloom", "exact", "mguesser")
@@ -128,7 +126,10 @@ class ClassifierConfig:
         Seed for hash-function construction; identical seeds give bit-identical
         filters across processes, which is what makes saved models reproducible.
     subsample_stride:
-        HAIL-style n-gram subsampling applied at classification time (1 = off).
+        HAIL-style n-gram subsampling applied at classification time (1 = off):
+        classification, segmentation and the ensemble's calibrator fit read
+        every ``subsample_stride``-th n-gram.  Training always reads every
+        n-gram, so profiles do not depend on the stride.
     backend:
         Registry name of the membership backend (``"bloom"``, ``"exact"``,
         ``"hw-sim"``, ``"mguesser"``, ``"hail"`` or ``"ensemble"``).
@@ -158,8 +159,8 @@ class ClassifierConfig:
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise ValueError("n must be positive")
-        if self.n * _CODE_BITS > 64:
-            raise ValueError(f"{self.n}-grams of {_CODE_BITS}-bit codes do not fit in 64 bits")
+        if self.n * CODE_BITS > 64:
+            raise ValueError(f"{self.n}-grams of {CODE_BITS}-bit codes do not fit in 64 bits")
         if self.t <= 0:
             raise ValueError("t must be positive")
         if self.m_bits <= 0 or self.m_bits & (self.m_bits - 1):
@@ -185,7 +186,7 @@ class ClassifierConfig:
     @property
     def key_bits(self) -> int:
         """Width of the packed n-gram keys this configuration produces (``n * 5``)."""
-        return self.n * _CODE_BITS
+        return self.n * CODE_BITS
 
     @property
     def m_kbits(self) -> int:

@@ -138,7 +138,7 @@ class EnsembleBackend(Backend):
             raise ValueError("texts and labels must align")
         if not texts:
             raise ValueError("cannot fit calibrators from zero documents")
-        packed, lengths = self._extract_batch(texts)
+        packed, lengths = self._extractor.extract_batch(texts)
         languages = np.asarray(self.languages)
         label_array = np.asarray(list(labels))
         for name, member in self.members.items():
@@ -215,14 +215,6 @@ class EnsembleBackend(Backend):
         return row / row.sum()
 
     # ------------------------------------------------------------ voting
-
-    def _extract_batch(self, texts: Sequence[str | bytes]) -> tuple[np.ndarray, np.ndarray]:
-        extracted = [self._extractor.extract(text) for text in texts]
-        lengths = np.asarray([packed.size for packed in extracted], dtype=np.int64)
-        concatenated = (
-            np.concatenate(extracted) if lengths.sum() else np.empty(0, dtype=np.uint64)
-        )
-        return concatenated, lengths
 
     def _vote_batch(
         self,

@@ -86,9 +86,8 @@ class LanguageIdentifier:
             texts_by_language = corpus
         else:
             texts_by_language = corpus.texts_by_language()
-        profiles = build_profiles(
-            texts_by_language, n=self.config.n, t=self.config.t, extractor=self.extractor
-        )
+        # every training n-gram counts: the stride thins only the test stream
+        profiles = build_profiles(texts_by_language, n=self.config.n, t=self.config.t)
         return self.train_profiles(profiles)
 
     def train_profiles(self, profiles: Mapping[str, LanguageProfile]) -> "LanguageIdentifier":
@@ -131,35 +130,31 @@ class LanguageIdentifier:
     ) -> list[ClassificationResult]:
         """Classify several documents with one vectorized pass.
 
-        All documents' packed n-grams are concatenated and handed to the
-        backend's batch kernel, which (for the hashed backends) computes the
-        hash addresses of the whole batch once and reuses them across every
-        document and every language.  Every result is built here, by
-        :meth:`_result_from_counts`, unless the backend builds richer ones
-        itself (the ensemble's votes).
+        :meth:`~repro.core.ngram.NGramExtractor.extract_batch` concatenates
+        all documents' packed n-grams for the backend's batch kernel, which
+        (for the hashed backends) computes the hash addresses of the whole
+        batch once and reuses them across every document and every language.
+        Every result is built here, by :meth:`_result_from_counts`, unless the
+        backend builds richer ones itself (the ensemble's votes).
 
         ``sources`` is one source tag for the whole batch, or one per document
         (``None`` gaps allowed); only prior-aware backends consume it.
         """
         self._check_trained()
         texts = list(texts)
-        extracted = [self.extractor.extract(text) for text in texts]
-        if not extracted:
+        if not texts:
             return []
         if isinstance(sources, str) or sources is None:
             sources = [sources] * len(texts)
         elif len(sources) != len(texts):
             raise ValueError("sources must align with texts (one tag per document)")
-        lengths = np.asarray([packed.size for packed in extracted], dtype=np.int64)
-        concatenated = (
-            np.concatenate(extracted) if lengths.sum() else np.empty(0, dtype=np.uint64)
-        )
+        packed, lengths = self.extractor.extract_batch(texts)
         rich = self._backend.classify_batch_results(
-            concatenated, lengths, texts=texts, sources=sources
+            packed, lengths, texts=texts, sources=sources
         )
         if rich is not None:
             return rich
-        counts = self._backend.match_counts_batch(concatenated, lengths)
+        counts = self._backend.match_counts_batch(packed, lengths)
         return [
             self._result_from_counts(counts[row], lengths[row])
             for row in range(lengths.size)

@@ -20,7 +20,6 @@ of the paper:
 """
 
 from repro.core.alphabet import (
-    AlphabetConverter,
     CODE_BITS,
     NUM_CODES,
     SPACE_CODE,
@@ -56,7 +55,6 @@ from repro.core.ngram import (
 from repro.core.profile import LanguageProfile, build_profiles
 
 __all__ = [
-    "AlphabetConverter",
     "CODE_BITS",
     "NUM_CODES",
     "SPACE_CODE",

@@ -7,7 +7,9 @@ versions.  All other characters are mapped to a default white space code."*
 
 The conversion is a pure 256-entry lookup table (exactly how the hardware implements
 it with embedded RAM or mux logic), so encoding an entire document is a single NumPy
-fancy-indexing operation over its byte buffer.
+fancy-indexing operation over its byte buffer.  This table is the only alphabet.
+Runs of whitespace are kept as they are, not collapsed: the hardware is oblivious
+to word boundaries.
 
 Code assignment
 ---------------
@@ -35,7 +37,6 @@ __all__ = [
     "encode_text",
     "decode_codes",
     "fold_byte",
-    "AlphabetConverter",
 ]
 
 #: number of bits per translated character code
@@ -111,7 +112,7 @@ def build_translation_table() -> np.ndarray:
     return table
 
 
-#: module-level table shared by all converters (read-only)
+#: module-level table shared by every encoder (read-only)
 TRANSLATION_TABLE = build_translation_table()
 TRANSLATION_TABLE.setflags(write=False)
 
@@ -136,13 +137,14 @@ def encode_bytes(data: bytes | bytearray | np.ndarray) -> np.ndarray:
     return TRANSLATION_TABLE[buf]
 
 
-def encode_text(text: str, errors: str = "replace") -> np.ndarray:
+def encode_text(text: str) -> np.ndarray:
     """Encode a Python string: serialise to ISO-8859-1 and translate to 5-bit codes.
 
-    Characters outside Latin-1 are replaced (and therefore become whitespace codes),
-    matching the hardware's behaviour of mapping unknown bytes to the default code.
+    Characters outside Latin-1 (lone surrogates included) are replaced, and
+    therefore become whitespace codes, matching the hardware's behaviour of
+    mapping unknown bytes to the default code.
     """
-    return encode_bytes(text.encode("latin-1", errors=errors))
+    return encode_bytes(text.encode("latin-1", "replace"))
 
 
 def decode_codes(codes: np.ndarray) -> str:
@@ -160,45 +162,3 @@ def decode_codes(codes: np.ndarray) -> str:
         else:
             chars.append("?")
     return "".join(chars)
-
-
-class AlphabetConverter:
-    """Object-style wrapper around the translation table.
-
-    Mainly exists so that the classifier and the hardware engine can share a single
-    configured converter and so that alternative alphabets (e.g. a hypothetical
-    16-bit Unicode variant, Section 3.3) can be slotted in later.
-
-    Parameters
-    ----------
-    collapse_whitespace:
-        If true, consecutive whitespace codes are collapsed into a single code
-        before n-gram extraction.  The paper's hardware does *not* collapse
-        whitespace (it is "oblivious to word boundaries"), so the default is False.
-    """
-
-    def __init__(self, collapse_whitespace: bool = False):
-        self.collapse_whitespace = bool(collapse_whitespace)
-        self.code_bits = CODE_BITS
-        self.space_code = SPACE_CODE
-
-    def encode(self, text: str | bytes | bytearray | np.ndarray) -> np.ndarray:
-        """Encode text or raw bytes to 5-bit codes, honouring ``collapse_whitespace``."""
-        if isinstance(text, str):
-            codes = encode_text(text)
-        else:
-            codes = encode_bytes(text)
-        if self.collapse_whitespace and codes.size:
-            is_space = codes == SPACE_CODE
-            # keep a space only if the previous code was not a space
-            keep = np.ones(codes.size, dtype=bool)
-            keep[1:] = ~(is_space[1:] & is_space[:-1])
-            codes = codes[keep]
-        return codes
-
-    def decode(self, codes: np.ndarray) -> str:
-        """Inverse of :meth:`encode` up to case/accent folding (debugging helper)."""
-        return decode_codes(codes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"AlphabetConverter(collapse_whitespace={self.collapse_whitespace})"

@@ -4,7 +4,8 @@ An n-gram is a sequence of exactly ``n`` consecutive characters; n-grams are
 extracted by a sliding window that advances one character at a time (Section 1).
 After alphabet conversion each character is a 5-bit code, so a 4-gram packs into a
 20-bit integer — the key format consumed by the hash functions, the Bloom filters
-and the hardware engine alike.
+and the hardware engine alike.  :class:`NGramExtractor` is the one text → key
+path: ``extract`` for one document, ``extract_batch`` for a batch.
 
 All functions operate on NumPy arrays end to end; there is no per-character Python
 loop on any hot path.
@@ -16,7 +17,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.core.alphabet import CODE_BITS, AlphabetConverter, decode_codes, encode_text
+from repro.core.alphabet import CODE_BITS, decode_codes, encode_bytes, encode_text
 
 __all__ = [
     "DEFAULT_N",
@@ -36,17 +37,15 @@ __all__ = [
 #: n-gram order used throughout the paper (Section 4: "we use n-grams of size 4")
 DEFAULT_N = 4
 
-def pack_ngrams(codes: np.ndarray, n: int = DEFAULT_N, code_bits: int = CODE_BITS) -> np.ndarray:
+def pack_ngrams(codes: np.ndarray, n: int = DEFAULT_N) -> np.ndarray:
     """Pack every length-``n`` window of ``codes`` into an integer key.
 
     Parameters
     ----------
     codes:
-        1-D array of character codes (each < ``2**code_bits``).
+        1-D array of 5-bit character codes (each < ``2**CODE_BITS``).
     n:
         N-gram order.
-    code_bits:
-        Bits per character code (5 for the paper's alphabet).
 
     Returns
     -------
@@ -57,8 +56,8 @@ def pack_ngrams(codes: np.ndarray, n: int = DEFAULT_N, code_bits: int = CODE_BIT
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    if n * code_bits > 64:
-        raise ValueError(f"{n}-grams of {code_bits}-bit codes do not fit in 64 bits")
+    if n * CODE_BITS > 64:
+        raise ValueError(f"{n}-grams of {CODE_BITS}-bit codes do not fit in 64 bits")
     codes = np.asarray(codes)
     if codes.ndim != 1:
         raise ValueError("codes must be a 1-D array")
@@ -66,34 +65,27 @@ def pack_ngrams(codes: np.ndarray, n: int = DEFAULT_N, code_bits: int = CODE_BIT
         return np.empty(0, dtype=np.uint64)
     out = np.zeros(codes.size - n + 1, dtype=np.uint64)
     for offset in range(n):
-        shift = np.uint64(code_bits * (n - 1 - offset))
+        shift = np.uint64(CODE_BITS * (n - 1 - offset))
         window = codes[offset : codes.size - n + 1 + offset].astype(np.uint64)
         out |= window << shift
     return out
 
 
-def ngrams_from_text(
-    text: str,
-    n: int = DEFAULT_N,
-    converter: AlphabetConverter | None = None,
-) -> np.ndarray:
+def ngrams_from_text(text: str, n: int = DEFAULT_N) -> np.ndarray:
     """Convenience helper: alphabet-convert ``text`` and pack its n-grams."""
-    if converter is not None:
-        # honour the converter's code width, exactly like NGramExtractor.extract
-        return pack_ngrams(converter.encode(text), n=n, code_bits=converter.code_bits)
     return pack_ngrams(encode_text(text), n=n)
 
 
-def unpack_ngram(value: int, n: int = DEFAULT_N, code_bits: int = CODE_BITS) -> tuple[int, ...]:
+def unpack_ngram(value: int, n: int = DEFAULT_N) -> tuple[int, ...]:
     """Unpack an integer n-gram key back into its character codes."""
-    mask = (1 << code_bits) - 1
+    mask = (1 << CODE_BITS) - 1
     value = int(value)
-    return tuple((value >> (code_bits * (n - 1 - i))) & mask for i in range(n))
+    return tuple((value >> (CODE_BITS * (n - 1 - i))) & mask for i in range(n))
 
 
-def ngram_to_string(value: int, n: int = DEFAULT_N, code_bits: int = CODE_BITS) -> str:
+def ngram_to_string(value: int, n: int = DEFAULT_N) -> str:
     """Human-readable rendering of a packed n-gram (for debugging and reports)."""
-    return decode_codes(np.asarray(unpack_ngram(value, n=n, code_bits=code_bits)))
+    return decode_codes(np.asarray(unpack_ngram(value, n=n)))
 
 
 def count_ngrams(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,10 +101,24 @@ def count_ngrams(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def top_ngrams(packed: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return the ``t`` most frequent n-grams, with deterministic tie-breaking.
+    """Return the ``t`` most frequent n-grams of a packed stream.
+
+    :func:`count_ngrams` followed by :func:`top_ngrams_from_counts`, which
+    fixes the order.
+    """
+    return top_ngrams_from_counts(*count_ngrams(packed), t)
+
+
+def top_ngrams_from_counts(
+    values: np.ndarray, counts: np.ndarray, t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``t`` most frequent entries of an already-counted n-gram table.
 
     Ties are broken by ascending n-gram value so that profile construction is
-    reproducible across runs and platforms.
+    reproducible across runs and platforms.  Batch training reaches this
+    through :func:`top_ngrams`; streaming/out-of-core profile building calls
+    it directly on its merged table, where the full stream never exists in
+    memory.
 
     Returns
     -------
@@ -122,33 +128,13 @@ def top_ngrams(packed: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    values, counts = count_ngrams(packed)
-    if values.size == 0:
-        return values, counts
-    # np.lexsort sorts by the last key first: primary = -counts, secondary = values.
-    order = np.lexsort((values, -counts))
-    order = order[:t]
-    return values[order], counts[order]
-
-
-def top_ngrams_from_counts(
-    values: np.ndarray, counts: np.ndarray, t: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``t`` most frequent entries of an already-counted n-gram table.
-
-    Same ordering contract as :func:`top_ngrams` (decreasing count, ties by
-    ascending value) but starting from ``(values, counts)`` arrays instead of
-    a raw packed stream — the reduction step of streaming/out-of-core profile
-    building, where the full stream never exists in memory.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
     values = np.asarray(values, dtype=np.uint64)
     counts = np.asarray(counts, dtype=np.int64)
     if values.shape != counts.shape:
         raise ValueError("values and counts must have the same length")
     if values.size == 0:
         return values, counts
+    # np.lexsort sorts by the last key first: primary = -counts, secondary = values.
     order = np.lexsort((values, -counts))[:t]
     return values[order], counts[order]
 
@@ -223,59 +209,48 @@ class NGramExtractor:
     ----------
     n:
         N-gram order (default 4, as in the paper).
-    converter:
-        Alphabet converter to use; a default non-collapsing converter is created
-        when omitted.
     subsample_stride:
-        If greater than 1, only every ``subsample_stride``-th n-gram is emitted.
+        If greater than 1, only every ``subsample_stride``-th n-gram is emitted
+        (HAIL-style subsampling of the test stream).  Training extracts every
+        n-gram, so trainers build their extractor with the default stride.
 
-    Each window's codes are concatenated into one integer key, so ``n`` is
-    capped at ``64 // code_bits`` (12 for the 5-bit alphabet).
+    Each window's 5-bit codes are concatenated into one integer key, so ``n``
+    is capped at ``64 // CODE_BITS`` (12).
     """
 
-    def __init__(
-        self,
-        n: int = DEFAULT_N,
-        converter: AlphabetConverter | None = None,
-        subsample_stride: int = 1,
-    ):
+    def __init__(self, n: int = DEFAULT_N, subsample_stride: int = 1):
         if n <= 0:
             raise ValueError("n must be positive")
         if subsample_stride <= 0:
             raise ValueError("subsample_stride must be positive")
+        if n * CODE_BITS > 64:
+            raise ValueError(f"{n}-grams of {CODE_BITS}-bit codes do not fit in 64 bits")
         self.n = int(n)
-        self.converter = converter if converter is not None else AlphabetConverter()
         self.subsample_stride = int(subsample_stride)
-        if self.n * self.converter.code_bits > 64:
-            raise ValueError(
-                f"{self.n}-grams of {self.converter.code_bits}-bit codes do not fit in 64 bits"
-            )
-
-    @property
-    def key_bits(self) -> int:
-        """Width in bits of the packed n-gram keys produced by this extractor."""
-        return self.n * self.converter.code_bits
 
     def extract(self, text: str | bytes) -> np.ndarray:
-        """Extract the packed n-grams of a document."""
-        codes = self.converter.encode(text)
-        packed = pack_ngrams(codes, n=self.n, code_bits=self.converter.code_bits)
+        """Extract the packed n-grams of a document.
+
+        A ``str`` is serialised to Latin-1 (:func:`encode_text`); ``bytes`` are
+        read as given (:func:`encode_bytes`).
+        """
+        codes = encode_text(text) if isinstance(text, str) else encode_bytes(text)
+        packed = pack_ngrams(codes, n=self.n)
         if self.subsample_stride > 1:
             packed = subsample(packed, self.subsample_stride)
         return packed
 
-    def extract_many(self, texts: Iterable[str | bytes]) -> np.ndarray:
-        """Extract and concatenate packed n-grams from several documents.
+    def extract_batch(self, texts: Iterable[str | bytes]) -> tuple[np.ndarray, np.ndarray]:
+        """Extract a batch: every document's keys, concatenated, and their counts.
 
-        Document boundaries are respected: no n-gram spans two documents.
+        Returns ``(packed, lengths)``: the ``uint64`` keys of all documents in
+        order, and one ``int64`` key count per document.  No n-gram spans two
+        documents.  This is the input every batch kernel takes.
         """
-        parts = [self.extract(t) for t in texts]
-        if not parts:
-            return np.empty(0, dtype=np.uint64)
-        return np.concatenate(parts)
+        parts = [self.extract(text) for text in texts]
+        lengths = np.asarray([part.size for part in parts], dtype=np.int64)
+        packed = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+        return packed, lengths
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"NGramExtractor(n={self.n}, "
-            f"subsample_stride={self.subsample_stride}, converter={self.converter!r})"
-        )
+        return f"NGramExtractor(n={self.n}, subsample_stride={self.subsample_stride})"

@@ -106,7 +106,7 @@ class LanguageProfile:
     ) -> "LanguageProfile":
         """Build a profile from raw training documents."""
         extractor = extractor if extractor is not None else NGramExtractor(n=n)
-        packed = extractor.extract_many(texts)
+        packed, _lengths = extractor.extract_batch(texts)
         return cls.from_packed(language, packed, n=extractor.n, t=t)
 
     # ------------------------------------------------------------ queries

@@ -147,9 +147,14 @@ class TraceContext:
     # ------------------------------------------------------------ recording
 
     def stage(self, name: str, now: float | None = None) -> None:
-        """Close the span running since the last checkpoint under ``name``."""
+        """Close the span running since the last checkpoint under ``name``.
+
+        ``now`` is clamped to the last checkpoint, so a span stamped in the
+        future leaves the next span empty instead of negative.
+        """
         if now is None:
             now = time.perf_counter()
+        now = max(now, self.checkpoint)
         self.spans.append((name, self.checkpoint - self._t0, now - self.checkpoint))
         self.checkpoint = now
 

@@ -177,7 +177,9 @@ class StreamingTrainer:
         self.config = config
         self.capacity = int(capacity)
         self.chunk_ngrams = int(chunk_ngrams)
-        self.extractor = NGramExtractor(n=config.n, subsample_stride=config.subsample_stride)
+        # every training n-gram counts, as in batch training: the configured
+        # stride thins only the test stream
+        self.extractor = NGramExtractor(n=config.n)
         self._accumulators: dict[str, TopKAccumulator] = {}
         self._buffers: dict[str, list[np.ndarray]] = {}
         self._buffered: dict[str, int] = {}

@@ -7,7 +7,9 @@ deadline into its replica's vectorized ``classify_batch`` — inline on the
 serving thread (:class:`~repro.serve.replicas.ThreadReplicaPool`) or in worker
 processes (:class:`~repro.serve.process_pool.ProcessReplicaPool`) — results
 resolve the caller's futures, and an LRU cache short-circuits repeated
-documents before they ever reach a queue.  Every decision is observable through
+documents before they ever reach a queue.  A cache key carries the model
+fingerprint, the op, the input type (``str`` or ``bytes``) and the document's
+digest.  Every decision is observable through
 :class:`~repro.serve.metrics.ServiceMetrics`.
 
 Typical use::
@@ -429,9 +431,6 @@ class ClassificationService:
 
         return flush
 
-    def _document_bytes(self, text: str | bytes) -> int:
-        return len(text) if isinstance(text, (bytes, bytearray)) else len(text.encode("utf-8"))
-
     async def _submit(
         self,
         text: str | bytes,
@@ -459,6 +458,10 @@ class ClassificationService:
     ) -> tuple:
         """The shared admission pipeline: size check, cache, micro-batch, record.
 
+        A ``str`` is encoded once (UTF-8, lone surrogates passed through) and
+        ``bytes`` are taken as given; the size check, the byte count and the
+        cache digest all read those bytes.
+
         Every request is minted a :class:`~repro.obs.trace.TraceContext` whose
         spans tile its lifetime — admission, cache_lookup, then (on a miss)
         queue_wait / batch_assembly / ipc_roundtrip / kernel stamped by the
@@ -470,18 +473,21 @@ class ClassificationService:
             raise ServiceClosedError("service is not running; use 'async with' or start()")
         ctx = self.tracer.begin(kind)
         try:
-            n_bytes = self._document_bytes(text)
+            is_str = isinstance(text, str)
+            data = text.encode("utf-8", "surrogatepass") if is_str else text
+            n_bytes = len(data)
             if n_bytes > self.config.max_document_bytes:
                 self._reject(ctx, kind, "too-large", bytes=n_bytes)
                 raise RequestTooLargeError(
                     f"document of {n_bytes} bytes exceeds the "
                     f"{self.config.max_document_bytes}-byte limit"
                 )
-            digest = text_digest(text)
-            # The op name is baked into the key so a classify result can never
-            # be replayed for a segment request (and vice versa) on the shared
-            # cache.
-            cache_key = self._fingerprint + kind.encode("ascii") + b":" + digest
+            # The op name and the input type are baked into the key, so a
+            # classify result is never replayed for a segment request (and
+            # vice versa), nor a str's answer for its UTF-8 bytes: the
+            # extractor reads a str as Latin-1 and bytes as given.
+            op_key = kind.encode("ascii") + (b":str:" if is_str else b":bytes:")
+            cache_key = self._fingerprint + op_key + text_digest(data)
             generation = self._swap_generation
             if self._source_aware and kind == "classify":
                 # Prior-aware model: the answer may depend on the source tag,

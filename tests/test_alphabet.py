@@ -9,7 +9,6 @@ from repro.core.alphabet import (
     CODE_BITS,
     NUM_CODES,
     SPACE_CODE,
-    AlphabetConverter,
     TRANSLATION_TABLE,
     decode_codes,
     encode_bytes,
@@ -143,8 +142,11 @@ class TestEncode:
         assert encode_text("").size == 0
 
     def test_non_latin1_characters_become_space(self):
-        codes = encode_text("中文")
-        assert (codes == SPACE_CODE).all()
+        codes = encode_text("中文\ud800")  # a lone surrogate is replaced too
+        assert codes.size == 3 and (codes == SPACE_CODE).all()
+
+    def test_does_not_collapse_whitespace(self):
+        assert encode_text("a  b").tolist() == [1, 0, 0, 2]
 
     def test_encode_returns_uint8(self):
         assert encode_text("xyz").dtype == np.uint8
@@ -167,37 +169,3 @@ class TestDecode:
 
     def test_decode_unknown_code(self):
         assert decode_codes(np.asarray([30])) == "?"
-
-
-class TestAlphabetConverter:
-    def test_default_does_not_collapse_whitespace(self):
-        converter = AlphabetConverter()
-        codes = converter.encode("a  b")
-        assert codes.tolist() == [1, 0, 0, 2]
-
-    def test_collapse_whitespace(self):
-        converter = AlphabetConverter(collapse_whitespace=True)
-        codes = converter.encode("a   b,, c")
-        assert codes.tolist() == [1, 0, 2, 0, 0, 3] or codes.tolist() == [1, 0, 2, 0, 3]
-        # exactly: "a   b,, c" -> a,sp,b,sp,sp? collapse keeps single spaces between runs
-        assert list(codes).count(0) < 5
-
-    def test_collapse_whitespace_single_run(self):
-        converter = AlphabetConverter(collapse_whitespace=True)
-        codes = converter.encode("a      b")
-        assert codes.tolist() == [1, 0, 2]
-
-    def test_encode_bytes_input(self):
-        converter = AlphabetConverter()
-        assert converter.encode(b"ab").tolist() == [1, 2]
-
-    def test_decode_helper(self):
-        converter = AlphabetConverter()
-        assert converter.decode(converter.encode("abc")) == "ABC"
-
-    def test_code_bits_attribute(self):
-        assert AlphabetConverter().code_bits == CODE_BITS
-
-    def test_empty_input_with_collapse(self):
-        converter = AlphabetConverter(collapse_whitespace=True)
-        assert converter.encode("").size == 0

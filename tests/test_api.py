@@ -155,6 +155,16 @@ class TestLanguageIdentifier:
         identifier = LanguageIdentifier(t=500).train(train_corpus.texts_by_language())
         assert set(identifier.languages) == {"en", "fr", "es"}
 
+    def test_training_reads_every_ngram_whatever_the_stride(self, train_corpus):
+        """The stride thins the test stream only: a strided identifier's
+        profiles are counted from every training n-gram, as at stride 1."""
+        full = LanguageIdentifier(t=500).train(train_corpus)
+        strided = LanguageIdentifier(t=500, subsample_stride=2).train(train_corpus)
+        assert list(strided.profiles) == list(full.profiles)
+        for language, profile in full.profiles.items():
+            assert np.array_equal(strided.profiles[language].ngrams, profile.ngrams)
+            assert np.array_equal(strided.profiles[language].counts, profile.counts)
+
     @pytest.mark.parametrize("backend", sorted({"bloom", "exact", "hw-sim", "mguesser", "hail"}))
     def test_batch_and_stream_agree_with_single(self, backend, train_corpus, test_corpus):
         identifier = _identifier(backend, train_corpus)

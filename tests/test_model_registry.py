@@ -124,6 +124,15 @@ class TestStreamingTrainer:
         # identical profiles -> identical fingerprints -> bit-identical model
         assert model_fingerprint(streamed) == model_fingerprint(batch_model)
 
+    def test_strided_streaming_equals_batch_training(self, corpus, batch_model):
+        """Like batch training, the streaming trainer reads every n-gram: a
+        stride-2 trainer builds the stride-1 model's profiles."""
+        strided = CONFIG.replace(subsample_stride=2)
+        streamed = StreamingTrainer(strided, capacity=1_000_000).feed(corpus).build()
+        for language, profile in batch_model.profiles.items():
+            assert np.array_equal(streamed.profiles[language].ngrams, profile.ngrams)
+            assert np.array_equal(streamed.profiles[language].counts, profile.counts)
+
     def test_document_pairs_and_corpus_objects_are_equivalent(self, corpus):
         from_corpus = StreamingTrainer(CONFIG, capacity=1_000_000).feed(corpus).build()
         pairs = [(doc.language, doc.text) for doc in corpus]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.alphabet import AlphabetConverter, encode_text
+from repro.core.alphabet import encode_text
 from repro.core.ngram import (
     DEFAULT_N,
     NGramExtractor,
@@ -36,13 +36,13 @@ class TestPackNgrams:
 
     def test_packing_is_big_endian_in_text_order(self):
         codes = np.asarray([1, 2, 3, 4], dtype=np.uint8)
-        packed = pack_ngrams(codes, n=4, code_bits=5)
+        packed = pack_ngrams(codes, n=4)
         expected = (1 << 15) | (2 << 10) | (3 << 5) | 4
         assert int(packed[0]) == expected
 
     def test_sliding_window_shifts_one_character(self):
         codes = np.asarray([1, 2, 3, 4, 5], dtype=np.uint8)
-        packed = pack_ngrams(codes, n=4, code_bits=5)
+        packed = pack_ngrams(codes, n=4)
         assert int(packed[1]) == (2 << 15) | (3 << 10) | (4 << 5) | 5
 
     def test_values_fit_in_key_bits(self):
@@ -59,7 +59,7 @@ class TestPackNgrams:
 
     def test_rejects_too_wide_keys(self):
         with pytest.raises(ValueError):
-            pack_ngrams(encode_text("abcdef"), n=13, code_bits=5)
+            pack_ngrams(encode_text("abcdef"), n=13)
 
     def test_rejects_2d_input(self):
         with pytest.raises(ValueError):
@@ -67,14 +67,14 @@ class TestPackNgrams:
 
     def test_bigrams(self):
         codes = np.asarray([3, 7], dtype=np.uint8)
-        packed = pack_ngrams(codes, n=2, code_bits=5)
+        packed = pack_ngrams(codes, n=2)
         assert int(packed[0]) == (3 << 5) | 7
 
 
 class TestUnpack:
     def test_roundtrip(self):
         codes = np.asarray([5, 0, 12, 26], dtype=np.uint8)
-        packed = pack_ngrams(codes, n=4, code_bits=5)
+        packed = pack_ngrams(codes, n=4)
         assert unpack_ngram(int(packed[0]), n=4) == (5, 0, 12, 26)
 
     def test_ngram_to_string(self):
@@ -94,37 +94,6 @@ class TestNgramsFromText:
 
     def test_case_insensitivity_through_alphabet(self):
         assert np.array_equal(ngrams_from_text("HeLLo World"), ngrams_from_text("hello world"))
-
-    def test_custom_converter(self):
-        converter = AlphabetConverter(collapse_whitespace=True)
-        with_collapse = ngrams_from_text("a  b  c  d", converter=converter)
-        without = ngrams_from_text("a  b  c  d")
-        assert with_collapse.size < without.size
-
-    def test_converter_code_width_is_honoured(self):
-        """Regression: a converter with a non-default code width must pack at
-        that width, not silently at the 5-bit default."""
-
-        class ByteConverter(AlphabetConverter):
-            def __init__(self):
-                super().__init__()
-                self.code_bits = 8
-
-            def encode(self, text):
-                if isinstance(text, str):
-                    text = text.encode("latin-1")
-                return np.frombuffer(bytes(text), dtype=np.uint8)
-
-        converter = ByteConverter()
-        text = "Byte-Width"
-        packed = ngrams_from_text(text, n=3, converter=converter)
-        manual = pack_ngrams(converter.encode(text), n=3, code_bits=8)
-        assert np.array_equal(packed, manual)
-        # 8-bit packing must preserve case, which 5-bit packing folds away
-        assert not np.array_equal(
-            ngrams_from_text("AB CD EF", n=3, converter=converter),
-            ngrams_from_text("ab cd ef", n=3, converter=converter),
-        )
 
 
 class TestCounting:
@@ -200,9 +169,6 @@ class TestSubsample:
 
 
 class TestNGramExtractor:
-    def test_key_bits(self):
-        assert NGramExtractor(n=4).key_bits == 20
-
     def test_extract_equals_function(self):
         extractor = NGramExtractor(n=4)
         text = "extraction check"
@@ -212,14 +178,17 @@ class TestNGramExtractor:
         extractor = NGramExtractor()
         assert np.array_equal(extractor.extract(b"hello there"), extractor.extract("hello there"))
 
-    def test_extract_many_respects_document_boundaries(self):
+    def test_extract_batch_respects_document_boundaries(self):
         extractor = NGramExtractor(n=4)
-        combined = extractor.extract_many(["abcd", "efgh"])
+        combined, lengths = extractor.extract_batch(["abcd", "efgh"])
         # each 4-character document yields exactly one 4-gram; no n-gram spans both
         assert combined.size == 2
+        assert lengths.tolist() == [1, 1]
 
-    def test_extract_many_empty(self):
-        assert NGramExtractor().extract_many([]).size == 0
+    def test_extract_batch_empty(self):
+        packed, lengths = NGramExtractor().extract_batch([])
+        assert packed.size == 0 and packed.dtype == np.uint64
+        assert lengths.size == 0 and lengths.dtype == np.int64
 
     def test_subsample_stride(self):
         full = NGramExtractor(n=4).extract("some reasonably long text here")

@@ -83,6 +83,15 @@ class TestTraceContext:
         assert spans["ipc_roundtrip"] == pytest.approx(0.0)
         assert spans["kernel"] == pytest.approx(0.01)
 
+    def test_a_future_stamped_stage_leaves_no_negative_span(self):
+        ctx = TraceContext(new_request_id(), "classify")
+        ctx.stage("admission", now=ctx.checkpoint + 1.0)  # stamped ahead of the clock
+        ctx.stage("cache_lookup")
+        ctx.close()
+        assert all(duration >= 0.0 for _name, _offset, duration in ctx.spans)
+        assert ctx.span_total_seconds() == pytest.approx(ctx.duration_seconds)
+        assert ctx.duration_seconds == pytest.approx(1.0)
+
     def test_close_is_idempotent(self):
         ctx = TraceContext(new_request_id(), "classify")
         ctx.close(status="ok")

@@ -8,6 +8,7 @@ from repro.core.alphabet import ALPHABET_SIZE, SPACE_CODE, encode_text
 from repro.core.bloom import ParallelBloomFilter
 from repro.core.fpr import false_positive_rate
 from repro.core.ngram import (
+    NGramExtractor,
     merge_ngram_counts,
     pack_ngrams,
     segment_sums,
@@ -76,6 +77,36 @@ def test_ngram_count_is_length_minus_three(text):
     codes = encode_text(text)
     packed = pack_ngrams(codes, n=4)
     assert packed.size == max(0, len(text) - 3)
+
+
+# empty and shorter-than-n documents, Latin-1, any Unicode (lone surrogates
+# included), and raw bytes in both buffer types
+documents = st.lists(
+    st.one_of(
+        st.just(""),
+        st.text(max_size=3),
+        latin1_text,
+        st.text(st.characters(exclude_categories=()), max_size=60),
+        st.binary(max_size=120),
+        st.binary(max_size=120).map(bytearray),
+    ),
+    max_size=10,
+)
+
+
+@given(documents, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=4))
+@example([], 4, 1)
+@example(["", b"", bytearray()], 1, 1)
+@example(["abc", "x\ud800yz", "\udfff" * 5, b"\xe9t\xe9", bytearray(b"abcd")], 3, 2)
+@settings(max_examples=80, deadline=None)
+def test_extract_batch_concatenates_per_document_extracts(texts, n, stride):
+    extractor = NGramExtractor(n=n, subsample_stride=stride)
+    packed, lengths = extractor.extract_batch(texts)
+    parts = [extractor.extract(text) for text in texts]
+    expected = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+    assert packed.dtype == np.uint64 and lengths.dtype == np.int64
+    assert np.array_equal(packed, expected)
+    assert lengths.tolist() == [part.size for part in parts]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=100), max_size=300),

@@ -677,6 +677,26 @@ class TestClassificationService:
 
         run(scenario())
 
+    @pytest.mark.parametrize("op", ["classify", "segment"])
+    @pytest.mark.parametrize("bytes_first", [False, True], ids=["str-first", "bytes-first"])
+    def test_cache_keeps_str_and_bytes_answers_apart(self, identifier, op, bytes_first):
+        """The extractor reads a str as Latin-1 and bytes as given, so a str
+        and its UTF-8 bytes classify differently; neither replays the other."""
+        text = "Le comité a décidé que l'été serait consacré à la sécurité des côtes."
+        data = text.encode("utf-8")
+        documents = [data, text] if bytes_first else [text, data]
+        direct = [getattr(identifier, op)(document) for document in documents]
+        assert direct[0] != direct[1]
+
+        async def scenario():
+            async with ClassificationService(identifier) as service:
+                served = [await getattr(service, op)(document) for document in documents]
+                return served, service.cache.stats()["hits"]
+
+        served, hits = run(scenario())
+        assert served == direct
+        assert hits == 0
+
     def test_graceful_shutdown_drains_in_flight_batches(self, identifier):
         async def scenario():
             config = ServeConfig(max_batch=64, max_delay_ms=10_000.0, cache_size=0)

@@ -279,6 +279,32 @@ class TestSegmentEndpoint:
         assert segment_total == 1 and total == 2
 
 
+class TestLoneSurrogates:
+    """``json.loads`` accepts an escaped lone surrogate, and the library reads
+    it as any other non-Latin-1 character; the server must answer the same."""
+
+    @pytest.mark.parametrize("path", ["/classify", "/segment"])
+    @pytest.mark.parametrize(
+        "texts",
+        [["abc \ud800 def, quel est ce document ?"], ["ok text", "x\udfff"]],
+        ids=["text", "texts"],
+    )
+    def test_answered_like_the_library(self, identifier, path, texts):
+        body = {"text": texts[0]} if len(texts) == 1 else {"texts": texts}
+
+        async def scenario(client, _service):
+            return await client.request_json("POST", path, body)
+
+        status, payload = run_with_server(identifier, scenario)
+        assert status == 200
+        if path == "/classify":
+            direct = [http.result_to_json(r) for r in identifier.classify_batch(texts)]
+        else:
+            direct = [http.segmentation_to_json(identifier.segment(t)) for t in texts]
+        served = [payload] if len(texts) == 1 else payload["results"]
+        assert served == json.loads(json.dumps(direct))
+
+
 class TestHealthAndMetrics:
     def test_healthz_reports_topology(self, identifier):
         async def scenario(client, _service):

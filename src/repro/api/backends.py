@@ -83,21 +83,15 @@ class _MembershipBackend(Backend):
     Subclasses supply only :meth:`ngram_hits`, integer per-n-gram scores:
     0/1 hits for ``bloom``, ``exact`` and ``hail``, fixed-point weights for
     ``mguesser``.  A document's count for a language is the sum of its
-    n-grams' scores — one :func:`~repro.core.ngram.segment_sums` reduction per
-    language over the whole batch's score matrix — so summing ``ngram_hits``
-    along the n-gram axis reproduces the document's counts exactly.
+    n-grams' scores: one :func:`~repro.core.ngram.segment_sums` call reduces
+    the whole batch's score matrix, one ``reduceat`` per language row over
+    segment starts computed once.  Summing ``ngram_hits`` along the n-gram
+    axis therefore reproduces the document's counts exactly.
     """
 
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         self._check_trained()
-        lengths = np.asarray(lengths, dtype=np.int64)
-        out = np.zeros((lengths.size, len(self.languages)), dtype=np.int64)
-        if packed.size == 0:
-            return out
-        hits = self.ngram_hits(packed)
-        for column in range(out.shape[1]):
-            out[:, column] = segment_sums(hits[column], lengths)
-        return out
+        return segment_sums(self.ngram_hits(packed), lengths).T
 
 
 def _require_profiles(profiles: Mapping[str, LanguageProfile]) -> None:

@@ -17,8 +17,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from pathlib import Path
 
-import numpy as np
-
 from repro.api import backends as _backends  # noqa: F401 - registers the built-in backends
 from repro.api import ensemble as _ensemble  # noqa: F401 - registers the ensemble backend
 from repro.api.config import DEFAULT_STREAM_BATCH_SIZE, ClassifierConfig
@@ -101,17 +99,21 @@ class LanguageIdentifier:
 
     # ------------------------------------------------------------ classification
 
-    def _result_from_counts(self, counts: np.ndarray, ngram_count: int) -> ClassificationResult:
+    def _result_from_counts(self, counts: list[int], ngram_count: int) -> ClassificationResult:
+        """One document's result from its per-language counts (plain ints).
+
+        The first language with the highest count wins, the tie rule of
+        ``np.argmax`` and of the hardware's priority encoder.
+        """
         languages = self.languages
         if ngram_count == 0:
             # no n-gram evidence at all (empty or shorter than n): the explicit
             # zero-confidence "und" result
             return undetermined_result(languages)
-        best = int(np.argmax(counts)) if counts.size else 0
         return ClassificationResult(
-            language=languages[best],
-            match_counts={lang: int(c) for lang, c in zip(languages, counts)},
-            ngram_count=int(ngram_count),
+            language=languages[counts.index(max(counts))],
+            match_counts=dict(zip(languages, counts)),
+            ngram_count=ngram_count,
         )
 
     def classify(self, text: str | bytes, source: str | None = None) -> ClassificationResult:
@@ -130,12 +132,12 @@ class LanguageIdentifier:
     ) -> list[ClassificationResult]:
         """Classify several documents with one vectorized pass.
 
-        :meth:`~repro.core.ngram.NGramExtractor.extract_batch` concatenates
-        all documents' packed n-grams for the backend's batch kernel, which
-        (for the hashed backends) computes the hash addresses of the whole
-        batch once and reuses them across every document and every language.
-        Every result is built here, by :meth:`_result_from_counts`, unless the
-        backend builds richer ones itself (the ensemble's votes).
+        :meth:`~repro.core.ngram.NGramExtractor.extract_batch` reads the
+        batch as one byte stream and hands every document's packed n-grams,
+        concatenated, to the backend's batch kernel.  Every result is built
+        here, by :meth:`_result_from_counts` from one ``tolist()`` of the
+        kernel's counts, unless the backend builds richer ones itself (the
+        ensemble's votes).
 
         ``sources`` is one source tag for the whole batch, or one per document
         (``None`` gaps allowed); only prior-aware backends consume it.
@@ -156,8 +158,8 @@ class LanguageIdentifier:
             return rich
         counts = self._backend.match_counts_batch(packed, lengths)
         return [
-            self._result_from_counts(counts[row], lengths[row])
-            for row in range(lengths.size)
+            self._result_from_counts(row, ngram_count)
+            for row, ngram_count in zip(counts.tolist(), lengths.tolist())
         ]
 
     def classify_stream(

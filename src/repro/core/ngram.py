@@ -43,7 +43,8 @@ def pack_ngrams(codes: np.ndarray, n: int = DEFAULT_N) -> np.ndarray:
     Parameters
     ----------
     codes:
-        1-D array of 5-bit character codes (each < ``2**CODE_BITS``).
+        1-D array of 5-bit character codes (each < ``2**CODE_BITS``), of any
+        integer dtype.
     n:
         N-gram order.
 
@@ -53,6 +54,10 @@ def pack_ngrams(codes: np.ndarray, n: int = DEFAULT_N) -> np.ndarray:
         ``uint64`` array of length ``max(0, len(codes) - n + 1)``.  The first
         character of the window occupies the most significant bits, so the packed
         value reads left-to-right like the text.
+
+    The keys are built by Horner's scheme in one ``uint64`` array: start from
+    each window's first code, then shift left by one code and OR in the next
+    code, ``n - 1`` times.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -61,13 +66,16 @@ def pack_ngrams(codes: np.ndarray, n: int = DEFAULT_N) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.ndim != 1:
         raise ValueError("codes must be a 1-D array")
-    if codes.size < n:
+    windows = codes.size - n + 1
+    if windows <= 0:
         return np.empty(0, dtype=np.uint64)
-    out = np.zeros(codes.size - n + 1, dtype=np.uint64)
-    for offset in range(n):
-        shift = np.uint64(CODE_BITS * (n - 1 - offset))
-        window = codes[offset : codes.size - n + 1 + offset].astype(np.uint64)
-        out |= window << shift
+    out = codes[:windows].astype(np.uint64)
+    for offset in range(1, n):
+        out <<= np.uint64(CODE_BITS)
+        # the explicit loop dtype lets signed codes (int64) OR into the uint64 keys
+        np.bitwise_or(
+            out, codes[offset : windows + offset], out=out, dtype=np.uint64, casting="unsafe"
+        )
     return out
 
 
@@ -174,18 +182,30 @@ def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
     Reduces a concatenated multi-document stream (hits, counts, bitmap tests)
     back to per-document totals — the reduction shared by every batch
-    classification path.  ``np.add.reduceat`` sums the non-empty segments in
-    int64; it reads an empty segment as the single value at its start, so
-    empty segments are left out of the call and stay 0.  Values past the
-    last segment are ignored.
+    classification path.  ``values`` is 1-D, or 2-D with one row per
+    language; the segments run along the last axis, and the result has
+    ``values``' leading shape plus one int64 total per segment.
+
+    The segment starts are computed once; then ``np.add.reduceat`` sums each
+    row in int64.  One call per row, not one over the flattened matrix: the
+    reduction casts its whole input to int64 first, and a row's cast is 8
+    bytes per value where the matrix's would be 8 bytes per value per
+    language.  ``reduceat`` reads an empty segment as the single value at its
+    start, so empty segments are left out of the call and stay 0.  Values
+    past the last segment are ignored.
     """
+    values = np.asarray(values)
     lengths = np.asarray(lengths, dtype=np.int64)
     ends = np.cumsum(lengths)
-    sums = np.zeros(lengths.size, dtype=np.int64)
     nonempty = lengths > 0
+    sums = np.zeros(values.shape[:-1] + lengths.shape, dtype=np.int64)
     if nonempty.any():
         starts = (ends - lengths)[nonempty]
-        sums[nonempty] = np.add.reduceat(values[: ends[-1]], starts, dtype=np.int64)
+        reduced = np.empty(values.shape[:-1] + starts.shape, dtype=np.int64)
+        rows = values[..., : ends[-1]].reshape(-1, ends[-1])
+        for row, out in zip(rows, reduced.reshape(-1, starts.size)):
+            np.add.reduceat(row, starts, dtype=np.int64, out=out)
+        sums[..., nonempty] = reduced
     return sums
 
 
@@ -245,11 +265,36 @@ class NGramExtractor:
 
         Returns ``(packed, lengths)``: the ``uint64`` keys of all documents in
         order, and one ``int64`` key count per document.  No n-gram spans two
-        documents.  This is the input every batch kernel takes.
+        documents.  This is the input every batch kernel takes, and it equals
+        the concatenated :meth:`extract` results.
+
+        The batch is read as one byte stream, the way the paper's engine
+        reads documents separated by end-of-document commands (Section 5.4):
+        each document is encoded once by :meth:`extract`'s rule, the bytes
+        are joined, translated and packed in one pass, and the windows that
+        cross a document boundary are dropped with one mask.  With a stride,
+        one gather keeps each document's windows 0, s, 2s, …
         """
-        parts = [self.extract(text) for text in texts]
-        lengths = np.asarray([part.size for part in parts], dtype=np.int64)
-        packed = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+        data = [text.encode("latin-1", "replace") if isinstance(text, str) else text
+                for text in texts]
+        sizes = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
+        n = self.n
+        packed = pack_ngrams(encode_bytes(b"".join(data)), n=n)
+        lengths = np.maximum(sizes - (n - 1), 0)
+        if n > 1 and sizes.size > 1:
+            # the window starting at byte p crosses the boundary at offset e
+            # exactly when e - n + 1 <= p <= e - 1
+            crossing = (np.cumsum(sizes[:-1])[:, None] - np.arange(1, n)).ravel()
+            keep = np.ones(packed.size, dtype=bool)
+            keep[crossing[(crossing >= 0) & (crossing < packed.size)]] = False
+            packed = packed[keep]
+        stride = self.subsample_stride
+        if stride > 1:
+            kept = -(-lengths // stride)
+            # kept window j of a document is its window j * stride
+            first = np.cumsum(lengths) - lengths - stride * (np.cumsum(kept) - kept)
+            packed = packed[np.repeat(first, kept) + stride * np.arange(kept.sum())]
+            lengths = kept
         return packed, lengths
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

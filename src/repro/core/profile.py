@@ -102,12 +102,10 @@ class LanguageProfile:
         texts: Iterable[str],
         n: int = DEFAULT_N,
         t: int = DEFAULT_PROFILE_SIZE,
-        extractor: NGramExtractor | None = None,
     ) -> "LanguageProfile":
-        """Build a profile from raw training documents."""
-        extractor = extractor if extractor is not None else NGramExtractor(n=n)
-        packed, _lengths = extractor.extract_batch(texts)
-        return cls.from_packed(language, packed, n=extractor.n, t=t)
+        """Build a profile from raw training documents: every n-gram of every document."""
+        packed, _lengths = NGramExtractor(n=n).extract_batch(texts)
+        return cls.from_packed(language, packed, n=n, t=t)
 
     # ------------------------------------------------------------ queries
 
@@ -184,7 +182,6 @@ def build_profiles(
     training_texts: Mapping[str, Iterable[str]],
     n: int = DEFAULT_N,
     t: int = DEFAULT_PROFILE_SIZE,
-    extractor: NGramExtractor | None = None,
 ) -> dict[str, LanguageProfile]:
     """Build profiles for several languages.
 
@@ -192,13 +189,10 @@ def build_profiles(
     ----------
     training_texts:
         Mapping from language code to an iterable of training documents.
-    n, t, extractor:
+    n, t:
         Profile parameters; see :class:`LanguageProfile`.
     """
-    extractor = extractor if extractor is not None else NGramExtractor(n=n)
     return {
-        language: LanguageProfile.from_documents(
-            language, texts, n=extractor.n, t=t, extractor=extractor
-        )
+        language: LanguageProfile.from_documents(language, texts, n=n, t=t)
         for language, texts in training_texts.items()
     }

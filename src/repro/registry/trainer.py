@@ -237,8 +237,12 @@ class StreamingTrainer:
         self._accumulator(language)
         packed = self.extractor.extract(text)
         self._documents[language] += 1
+        # surrogatepass, as the service encodes: a lone surrogate must not
+        # raise here, after the document has already been counted
         self._bytes[language] += (
-            len(text) if isinstance(text, (bytes, bytearray)) else len(text.encode("utf-8"))
+            len(text)
+            if isinstance(text, (bytes, bytearray))
+            else len(text.encode("utf-8", "surrogatepass"))
         )
         if packed.size:
             self._buffers[language].append(packed)

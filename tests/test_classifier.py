@@ -118,9 +118,17 @@ class TestClassification:
         packed = np.full(5, (1 << 20) - 1, dtype=np.uint64)
         counts = _counts(trained, packed)
         assert not counts.any()
-        result = trained._result_from_counts(counts, packed.size)
+        result = trained._result_from_counts(counts.tolist(), packed.size)
         assert result.ngram_count == 5
         assert result.language == trained.languages[0]
+
+    def test_tie_between_later_languages_goes_to_the_first_of_them(self, trained):
+        counts = [0] * len(trained.languages)
+        counts[1] = counts[2] = 7
+        result = trained._result_from_counts(counts, 9)
+        assert result.language == trained.languages[int(np.argmax(counts))]
+        assert result.language == trained.languages[1]
+        assert result.match_counts == dict(zip(trained.languages, counts))
 
     def test_classify_packed_matches_classify_text(self, trained, sample_document):
         text = sample_document.text

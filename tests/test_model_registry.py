@@ -21,6 +21,7 @@ from repro.core.ngram import (
     top_ngrams,
     top_ngrams_from_counts,
 )
+from repro.core.profile import build_profiles
 from repro.corpus.corpus import build_jrc_acquis_like
 from repro.registry import (
     MANIFEST_SCHEMA,
@@ -175,6 +176,17 @@ class TestStreamingTrainer:
         for entry in stats["languages"].values():
             assert entry["documents"] > 0
             assert entry["ngrams_total"] > 0
+
+    def test_lone_surrogate_is_counted_once(self):
+        text = "abc \ud800 def"
+        trainer = StreamingTrainer(CONFIG, capacity=1_000_000)
+        trainer.feed_text("en", text)
+        stats = trainer.stats()
+        assert stats["documents"] == 1
+        assert stats["bytes"] == len(text.encode("utf-8", "surrogatepass"))
+        profile = build_profiles({"en": [text]}, n=CONFIG.n, t=CONFIG.t)["en"]
+        assert np.array_equal(trainer.profiles()["en"].ngrams, profile.ngrams)
+        assert np.array_equal(trainer.profiles()["en"].counts, profile.counts)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="capacity"):

@@ -1,5 +1,7 @@
 """Unit tests for n-gram extraction, packing and counting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core.ngram import (
     ngram_to_string,
     ngrams_from_text,
     pack_ngrams,
+    segment_sums,
     subsample,
     top_ngrams,
     unpack_ngram,
@@ -148,6 +151,22 @@ class TestCounting:
         merged, counts = merge_ngram_counts(values_a, counts_a, values_b, counts_b)
         assert counts.dtype == np.int64
         assert dict(zip(merged.tolist(), counts.tolist())) == {5: huge + 1, 7: 2, 9: 3}
+
+
+class TestSegmentSums:
+    def test_matrix_is_cast_one_row_at_a_time(self):
+        # the int64 cast of a (languages, N) bool matrix would take 8 bytes
+        # per value; reducing row by row holds one row's cast at a time
+        hits = np.ones((10, 200_000), dtype=bool)
+        lengths = np.full(1_000, 200, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            sums = segment_sums(hits, lengths)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sums.shape == (10, 1_000) and (sums == 200).all()
+        assert peak < 3 * 8 * 200_000
 
 
 class TestSubsample:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.ngram import NGramExtractor, ngrams_from_text
+from repro.core.ngram import ngrams_from_text
 from repro.core.profile import DEFAULT_PROFILE_SIZE, LanguageProfile, build_profiles
 
 
@@ -31,9 +31,9 @@ class TestConstruction:
         assert the_ngram in profile
 
     def test_from_documents_with_custom_extractor(self):
-        extractor = NGramExtractor(n=3)
-        profile = LanguageProfile.from_documents("en", ["trigram profile text"], t=20, extractor=extractor)
+        profile = LanguageProfile.from_documents("en", ["trigram profile text"], n=3, t=20)
         assert profile.n == 3
+        assert int(ngrams_from_text("tri", n=3)[0]) in profile
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -62,9 +62,10 @@ def test_encoding_idempotent_after_decode_normalisation(text):
 
 
 @given(st.lists(st.integers(min_value=0, max_value=31), min_size=0, max_size=200),
-       st.integers(min_value=1, max_value=8))
-def test_pack_unpack_roundtrip(codes, n):
-    codes = np.asarray(codes, dtype=np.uint8)
+       st.integers(min_value=1, max_value=8),
+       st.sampled_from([np.uint8, np.int64]))
+def test_pack_unpack_roundtrip(codes, n, dtype):
+    codes = np.asarray(codes, dtype=dtype)
     packed = pack_ngrams(codes, n=n)
     expected_count = max(0, codes.size - n + 1)
     assert packed.size == expected_count
@@ -98,6 +99,11 @@ documents = st.lists(
 @example([], 4, 1)
 @example(["", b"", bytearray()], 1, 1)
 @example(["abc", "x\ud800yz", "\udfff" * 5, b"\xe9t\xe9", bytearray(b"abcd")], 3, 2)
+@example(["abc", "defg", "hij", "klmn"], 4, 1)  # adjacent n - 1 and n bytes
+@example(["ab", b"c", "", "def", bytearray(b"gh")], 4, 1)  # all shorter than n
+@example(["", "", b"", "abcdef", "ghij"], 3, 1)  # leading empty documents
+@example(["ab", "", "cde", b"f"], 1, 3)  # n = 1
+@example(["abcdef", "gh", "ijklmnop"], 2, 4)  # a stride longer than a document
 @settings(max_examples=80, deadline=None)
 def test_extract_batch_concatenates_per_document_extracts(texts, n, stride):
     extractor = NGramExtractor(n=n, subsample_stride=stride)
@@ -190,23 +196,29 @@ def test_h3_output_always_in_range(keys):
     st.integers(min_value=0, max_value=4),
     st.sampled_from([np.bool_, np.int64]),
     st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([None, 1, 2, 3]),
 )
-@example([0, 3, 2], 0, np.bool_, 1)  # empty first segment
-@example([3, 0, 2], 0, np.int64, 2)  # empty middle segment
-@example([3, 2, 0], 2, np.bool_, 3)  # empty last segment, then values past it
-@example([0, 0, 0], 3, np.int64, 4)  # every segment empty
-@example([], 2, np.int64, 5)  # no segments
+@example([0, 3, 2], 0, np.bool_, 1, None)  # empty first segment
+@example([3, 0, 2], 0, np.int64, 2, 3)  # empty middle segment
+@example([3, 2, 0], 2, np.bool_, 3, 2)  # empty last segment, then values past it
+@example([0, 0, 0], 3, np.int64, 4, 2)  # every segment empty
+@example([], 2, np.int64, 5, None)  # no segments
+@example([], 0, np.bool_, 6, 3)  # no segments, no values
 @settings(max_examples=60)
-def test_segment_sums_matches_a_python_loop(lengths, extra, dtype, seed):
-    values = np.random.default_rng(seed).integers(-1000, 1000, size=sum(lengths) + extra)
+def test_segment_sums_matches_a_python_loop(lengths, extra, dtype, seed, rows):
+    """``rows`` None is a 1-D stream; otherwise a ``(rows, N)`` matrix reduced row by row."""
+    shape = (sum(lengths) + extra,) if rows is None else (rows, sum(lengths) + extra)
+    values = np.random.default_rng(seed).integers(-1000, 1000, size=shape)
     values = values > 0 if dtype is np.bool_ else values
-    expected, start = [], 0
-    for length in lengths:
-        expected.append(sum(int(v) for v in values[start : start + length]))
-        start += length
     sums = segment_sums(values, np.asarray(lengths, dtype=np.int64))
     assert sums.dtype == np.int64
-    assert sums.tolist() == expected
+    assert sums.shape == shape[:-1] + (len(lengths),)
+    for row, row_sums in zip(np.atleast_2d(values), np.atleast_2d(sums)):
+        expected, start = [], 0
+        for length in lengths:
+            expected.append(sum(int(v) for v in row[start : start + length]))
+            start += length
+        assert row_sums.tolist() == expected
 
 
 # -- Bloom filter ------------------------------------------------------------------

@@ -307,16 +307,20 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     from repro.segment import Segmenter, SegmenterConfig, segmentation_to_json
 
     identifier = LanguageIdentifier.load(Path(args.model), backend=args.backend)
-    segmenter = Segmenter(
-        identifier,
-        SegmenterConfig(
-            window_ngrams=args.window,
-            stride_ngrams=args.stride,
-            smoothing=args.smoothing,
-            switch_penalty=args.switch_penalty,
-            min_run_windows=args.min_run,
-        ),
-    )
+    try:
+        segmenter = Segmenter(
+            identifier,
+            SegmenterConfig(
+                window_ngrams=args.window,
+                stride_ngrams=args.stride,
+                smoothing=args.smoothing,
+                switch_penalty=args.switch_penalty,
+                min_run_windows=args.min_run,
+            ),
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     stdin_text: str | None = None
     for file_name in args.files:
         if file_name == "-":

@@ -50,7 +50,7 @@ class SegmenterConfig:
         (cheap confirmation counter), or ``"none"`` (raw per-window argmax).
     switch_penalty:
         Viterbi cost of one language change, in units of one window's
-        normalized emission mass.
+        normalized emission mass; ``inf`` never switches, NaN is rejected.
     min_run_windows:
         Hysteresis confirmation length: a challenger must win this many
         consecutive windows to take over.
@@ -72,7 +72,7 @@ class SegmenterConfig:
                 f"unknown smoothing mode {self.smoothing!r}; "
                 f"choose from {list(SMOOTHING_MODES)}"
             )
-        if self.switch_penalty < 0:
+        if not self.switch_penalty >= 0:  # NaN too: it would never switch
             raise ValueError("switch_penalty must be non-negative")
         if self.min_run_windows <= 0:
             raise ValueError("min_run_windows must be positive")
@@ -167,49 +167,33 @@ class Segmenter:
         ranges; n-gram ``i`` begins at character ``i * subsample_stride``.
         Spans tile the document: the first starts at 0, each run boundary cuts
         at the first n-gram of the new run, and the last span ends at the
-        document length.
+        document length.  Every run's per-language counts come from one
+        gather of ``scores.cumulative`` at the cuts, and the spans are built
+        from lists, so the NumPy calls do not grow with the number of runs.
         """
         boundaries = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-        run_starts = np.concatenate(([0], boundaries))
-        run_ends = np.concatenate((boundaries, [labels.size]))
-        stride = self.extractor.subsample_stride
-        single_run = run_starts.size == 1
-
-        spans: list[Span] = []
-        char_start = 0
-        for index, (first, last) in enumerate(zip(run_starts, run_ends)):
-            owned_start = int(scores.starts[first])
-            owned_end = (
-                scores.n_ngrams if last == labels.size else int(scores.starts[last])
+        cuts = scores.starts[boundaries]
+        edges = np.concatenate(([0], cuts, [scores.n_ngrams]))
+        run_counts = np.diff(scores.cumulative[:, edges], axis=1).T.tolist()
+        if len(run_counts) == 1:
+            # Degenerate document: label from the total counts so the single
+            # span agrees with classify() bit for bit.
+            counts = run_counts[0]
+            run_labels = [counts.index(max(counts)) if counts else 0]
+        else:
+            run_labels = labels[np.concatenate(([0], boundaries))].tolist()
+        char_edges = [0, *(cuts * self.extractor.subsample_stride).tolist(), text_length]
+        languages = scores.languages
+        return [
+            Span(start, end, languages[label], _margin_confidence(counts, label))
+            for start, end, label, counts in zip(
+                char_edges, char_edges[1:], run_labels, run_counts
             )
-            counts = scores.range_counts(owned_start, owned_end)
-            if single_run:
-                # Degenerate document: label from the total counts so the
-                # single span agrees with classify() bit for bit.
-                label = int(np.argmax(counts)) if counts.size else 0
-            else:
-                label = int(labels[first])
-            char_end = (
-                text_length
-                if index == run_starts.size - 1
-                else int(scores.starts[last]) * stride
-            )
-            spans.append(
-                Span(
-                    start=char_start,
-                    end=char_end,
-                    language=scores.languages[label],
-                    confidence=_margin_confidence(counts, label),
-                )
-            )
-            char_start = char_end
-        return spans
+        ]
 
 
-def _margin_confidence(counts: np.ndarray, label: int) -> float:
+def _margin_confidence(counts: list[int], label: int) -> float:
     """Separation of ``label`` over its strongest rival (clamped at 0 when the
     smoothing pass kept a label the raw counts would not pick)."""
-    top = int(counts[label])
-    others = np.delete(counts, label)
-    rival = int(others.max()) if others.size else 0
-    return normalized_separation(top, rival)
+    rival = max(counts[:label] + counts[label + 1 :], default=0)
+    return normalized_separation(counts[label], rival)

@@ -9,7 +9,9 @@ are provided, both consuming the ``(n_windows, n_languages)`` count matrix of
     Exact maximum-a-posteriori path of a simple HMM: states are languages,
     emissions are the window's normalized per-language score shares, and every
     language switch costs ``switch_penalty``.  A one-window blip is kept only
-    if its evidence outweighs two switches — the quality mode.
+    if its evidence outweighs two switches — the quality mode.  The decode
+    runs over plain Python floats: a window holds one value per language
+    (about ten), where a NumPy call costs more than the arithmetic it does.
 :func:`hysteresis_labels`
     The cheap mode: follow the per-window argmax but only commit to a switch
     after the challenger wins ``min_run`` consecutive windows (the run is then
@@ -42,10 +44,15 @@ def viterbi_labels(counts: np.ndarray, switch_penalty: float = 0.35) -> np.ndarr
     """Most likely language index per window under a switch-penalised HMM.
 
     Dynamic program over ``score[w, l] = emission[w, l] + max(score[w-1, l],
-    max_l' score[w-1, l'] - switch_penalty)`` — O(windows x languages), with
-    the language axis fully vectorized.  Ties prefer staying in the current
-    language, and the backward pass prefers earlier (training-order) languages,
-    mirroring the classifier's deterministic tie-break.
+    max_l' score[w-1, l'] - switch_penalty)`` — O(windows x languages).  Both
+    passes run over Python floats, so a call makes the same few NumPy calls
+    however many windows the document has.  Python floats are IEEE doubles,
+    and each subtraction, comparison and addition is the one a float64 NumPy
+    decode does, in the same order, so the labels are bit-identical to it
+    (``tests/test_properties.py`` keeps that decode as the reference).  Ties
+    prefer staying in the current language, and the backward pass prefers
+    earlier (training-order) languages, mirroring the classifier's
+    deterministic tie-break.
 
     Parameters
     ----------
@@ -53,29 +60,37 @@ def viterbi_labels(counts: np.ndarray, switch_penalty: float = 0.35) -> np.ndarr
         ``(n_windows, n_languages)`` window score matrix.
     switch_penalty:
         Cost of one language change, in units of a window's normalized
-        emission mass (a full window of unanimous evidence scores 1.0).
+        emission mass (a full window of unanimous evidence scores 1.0);
+        ``inf`` never switches.  NaN is rejected: every comparison with it is
+        false, so it would silently never switch either.
     """
-    if switch_penalty < 0:
+    if not switch_penalty >= 0:
         raise ValueError("switch_penalty must be non-negative")
     emissions = window_emissions(counts)
-    n_windows, n_languages = emissions.shape
-    if n_windows == 0:
+    if emissions.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    backpointers = np.empty((n_windows, n_languages), dtype=np.int64)
-    backpointers[0] = np.arange(n_languages)
-    score = emissions[0].copy()
-    stay = np.arange(n_languages)
-    for w in range(1, n_windows):
-        best_prev = int(np.argmax(score))  # first max: training-order tie-break
-        switched = score[best_prev] - switch_penalty
-        take_switch = switched > score  # strict: ties keep the current language
-        backpointers[w] = np.where(take_switch, best_prev, stay)
-        score = np.where(take_switch, switched, score) + emissions[w]
-    labels = np.empty(n_windows, dtype=np.int64)
-    labels[-1] = int(np.argmax(score))
-    for w in range(n_windows - 1, 0, -1):
-        labels[w - 1] = backpointers[w, labels[w]]
-    return labels
+    # a NumPy scalar penalty would turn every step into NumPy scalar
+    # arithmetic, in its own dtype (float32 rounds differently)
+    penalty = float(switch_penalty)
+    rows = emissions.tolist()
+    score = rows[0]
+    # per later window: the best previous language, its score less the
+    # penalty, and the previous scores — enough to replay each backpointer
+    steps = []
+    for row in rows[1:]:
+        best = max(score)
+        best_prev = score.index(best)  # first max: training-order tie-break
+        switched = best - penalty
+        steps.append((best_prev, switched, score))
+        score = [(switched if switched > s else s) + e for s, e in zip(score, row)]
+    label = score.index(max(score))
+    labels = [label]
+    for best_prev, switched, previous in reversed(steps):
+        if switched > previous[label]:  # strict: ties keep the current language
+            label = best_prev
+        labels.append(label)
+    labels.reverse()
+    return np.asarray(labels, dtype=np.int64)
 
 
 def hysteresis_labels(counts: np.ndarray, min_run: int = 2) -> np.ndarray:

@@ -110,13 +110,16 @@ class WindowedScorer:
 
         Cost is one :meth:`~repro.api.registry.Backend.ngram_hits` pass plus
         one cumulative sum — independent of how many windows overlap each
-        n-gram.
+        n-gram.  The hits are copied into the int64 result and summed in
+        place there: ``np.cumsum(hits, dtype=np.int64)`` would first cast the
+        whole hit matrix to a second int64 matrix of the same size.
         """
         packed = np.asarray(packed, dtype=np.uint64)
         hits = self.backend.ngram_hits(packed)
         n_languages, n_ngrams = hits.shape
         cumulative = np.zeros((n_languages, n_ngrams + 1), dtype=np.int64)
-        np.cumsum(hits, axis=1, dtype=np.int64, out=cumulative[:, 1:])
+        cumulative[:, 1:] = hits
+        np.cumsum(cumulative[:, 1:], axis=1, out=cumulative[:, 1:])
         if n_ngrams == 0:
             starts = np.empty(0, dtype=np.int64)
         else:

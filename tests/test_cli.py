@@ -168,6 +168,30 @@ class TestEndToEndCLI:
         output = capsys.readouterr().out
         assert output.startswith("<stdin>: 1 span(s), dominant=fr")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--switch-penalty", "nan"],
+            ["--switch-penalty", "-1"],
+            ["--window", "100", "--stride", "400"],
+        ],
+        ids=["nan-penalty", "negative-penalty", "stride-beyond-window"],
+    )
+    def test_segment_reports_an_invalid_setting_in_one_line(
+        self, flags, trained_model, capsys, tmp_path
+    ):
+        # the settings are checked before any input file is read, so a missing
+        # input never gets a chance to fail first
+        _, model_path = trained_model
+        missing = tmp_path / "missing.txt"
+        capsys.readouterr()
+        assert main(["segment", "--model", str(model_path), *flags, str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in captured.err
+
     def test_model_artifact_is_versioned(self, trained_model):
         _, model_path = trained_model
         raw = model_path.read_bytes()

@@ -422,3 +422,125 @@ def test_windowed_scorer_matches_naive_recount_on_real_backend(profiles):
         np.testing.assert_array_equal(
             scores.counts, _naive_window_recount(hits, scores.starts, scores.ends)
         )
+
+
+# -- segmentation: Viterbi decode and run merge ---------------------------------------
+
+
+def _numpy_viterbi(counts, switch_penalty: float) -> np.ndarray:
+    """Reference decode: one vectorized step over the language axis per window."""
+    from repro.segment.smoothing import window_emissions
+
+    emissions = window_emissions(counts)
+    n_windows, n_languages = emissions.shape
+    if n_windows == 0:
+        return np.empty(0, dtype=np.int64)
+    backpointers = np.empty((n_windows, n_languages), dtype=np.int64)
+    backpointers[0] = np.arange(n_languages)
+    score = emissions[0].copy()
+    stay = np.arange(n_languages)
+    for w in range(1, n_windows):
+        best_prev = int(np.argmax(score))
+        switched = score[best_prev] - switch_penalty
+        take_switch = switched > score
+        backpointers[w] = np.where(take_switch, best_prev, stay)
+        score = np.where(take_switch, switched, score) + emissions[w]
+    labels = np.empty(n_windows, dtype=np.int64)
+    labels[-1] = int(np.argmax(score))
+    for w in range(n_windows - 1, 0, -1):
+        labels[w - 1] = backpointers[w, labels[w]]
+    return labels
+
+
+@st.composite
+def window_count_matrices(draw):
+    """(windows, languages) count matrices: tie-heavy small integers, huge
+    integers and floats."""
+    from hypothesis.extra.numpy import arrays
+
+    shape = (draw(st.integers(0, 60)), draw(st.integers(1, 12)))
+    dtype, elements = draw(st.sampled_from([
+        (np.int64, st.integers(0, 3)),
+        (np.int64, st.integers(0, 10**9)),
+        (np.float64, st.floats(0, 1e6, allow_nan=False, allow_infinity=False)),
+    ]))
+    return draw(arrays(dtype, shape, elements=elements))
+
+
+@given(window_count_matrices(), st.sampled_from([0.0, 0.35, 2.5, float("inf")]))
+@example(np.zeros((0, 3), dtype=np.int64), 0.35)  # no windows
+@example(np.asarray([[3, 1, 3]]), 0.35)  # one window, tied
+@example(np.asarray([[2], [0], [5]]), 0.35)  # one language
+@example(np.zeros((6, 4), dtype=np.int64), 0.35)  # no evidence anywhere
+@settings(max_examples=200, deadline=None)
+def test_viterbi_labels_match_the_numpy_reference(counts, switch_penalty):
+    from repro.segment.smoothing import viterbi_labels
+
+    labels = viterbi_labels(counts, switch_penalty=switch_penalty)
+    assert labels.dtype == np.int64
+    np.testing.assert_array_equal(labels, _numpy_viterbi(counts, switch_penalty))
+
+
+def _per_run_spans(labels, scores, text_length: int, stride: int):
+    """Reference merge: one ``range_counts`` and one ``np.delete`` per run."""
+    from repro.core.classifier import normalized_separation
+    from repro.segment.types import Span
+
+    boundaries = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    run_starts = np.concatenate(([0], boundaries))
+    run_ends = np.concatenate((boundaries, [labels.size]))
+    spans = []
+    char_start = 0
+    for index, (first, last) in enumerate(zip(run_starts, run_ends)):
+        owned_start = int(scores.starts[first])
+        owned_end = scores.n_ngrams if last == labels.size else int(scores.starts[last])
+        counts = scores.range_counts(owned_start, owned_end)
+        label = int(np.argmax(counts)) if run_starts.size == 1 else int(labels[first])
+        char_end = (
+            text_length if index == run_starts.size - 1 else int(scores.starts[last]) * stride
+        )
+        others = np.delete(counts, label)
+        rival = int(others.max()) if others.size else 0
+        confidence = normalized_separation(int(counts[label]), rival)
+        spans.append(Span(char_start, char_end, scores.languages[label], confidence))
+        char_start = char_end
+    return spans
+
+
+@given(
+    keys=st.lists(st.integers(0, (1 << 20) - 1), min_size=1, max_size=400),
+    n_languages=st.integers(1, 6),
+    window=st.integers(1, 48),
+    window_stride=st.integers(1, 48),
+    stride=st.sampled_from([1, 2]),
+    pattern=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+)
+# one run whose label is not the argmax of its counts: with every key 0, the
+# synthetic scores of l0..l2 are 0, 1, 2, so the merge relabels the run l2
+@example(keys=[0] * 50, n_languages=3, window=8, window_stride=2, stride=1, pattern=[0])
+@example(keys=[0] * 50, n_languages=3, window=8, window_stride=2, stride=2, pattern=[0])
+@settings(max_examples=150, deadline=None)
+def test_merge_runs_matches_a_per_run_loop(
+    keys, n_languages, window, window_stride, stride, pattern
+):
+    from types import SimpleNamespace
+
+    from repro.segment.segmenter import Segmenter
+
+    window_stride = min(window_stride, window)
+    identifier = SimpleNamespace(
+        is_trained=True,
+        extractor=NGramExtractor(subsample_stride=stride),
+        backend=_SyntheticHitsBackend(n_languages),
+    )
+    segmenter = Segmenter(identifier, window_ngrams=window, stride_ngrams=window_stride)
+    scores = segmenter.scorer.score(np.asarray(keys, dtype=np.uint64))
+    labels = np.resize(np.asarray(pattern, dtype=np.int64) % n_languages, scores.n_windows)
+    text_length = len(keys) * stride + 3
+
+    def key(spans):
+        return [(s.start, s.end, s.language, repr(s.confidence)) for s in spans]
+
+    assert key(segmenter._merge_runs(labels, scores, text_length)) == key(
+        _per_run_spans(labels, scores, text_length, stride)
+    )

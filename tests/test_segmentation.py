@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -142,6 +143,25 @@ class TestWindowedScorer:
             scores.range_counts(10, 200), _doc_counts(identifier.backend, packed[10:200])
         )
 
+    def test_score_holds_one_int64_matrix(self):
+        class BoolHits:
+            languages = [f"l{i}" for i in range(10)]
+            hits = np.random.default_rng(3).random((10, 200_000)) < 0.3
+
+            def ngram_hits(self, packed):
+                return self.hits[:, : packed.size]
+
+        packed = np.arange(200_000, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            scores = WindowedScorer(BoolHits(), window_ngrams=160).score(packed)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(scores.cumulative[:, -1], BoolHits.hits.sum(axis=1))
+        # the cumulative sums themselves, not a cast copy of the hits beside them
+        assert peak < 1.5 * scores.cumulative.nbytes
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -193,6 +213,13 @@ class TestSmoothing:
     def test_viterbi_validates_penalty(self):
         with pytest.raises(ValueError):
             viterbi_labels(np.zeros((3, 2)), switch_penalty=-1.0)
+        with pytest.raises(ValueError):  # NaN compares false: it would never switch
+            viterbi_labels(np.zeros((3, 2)), switch_penalty=float("nan"))
+        # inf is valid: it never switches
+        counts = np.asarray([[9, 1], [1, 9], [1, 9]], dtype=np.int64)
+        np.testing.assert_array_equal(
+            viterbi_labels(counts, switch_penalty=float("inf")), [1, 1, 1]
+        )
 
     def test_hysteresis_requires_confirmation(self):
         counts = np.asarray(
@@ -320,6 +347,7 @@ class TestSegmenter:
             {"smoothing": "nope"},
             {"switch_penalty": -0.1},
             {"min_run_windows": 0},
+            {"switch_penalty": float("nan")},
         ],
     )
     def test_config_validation(self, kwargs):

@@ -32,8 +32,12 @@ objects and classify a whole concatenated batch in ``match_counts_batch``.
 The four *table backends* — ``bloom``, ``exact``, ``hail`` and ``mguesser``,
 whose per-n-gram answer is a lookup — supply only integer per-n-gram scores
 (``ngram_hits``); their per-document counts come from one shared reduction.
-Only ``hw-sim`` (cycle model) and ``ensemble`` (votes) keep their own batch
-kernel.
+Their lookups come in two shared forms: ``exact`` and ``mguesser`` run one
+``searchsorted`` per batch over one sorted array of every profile's n-grams
+and gather each key's column of per-language scores; ``bloom`` and ``hail``
+read one word per n-gram whose bit ``j`` is language ``j``'s hit, unpacked by
+one helper.  Only ``hw-sim`` (cycle model) and ``ensemble`` (votes) keep
+their own batch kernel.
 """
 
 from __future__ import annotations
@@ -92,6 +96,20 @@ class _MembershipBackend(Backend):
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         self._check_trained()
         return segment_sums(self.ngram_hits(packed), lengths).T
+
+    @staticmethod
+    def _unpack_words(words: np.ndarray, languages: int) -> np.ndarray:
+        """Boolean ``(languages, N)`` matrix whose row ``j`` is bit ``j`` of each word.
+
+        One row at a time, through one scratch word array, so no
+        ``(languages, N)`` word-sized temporary is ever built.
+        """
+        hits = np.empty((languages, words.size), dtype=bool)
+        scratch = np.empty_like(words)
+        for row in range(languages):
+            np.bitwise_and(words, words.dtype.type(1 << row), out=scratch)
+            np.not_equal(scratch, 0, out=hits[row])
+        return hits
 
 
 def _require_profiles(profiles: Mapping[str, LanguageProfile]) -> None:
@@ -175,13 +193,7 @@ class BloomBackend(_MembershipBackend):
                 f"key does not fit in {self.config.key_bits} bits "
                 f"(max value seen: {int(packed.max())})"
             )
-        words = np.take(table, packed)
-        hits = np.empty((self.bits.shape[1], packed.size), dtype=bool)
-        scratch = np.empty_like(words)
-        for row in range(hits.shape[0]):
-            np.bitwise_and(words, table.dtype.type(1 << row), out=scratch)
-            np.not_equal(scratch, 0, out=hits[row])
-        return hits
+        return self._unpack_words(np.take(table, packed), self.bits.shape[1])
 
     def probe(self, packed: np.ndarray) -> np.ndarray:
         """:meth:`ngram_hits` by hashing: ``k`` hashes and ``k`` probes per n-gram.
@@ -280,39 +292,53 @@ class BloomBackend(_MembershipBackend):
         return info
 
 
-def _profile_positions(sorted_ngrams: np.ndarray, packed: np.ndarray):
-    """Look ``packed`` up in one language's sorted, non-empty profile n-grams.
+class _SortedTableBackend(_MembershipBackend):
+    """A table backend that answers every language with one sorted-key lookup.
 
-    Returns ``(positions, member)``: ``member`` marks the n-grams the profile
-    holds, and for those ``sorted_ngrams[positions] == packed``.
+    :meth:`ngram_hits` is one ``searchsorted`` over :attr:`_keys` for the
+    whole batch and one gather of :attr:`_values` columns; an n-gram no
+    profile holds reads the all-zero last column.  Subclasses supply only
+    :meth:`_scores`.  The table is derived from the profiles at fit (and so
+    on load), and never stored.
     """
-    positions = np.searchsorted(sorted_ngrams, packed)
-    np.clip(positions, 0, sorted_ngrams.size - 1, out=positions)
-    return positions, sorted_ngrams[positions] == packed
 
+    #: every profile's distinct n-grams, ascending, then a pad key (uint64 max)
+    _keys: np.ndarray | None = None
+    #: ``(languages, keys + 1)`` scores; column ``i`` is key ``i``'s, the pad's is zero
+    _values: np.ndarray | None = None
 
-@register_backend("exact")
-class ExactBackend(_MembershipBackend):
-    """Exact profile membership — the accuracy reference without false positives."""
-
-    def __init__(self, config: ClassifierConfig):
-        super().__init__(config)
-        self._sorted_profiles: list[np.ndarray] = []
+    def _scores(self, profile: LanguageProfile) -> np.ndarray:
+        """Each of ``profile.ngrams``' scores in its language, in profile order."""
+        raise NotImplementedError
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
         _require_profiles(profiles)
-        self._sorted_profiles = [np.sort(profile.ngrams) for profile in profiles.values()]
+        keys, columns = np.unique(
+            np.concatenate([profile.ngrams for profile in profiles.values()]), return_inverse=True
+        )
+        rows = np.repeat(np.arange(len(profiles)), [len(profile) for profile in profiles.values()])
+        scores = np.concatenate([self._scores(profile) for profile in profiles.values()])
+        self._values = np.zeros((len(profiles), keys.size + 1), dtype=scores.dtype)
+        self._values[rows, columns] = scores
+        self._keys = np.append(keys, np.iinfo(np.uint64).max)
         self.profiles = dict(profiles)
 
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
-        """One ``searchsorted`` per language over the sorted profile n-grams."""
+        """``(languages, N)`` scores from one ``searchsorted`` over the shared keys."""
         self._check_trained()
         packed = np.asarray(packed, dtype=np.uint64)
-        hits = np.zeros((len(self._sorted_profiles), packed.size), dtype=bool)
-        for row, sorted_ngrams in enumerate(self._sorted_profiles):
-            if sorted_ngrams.size:
-                hits[row] = _profile_positions(sorted_ngrams, packed)[1]
-        return hits
+        # the pad key is no smaller than any n-gram, so positions stay in range
+        positions = np.searchsorted(self._keys, packed)
+        positions[self._keys[positions] != packed] = self._keys.size - 1
+        return np.take(self._values, positions, axis=1)
+
+
+@register_backend("exact")
+class ExactBackend(_SortedTableBackend):
+    """Exact profile membership — the accuracy reference without false positives."""
+
+    def _scores(self, profile: LanguageProfile) -> np.ndarray:
+        return np.ones(len(profile), dtype=bool)
 
 
 @register_backend("hw-sim")
@@ -385,44 +411,20 @@ class HardwareSimBackend(Backend):
 
 
 @register_backend("mguesser")
-class MguesserBackend(_MembershipBackend):
+class MguesserBackend(_SortedTableBackend):
     """Mguesser-style frequency scoring over the packed n-gram pipeline.
 
     Each language weights its profile n-grams by normalised training
     frequency, rounded once, at fit, to fixed-point integers in units of
     ``1 / MGUESSER_SCORE_SCALE``.  An n-gram's score is its weight in each
-    language (0 where the profile lacks it, found by exact's sorted-profile
-    lookup), and a document's score is the sum of its n-grams' scores (with
-    multiplicity).
+    language (0 where the profile lacks it), read from the same sorted key
+    table as ``exact``'s membership, and a document's score is the sum of
+    its n-grams' scores (with multiplicity).
     """
 
-    def __init__(self, config: ClassifierConfig):
-        super().__init__(config)
-        self._sorted_profiles: list[np.ndarray] = []
-        self._weights: list[np.ndarray] = []
-
-    def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
-        _require_profiles(profiles)
-        self._sorted_profiles = []
-        self._weights = []
-        for profile in profiles.values():
-            order = np.argsort(profile.ngrams)
-            total = float(profile.counts.sum()) or 1.0
-            frequencies = profile.counts[order].astype(np.float64) / total
-            self._sorted_profiles.append(profile.ngrams[order])
-            self._weights.append(np.round(frequencies * MGUESSER_SCORE_SCALE).astype(np.int64))
-        self.profiles = dict(profiles)
-
-    def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
-        """Each n-gram's fixed-point weight in every language's profile."""
-        self._check_trained()
-        packed = np.asarray(packed, dtype=np.uint64)
-        scores = np.zeros((len(self._weights), packed.size), dtype=np.int64)
-        for row, (sorted_ngrams, weights) in enumerate(zip(self._sorted_profiles, self._weights)):
-            if sorted_ngrams.size:
-                positions, member = _profile_positions(sorted_ngrams, packed)
-                scores[row] = np.where(member, weights[positions], 0)
-        return scores
+    def _scores(self, profile: LanguageProfile) -> np.ndarray:
+        total = float(profile.counts.sum()) or 1.0
+        return np.round(profile.counts / total * MGUESSER_SCORE_SCALE).astype(np.int64)
 
     def describe(self) -> dict:
         info = super().describe()
@@ -448,9 +450,7 @@ class HailBackend(_MembershipBackend):
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
         """Bit ``i`` of each n-gram's table word is its hit for language ``i``."""
         self._check_trained()
-        bitmaps = self.table.lookup(packed)
-        shifts = np.arange(len(self.languages), dtype=np.uint64)[:, None]
-        return ((bitmaps >> shifts) & np.uint64(1)).astype(bool)
+        return self._unpack_words(self.table.lookup(packed), len(self.profiles))
 
     def describe(self) -> dict:
         info = super().describe()

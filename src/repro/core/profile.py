@@ -124,7 +124,8 @@ class LanguageProfile:
         """Exact membership of each packed n-gram in the profile (no false positives).
 
         This is the ground-truth membership used to measure the Bloom filters'
-        realised false-positive rates and by the exact-lookup classifier.
+        realised false-positive rates.  The ``exact`` backend does not call it:
+        it looks every language up at once in its own sorted key table.
         """
         packed = np.asarray(packed, dtype=np.uint64)
         if packed.size == 0:

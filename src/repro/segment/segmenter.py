@@ -146,10 +146,6 @@ class Segmenter:
             window_count=scores.n_windows,
         )
 
-    def segment_batch(self, texts) -> list[SegmentationResult]:
-        """Segment several documents (cumulative sums are per-document state)."""
-        return [self.segment(text) for text in texts]
-
     # ------------------------------------------------------------ internals
 
     def _smooth(self, counts: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.api import LanguageIdentifier
 from repro.core.alphabet import encode_text
 from repro.core.ngram import (
     DEFAULT_N,
@@ -19,6 +20,7 @@ from repro.core.ngram import (
     top_ngrams,
     unpack_ngram,
 )
+from repro.core.profile import LanguageProfile
 
 
 class TestPackNgrams:
@@ -167,6 +169,30 @@ class TestSegmentSums:
             tracemalloc.stop()
         assert sums.shape == (10, 1_000) and (sums == 200).all()
         assert peak < 3 * 8 * 200_000
+
+
+class TestWordUnpack:
+    def test_hail_words_are_unpacked_one_row_at_a_time(self):
+        # hail's table words are uint64: shifting them by a (languages, 1)
+        # column of bit positions builds (languages, N) uint64 temporaries;
+        # the shared unpack holds the bool matrix plus a few word rows
+        rng = np.random.default_rng(0)
+        profiles = {}
+        for index in range(10):
+            ngrams = np.unique(rng.integers(0, 1 << 20, 5_000, dtype=np.uint64))
+            profiles[f"l{index}"] = LanguageProfile(
+                f"l{index}", ngrams, np.ones(ngrams.size, dtype=np.int64)
+            )
+        hail = LanguageIdentifier(backend="hail").train_profiles(profiles).backend
+        keys = rng.integers(0, 1 << 20, 200_000, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            hits = hail.ngram_hits(keys)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hits.shape == (10, keys.size) and hits.dtype == bool
+        assert peak < 10 * keys.size + 4 * 8 * keys.size
 
 
 class TestSubsample:

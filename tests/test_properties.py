@@ -282,6 +282,69 @@ def test_profile_counts_never_exceed_stream_length(values):
     assert (profile.counts > 0).all()
 
 
+# -- the sorted key table behind exact and mguesser -----------------------------------
+
+#: a key no 12-gram packs to, and the table's pad key
+MAX_UINT64 = (1 << 64) - 1
+
+
+@st.composite
+def keyed_profiles(draw):
+    """``(n, [(keys, counts), ...] one pair per language, probe keys)``.
+
+    Languages draw keys from a small shared pool (so profiles overlap) or from
+    the whole ``5 * n``-bit key space (so they are mostly disjoint), and may
+    draw none (an empty profile).  Probes mix profile keys, other keys of the
+    key space and the largest ``uint64``, and may be empty.
+    """
+    n = draw(st.integers(min_value=1, max_value=12))
+    key = st.integers(min_value=0, max_value=(1 << (5 * n)) - 1)
+    pool = draw(st.lists(key, min_size=1, max_size=8, unique=True))
+    languages = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        keys = draw(st.lists(st.sampled_from(pool) | key, max_size=30, unique=True))
+        counts = draw(st.lists(st.integers(min_value=0, max_value=10**9),
+                               min_size=len(keys), max_size=len(keys)))
+        languages.append((keys, counts))
+    members = [k for keys, _ in languages for k in keys]
+    probe = key | st.just(MAX_UINT64) | (st.sampled_from(members) if members else key)
+    return n, languages, draw(st.lists(probe, max_size=60))
+
+
+@given(keyed_profiles())
+@example((1, [([], [])], []))  # one empty profile, empty batch
+@example((12, [([], []), ([], [])], [0, MAX_UINT64]))  # every profile empty
+@example((4, [([5, 9], [3, 1]), ([9, 7], [2, 2]), ([], []), ([4], [0])],
+          [9, 5, 7, 8, 0, 4, MAX_UINT64]))  # overlapping, disjoint, empty, zero counts
+@settings(max_examples=150, deadline=None)
+def test_sorted_key_table_matches_per_language_lookups(case):
+    from repro.api import LanguageIdentifier
+    from repro.api.backends import MGUESSER_SCORE_SCALE
+
+    n, languages, probes = case
+    profiles = {
+        f"l{index}": LanguageProfile(
+            f"l{index}", np.asarray(keys, dtype=np.uint64), np.asarray(counts, dtype=np.int64), n=n
+        )
+        for index, (keys, counts) in enumerate(languages)
+    }
+    packed = np.asarray(probes, dtype=np.uint64)
+
+    exact = LanguageIdentifier(n=n, backend="exact").train_profiles(profiles)
+    hits = exact.backend.ngram_hits(packed)
+    assert hits.shape == (len(languages), packed.size) and hits.dtype == bool
+    for row, profile in enumerate(profiles.values()):
+        np.testing.assert_array_equal(hits[row], np.isin(packed, profile.ngrams))
+
+    mguesser = LanguageIdentifier(n=n, backend="mguesser").train_profiles(profiles)
+    scores = mguesser.backend.ngram_hits(packed)
+    assert scores.shape == (len(languages), packed.size) and scores.dtype == np.int64
+    for row, (keys, counts) in enumerate(languages):
+        total = sum(counts) or 1
+        weights = {k: round(c / total * MGUESSER_SCORE_SCALE) for k, c in zip(keys, counts)}
+        assert scores[row].tolist() == [weights.get(k, 0) for k in probes]
+
+
 # -- command protocol --------------------------------------------------------------
 
 

@@ -30,14 +30,20 @@ Five engines are registered:
 All adapters consume the same per-language :class:`~repro.core.profile.LanguageProfile`
 objects and classify a whole concatenated batch in ``match_counts_batch``.
 The four *table backends* — ``bloom``, ``exact``, ``hail`` and ``mguesser``,
-whose per-n-gram answer is a lookup — supply only integer per-n-gram scores
-(``ngram_hits``); their per-document counts come from one shared reduction.
-Their lookups come in two shared forms: ``exact`` and ``mguesser`` run one
-``searchsorted`` per batch over one sorted array of every profile's n-grams
-and gather each key's column of per-language scores; ``bloom`` and ``hail``
-read one word per n-gram whose bit ``j`` is language ``j``'s hit, unpacked by
-one helper.  Only ``hw-sim`` (cycle model) and ``ensemble`` (votes) keep
-their own batch kernel.
+whose per-n-gram answer is a lookup — share that kernel.  ``bloom`` (from
+its key table, n <= 4), ``exact`` (a word column in its sorted table) and
+``hail`` (its SRAM words) hand it one *language word* per n-gram, bit ``j``
+= language ``j``.  Small spread tables, derived from the language count,
+turn the words into *lanes*: ``int64`` values holding four 16-bit language
+counters each, like the paper's bank of match counters stepping together.
+One reduction per lane gives every document's counts.  ``mguesser``'s
+weights and bloom's hash-and-probe path (n > 4, or more than 64 languages)
+are reduced one language row at a time.  ``exact`` and ``mguesser`` find
+each n-gram's column with one ``searchsorted`` per batch over one sorted
+array of every profile's n-grams.  ``ngram_hits`` (the segmenter's input)
+returns per-language rows, unpacked from the words where there are any.
+Only ``hw-sim`` (cycle model) and ``ensemble`` (votes) keep their own batch
+kernel.
 """
 
 from __future__ import annotations
@@ -80,22 +86,64 @@ KEY_TABLE_MAX_LANGUAGES = 64
 #: each step's k address blocks (128 KB each) cache-resident
 KEY_TABLE_BLOCK_BITS = 14
 
+#: width of one language's match counter in a lane
+FIELD_BITS = 16
+#: most n-grams one counter counts; longer documents are reduced in pieces
+FIELD_MAX = (1 << FIELD_BITS) - 1
+#: counters per ``int64`` lane
+LANE_FIELDS = 64 // FIELD_BITS
+#: each counter's shift within its lane
+FIELD_SHIFTS = np.arange(0, 64, FIELD_BITS)
+#: languages per spread table, which has a column for every word of that many bits
+SPREAD_GROUP_LANGUAGES = 16
+SPREAD_GROUP_MASK = (1 << SPREAD_GROUP_LANGUAGES) - 1
+#: n-grams per block of lanes: a block spans under twice this many, so its
+#: lanes stay under 6.3 MB at ten languages however large the batch, while 64
+#: long documents (~97 K n-grams) still count in one block
+LANE_BLOCK_NGRAMS = 1 << 17
+
 
 class _MembershipBackend(Backend):
     """A table backend: its per-n-gram answer is a lookup.
 
-    Subclasses supply only :meth:`ngram_hits`, integer per-n-gram scores:
-    0/1 hits for ``bloom``, ``exact`` and ``hail``, fixed-point weights for
+    Subclasses supply :meth:`ngram_hits`, integer per-n-gram scores: 0/1
+    hits for ``bloom``, ``exact`` and ``hail``, fixed-point weights for
     ``mguesser``.  A document's count for a language is the sum of its
-    n-grams' scores: one :func:`~repro.core.ngram.segment_sums` call reduces
-    the whole batch's score matrix, one ``reduceat`` per language row over
-    segment starts computed once.  Summing ``ngram_hits`` along the n-gram
-    axis therefore reproduces the document's counts exactly.
+    n-grams' scores, so summing ``ngram_hits`` along the n-gram axis
+    reproduces the document's counts exactly.
+
+    ``bloom`` (from its key table), ``exact`` and ``hail`` also supply
+    :meth:`_language_words`: one word per n-gram whose bit ``j`` is language
+    ``j``'s hit.  Their counts come from the paper's counter bank, where
+    every language's counter steps at once: :func:`_lane_counts` spreads the
+    words through :attr:`_spread` into 16-bit counters packed four to an
+    ``int64`` lane and reduces each lane once: up to 16 languages, one
+    gather and ``ceil(languages / 4)`` reductions where unpacking and
+    reducing one row per language took three calls per language.
+    ``mguesser``'s ``int64`` weights and bloom's :meth:`~BloomBackend.probe`
+    have no words; one :func:`~repro.core.ngram.segment_sums` call reduces
+    their score rows.
     """
+
+    #: :func:`_spread_tables` of the language count, set with the word source
+    _spread: tuple[np.ndarray, ...] | None = None
 
     def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         self._check_trained()
-        return segment_sums(self.ngram_hits(packed), lengths).T
+        lengths = np.asarray(lengths, dtype=np.int64)
+        words = self._language_words(packed)
+        if words is None:
+            return segment_sums(self.ngram_hits(packed), lengths).T
+        return _lane_counts(words, lengths, self._spread, len(self.profiles))
+
+    def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
+        """Boolean ``(languages, N)`` hits: the language words, one row per bit."""
+        self._check_trained()
+        return self._unpack_words(self._language_words(packed), len(self.profiles))
+
+    def _language_words(self, packed: np.ndarray) -> np.ndarray | None:
+        """Each n-gram's word (bit ``j`` = language ``j``), or ``None`` without words."""
+        return None
 
     @staticmethod
     def _unpack_words(words: np.ndarray, languages: int) -> np.ndarray:
@@ -110,6 +158,100 @@ class _MembershipBackend(Backend):
             np.bitwise_and(words, words.dtype.type(1 << row), out=scratch)
             np.not_equal(scratch, 0, out=hits[row])
         return hits
+
+
+def _pack_rows(rows: np.ndarray) -> np.ndarray:
+    """Words whose bit ``j`` is ``rows[j]``: the inverse of ``_unpack_words``."""
+    dtype = np.min_scalar_type((1 << rows.shape[0]) - 1)
+    words = np.zeros(rows.shape[1:], dtype=dtype)
+    for bit, row in enumerate(rows):
+        words |= row.astype(dtype) << dtype.type(bit)
+    return words
+
+
+def _spread_tables(languages: int) -> tuple[np.ndarray, ...]:
+    """Tables that spread a language word into counter lanes.
+
+    Languages go in groups of ``SPREAD_GROUP_LANGUAGES``; a group of ``g``
+    languages has one ``(ceil(g / 4), 2 ** g)`` ``int64`` table whose column
+    ``w`` holds bit ``j`` of the group's ``w`` in bit ``16 * (j % 4)`` of
+    lane ``j // 4``.  Derived from the language count alone: 24 KB at ten
+    languages, 2 MB per full group.
+    """
+    tables = []
+    for first in range(0, languages, SPREAD_GROUP_LANGUAGES):
+        group = min(SPREAD_GROUP_LANGUAGES, languages - first)
+        lanes = -(-group // LANE_FIELDS)
+        bits = np.arange(lanes * LANE_FIELDS)
+        # a bit past the group's last language is zero in every word
+        fields = (np.arange(1 << group, dtype=np.int64) >> bits[:, None]) & 1
+        fields <<= FIELD_BITS * (bits % LANE_FIELDS)[:, None]
+        table = fields.reshape(lanes, LANE_FIELDS, -1).sum(axis=1)
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
+
+
+def _lane_counts(
+    words: np.ndarray, lengths: np.ndarray, spread: tuple[np.ndarray, ...], languages: int
+) -> np.ndarray:
+    """``(documents, languages)`` counts of the set bits of each document's words.
+
+    A document of more than ``FIELD_MAX`` n-grams is counted in pieces of at
+    most ``FIELD_MAX``, whose counts are added, so no 16-bit counter
+    overflows.  The pieces are counted in blocks: those that start in one
+    stretch of ``LANE_BLOCK_NGRAMS`` n-grams, so a block's lanes hold fewer
+    than twice that many n-grams however large the batch.
+    """
+    pieces = lengths
+    split = lengths.size > 0 and int(lengths.max()) > FIELD_MAX
+    if split:
+        per_document = np.maximum(-(-lengths // FIELD_MAX), 1)
+        last = np.cumsum(per_document) - 1
+        pieces = np.full(last[-1] + 1, FIELD_MAX, dtype=np.int64)
+        pieces[last] = lengths - FIELD_MAX * (per_document - 1)
+    piece_bounds, word_bounds = [0, pieces.size], [0, words.size]
+    if words.size > LANE_BLOCK_NGRAMS:
+        starts = np.cumsum(pieces) - pieces
+        cuts = np.flatnonzero(np.diff(starts // LANE_BLOCK_NGRAMS)) + 1
+        piece_bounds[1:1] = cuts.tolist()
+        word_bounds[1:1] = starts[cuts].tolist()
+    counts = np.concatenate([
+        _block_counts(words[start:end], pieces[first:stop], spread, languages)
+        for first, stop, start, end in zip(
+            piece_bounds, piece_bounds[1:], word_bounds, word_bounds[1:]
+        )
+    ])
+    if split:
+        counts = np.add.reduceat(counts, last + 1 - per_document, axis=0)
+    return counts
+
+
+def _block_counts(
+    words: np.ndarray, pieces: np.ndarray, spread: tuple[np.ndarray, ...], languages: int
+) -> np.ndarray:
+    """``(pieces, languages)`` counts of one block, through counter lanes.
+
+    One gather per spread table turns the words into ``int64`` lanes of four
+    16-bit counters each, and one :func:`~repro.core.ngram.segment_sums`
+    call reduces each lane once.  A lane's sum wraps, but exactly: no piece
+    holds more than ``FIELD_MAX`` n-grams, so no carry crosses into the next
+    counter.  The counters are split with a shift and a mask (not a
+    ``uint16`` view, which would depend on byte order); an arithmetic shift
+    differs from a logical one only above the mask.
+    """
+    lanes = np.empty((sum(table.shape[0] for table in spread), words.size), dtype=np.int64)
+    row = 0
+    for group, table in enumerate(spread):
+        index = words
+        if len(spread) > 1:
+            index = (words >> (group * SPREAD_GROUP_LANGUAGES)) & SPREAD_GROUP_MASK
+        # every index is in range; "clip" only spares np.take buffering ``out``
+        np.take(table, index, axis=1, out=lanes[row : row + table.shape[0]], mode="clip")
+        row += table.shape[0]
+    sums = segment_sums(lanes, pieces)
+    counts = (sums.T[:, :, None] >> FIELD_SHIFTS) & FIELD_MAX
+    return counts.reshape(-1, LANE_FIELDS * lanes.shape[0])[:, :languages]
 
 
 def _require_profiles(profiles: Mapping[str, LanguageProfile]) -> None:
@@ -171,12 +313,18 @@ class BloomBackend(_MembershipBackend):
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
         """Boolean ``(languages, n_ngrams)`` membership matrix.
 
-        One key-table gather per n-gram where the table applies (see the
-        class docstring), unpacked one language row at a time; otherwise
-        :meth:`probe`.  Both give the same matrix, which is the batch path's
-        intermediate and the windowed segmentation scorer's input.
+        The key table's words, unpacked one language row at a time, where
+        the table applies (see the class docstring); otherwise :meth:`probe`.
+        Both give the same matrix, the windowed segmentation scorer's input.
         """
         self._check_trained()
+        words = self._language_words(packed)
+        if words is None:
+            return self.probe(packed)
+        return self._unpack_words(words, self.bits.shape[1])
+
+    def _language_words(self, packed: np.ndarray) -> np.ndarray | None:
+        """One key-table gather per n-gram; ``None`` where no key table applies."""
         packed = np.asarray(packed, dtype=np.uint64)
         table = self._key_table
         if table is None:
@@ -184,16 +332,17 @@ class BloomBackend(_MembershipBackend):
                 self.config.key_bits > KEY_TABLE_MAX_BITS
                 or self.bits.shape[1] > KEY_TABLE_MAX_LANGUAGES
             ):
-                return self.probe(packed)
-            # built into a local and published with one assignment: racing
-            # first calls at worst build it twice
+                return None
+            # built into a local and published with one assignment, after the
+            # spread tables: racing first calls at worst build it twice
+            self._spread = _spread_tables(self.bits.shape[1])
             table = self._key_table = self._build_key_table()
         if packed.size and int(packed.max()) >> self.config.key_bits:
             raise ValueError(
                 f"key does not fit in {self.config.key_bits} bits "
                 f"(max value seen: {int(packed.max())})"
             )
-        return self._unpack_words(np.take(table, packed), self.bits.shape[1])
+        return np.take(table, packed)
 
     def probe(self, packed: np.ndarray) -> np.ndarray:
         """:meth:`ngram_hits` by hashing: ``k`` hashes and ``k`` probes per n-gram.
@@ -218,13 +367,10 @@ class BloomBackend(_MembershipBackend):
 
     def _build_key_table(self) -> np.ndarray:
         """Every key's language word: the AND over the ``k`` vectors' cells it hashes to."""
-        k, languages, m_bits = self.bits.shape
-        dtype = np.min_scalar_type((1 << languages) - 1)
+        k = self.config.k
         # cell a of vector i as one word whose bit j is bits[i, j, a]
-        cells = np.zeros((k, m_bits), dtype=dtype)
-        for row in range(languages):
-            cells |= self.bits[:, row].astype(dtype) << dtype.type(row)
-        table = np.empty(1 << self.config.key_bits, dtype=dtype)
+        cells = _pack_rows(self.bits.transpose(1, 0, 2))
+        table = np.empty(1 << self.config.key_bits, dtype=cells.dtype)
         start = 0
         for addresses in zip(*(h.hash_key_space(KEY_TABLE_BLOCK_BITS) for h in self.hashes)):
             words = np.take(cells[0], addresses[0])
@@ -295,11 +441,11 @@ class BloomBackend(_MembershipBackend):
 class _SortedTableBackend(_MembershipBackend):
     """A table backend that answers every language with one sorted-key lookup.
 
-    :meth:`ngram_hits` is one ``searchsorted`` over :attr:`_keys` for the
-    whole batch and one gather of :attr:`_values` columns; an n-gram no
-    profile holds reads the all-zero last column.  Subclasses supply only
-    :meth:`_scores`.  The table is derived from the profiles at fit (and so
-    on load), and never stored.
+    One ``searchsorted`` over :attr:`_keys` for the whole batch finds each
+    n-gram's column of the table; an n-gram no profile holds reads the
+    all-zero last column.  Subclasses supply only :meth:`_scores`.  The
+    table is derived from the profiles at fit (and so on load), and never
+    stored.
     """
 
     #: every profile's distinct n-grams, ascending, then a pad key (uint64 max)
@@ -326,19 +472,45 @@ class _SortedTableBackend(_MembershipBackend):
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
         """``(languages, N)`` scores from one ``searchsorted`` over the shared keys."""
         self._check_trained()
+        words = self._language_words(packed)
+        if words is None:
+            return np.take(self._values, self._positions(packed), axis=1)
+        return self._unpack_words(words, len(self.profiles))
+
+    def _positions(self, packed: np.ndarray) -> np.ndarray:
+        """Each n-gram's column: its key's, or the pad's where no profile holds it."""
         packed = np.asarray(packed, dtype=np.uint64)
         # the pad key is no smaller than any n-gram, so positions stay in range
         positions = np.searchsorted(self._keys, packed)
         positions[self._keys[positions] != packed] = self._keys.size - 1
-        return np.take(self._values, positions, axis=1)
+        return positions
 
 
 @register_backend("exact")
 class ExactBackend(_SortedTableBackend):
-    """Exact profile membership — the accuracy reference without false positives."""
+    """Exact profile membership — the accuracy reference without false positives.
+
+    Up to ``KEY_TABLE_MAX_LANGUAGES`` languages, the sorted table is one
+    language word per key (:attr:`_words`, bit ``j`` = language ``j``),
+    counted in lanes like bloom's key table; with more, it stays the
+    boolean score columns of :attr:`_values`.
+    """
+
+    #: ``(keys + 1,)`` language words, the pad's zero; ``None`` past 64 languages
+    _words: np.ndarray | None = None
 
     def _scores(self, profile: LanguageProfile) -> np.ndarray:
         return np.ones(len(profile), dtype=bool)
+
+    def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
+        super().fit_profiles(profiles)
+        self._words = None
+        if len(profiles) <= KEY_TABLE_MAX_LANGUAGES:
+            self._spread = _spread_tables(len(profiles))
+            self._words, self._values = _pack_rows(self._values), None
+
+    def _language_words(self, packed: np.ndarray) -> np.ndarray | None:
+        return None if self._words is None else np.take(self._words, self._positions(packed))
 
 
 @register_backend("hw-sim")
@@ -445,12 +617,12 @@ class HailBackend(_MembershipBackend):
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
         self.table.fit_profiles(profiles)
+        self._spread = _spread_tables(len(profiles))
         self.profiles = dict(profiles)
 
-    def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
-        """Bit ``i`` of each n-gram's table word is its hit for language ``i``."""
-        self._check_trained()
-        return self._unpack_words(self.table.lookup(packed), len(self.profiles))
+    def _language_words(self, packed: np.ndarray) -> np.ndarray:
+        """Each n-gram's SRAM word: bit ``i`` is its hit for language ``i``."""
+        return self.table.lookup(packed)
 
     def describe(self) -> dict:
         info = super().describe()

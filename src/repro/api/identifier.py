@@ -99,11 +99,14 @@ class LanguageIdentifier:
 
     # ------------------------------------------------------------ classification
 
-    def _result_from_counts(self, counts: list[int], ngram_count: int) -> ClassificationResult:
+    def _result_from_counts(
+        self, counts: list[int], ngram_count: int, winner: int
+    ) -> ClassificationResult:
         """One document's result from its per-language counts (plain ints).
 
-        The first language with the highest count wins, the tie rule of
-        ``np.argmax`` and of the hardware's priority encoder.
+        ``winner`` is the index of the first language with the highest
+        count, which :meth:`classify_batch` takes from one ``argmax`` over
+        the batch: the tie rule of the hardware's priority encoder.
         """
         languages = self.languages
         if ngram_count == 0:
@@ -111,7 +114,7 @@ class LanguageIdentifier:
             # zero-confidence "und" result
             return undetermined_result(languages)
         return ClassificationResult(
-            language=languages[counts.index(max(counts))],
+            language=languages[winner],
             match_counts=dict(zip(languages, counts)),
             ngram_count=ngram_count,
         )
@@ -134,10 +137,11 @@ class LanguageIdentifier:
 
         :meth:`~repro.core.ngram.NGramExtractor.extract_batch` reads the
         batch as one byte stream and hands every document's packed n-grams,
-        concatenated, to the backend's batch kernel.  Every result is built
-        here, by :meth:`_result_from_counts` from one ``tolist()`` of the
-        kernel's counts, unless the backend builds richer ones itself (the
-        ensemble's votes).
+        concatenated, to the backend's batch kernel.  One ``argmax`` over
+        the kernel's counts picks every document's winner, and each result
+        is built here by :meth:`_result_from_counts` from one ``tolist()``
+        of the counts and the winners, unless the backend builds richer ones
+        itself (the ensemble's votes).
 
         ``sources`` is one source tag for the whole batch, or one per document
         (``None`` gaps allowed); only prior-aware backends consume it.
@@ -158,8 +162,10 @@ class LanguageIdentifier:
             return rich
         counts = self._backend.match_counts_batch(packed, lengths)
         return [
-            self._result_from_counts(row, ngram_count)
-            for row, ngram_count in zip(counts.tolist(), lengths.tolist())
+            self._result_from_counts(row, ngram_count, winner)
+            for row, ngram_count, winner in zip(
+                counts.tolist(), lengths.tolist(), counts.argmax(axis=1).tolist()
+            )
         ]
 
     def classify_stream(

@@ -45,9 +45,9 @@ class Backend(abc.ABC):
     Subclasses implement :meth:`fit_profiles` (program the engine from
     per-language profiles), :meth:`ngram_hits` (per-n-gram scores) and
     :meth:`match_counts_batch` (per-language counts for a concatenated batch
-    of documents).  The table backends in :mod:`repro.api.backends` derive
-    the counts from :meth:`ngram_hits` through one shared reduction; only
-    ``hw-sim`` and ``ensemble`` keep a batch kernel of their own.  A single
+    of documents).  The table backends in :mod:`repro.api.backends` share
+    one batch kernel, whose counts are the sums of :meth:`ngram_hits`' scores;
+    only ``hw-sim`` and ``ensemble`` keep a batch kernel of their own.  A single
     document is a batch of one: there is no separate per-document kernel.
     """
 
@@ -127,11 +127,10 @@ class Backend(abc.ABC):
         (:class:`repro.segment.windows.WindowedScorer`): instead of one count
         per (document, language), every n-gram keeps its own column of
         per-language scores, so sliding-window totals fall out of a cumulative
-        sum.  The table backends (``bloom``, ``exact``, ``hail``,
-        ``mguesser``) compute :meth:`match_counts_batch` from this method
-        alone, so summing along the n-gram axis reproduces a document's
-        counts exactly: 0/1 hits for the membership backends, fixed-point
-        weights for ``mguesser``.
+        sum.  For the table backends (``bloom``, ``exact``, ``hail``,
+        ``mguesser``) summing along the n-gram axis reproduces a document's
+        :meth:`match_counts_batch` counts exactly: 0/1 hits for the
+        membership backends, fixed-point weights for ``mguesser``.
 
         Returns
         -------

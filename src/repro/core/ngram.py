@@ -5,7 +5,9 @@ extracted by a sliding window that advances one character at a time (Section 1).
 After alphabet conversion each character is a 5-bit code, so a 4-gram packs into a
 20-bit integer — the key format consumed by the hash functions, the Bloom filters
 and the hardware engine alike.  :class:`NGramExtractor` is the one text → key
-path: ``extract`` for one document, ``extract_batch`` for a batch.
+path: ``extract`` for one document, ``extract_batch`` for a batch, both through
+one packing routine that builds keys by doubling.  :func:`pack_ngrams` packs the
+same keys one character at a time and is the reference the tests hold it to.
 
 All functions operate on NumPy arrays end to end; there is no per-character Python
 loop on any hot path.
@@ -17,7 +19,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.core.alphabet import CODE_BITS, decode_codes, encode_bytes, encode_text
+from repro.core.alphabet import CODE_BITS, TRANSLATION_TABLE, decode_codes, encode_text
 
 __all__ = [
     "DEFAULT_N",
@@ -36,6 +38,10 @@ __all__ = [
 
 #: n-gram order used throughout the paper (Section 4: "we use n-grams of size 4")
 DEFAULT_N = 4
+
+#: the alphabet table as a ``bytes.translate`` argument
+_TRANSLATE = TRANSLATION_TABLE.tobytes()
+
 
 def pack_ngrams(codes: np.ndarray, n: int = DEFAULT_N) -> np.ndarray:
     """Pack every length-``n`` window of ``codes`` into an integer key.
@@ -82,6 +88,31 @@ def pack_ngrams(codes: np.ndarray, n: int = DEFAULT_N) -> np.ndarray:
 def ngrams_from_text(text: str, n: int = DEFAULT_N) -> np.ndarray:
     """Convenience helper: alphabet-convert ``text`` and pack its n-grams."""
     return pack_ngrams(encode_text(text), n=n)
+
+
+def _latin1(text: str | bytes) -> bytes:
+    """A document's bytes: a ``str`` serialised to Latin-1 as :func:`encode_text` does."""
+    return text.encode("latin-1", "replace") if isinstance(text, str) else text
+
+
+def _pack_bytes(data: bytes, n: int) -> np.ndarray:
+    """:func:`pack_ngrams` of ``data``'s 5-bit codes, by doubling.
+
+    ``bytes.translate`` with the alphabet table turns the bytes into codes.
+    Keys of ``width`` codes then grow by ``step <= width`` codes in one pass,
+    ``key[i] << 5 * step | key[i + step]``: the two keys share ``width -
+    step`` codes, which sit at the same bits in both.  So ``n`` codes take
+    ceil(log2 n) passes instead of Horner's ``n - 1``, the way Intermediate
+    N-Gramming builds long n-grams from shorter ones.
+    """
+    keys = np.frombuffer(bytes(data).translate(_TRANSLATE), dtype=np.uint8).astype(np.uint64)
+    width = 1
+    while width < n:
+        step = min(width, n - width)
+        grown = keys[: max(keys.size - step, 0)] << np.uint64(CODE_BITS * step)
+        grown |= keys[step:]
+        keys, width = grown, width + step
+    return keys
 
 
 def unpack_ngram(value: int, n: int = DEFAULT_N) -> tuple[int, ...]:
@@ -183,16 +214,19 @@ def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     Reduces a concatenated multi-document stream (hits, counts, bitmap tests)
     back to per-document totals — the reduction shared by every batch
     classification path.  ``values`` is 1-D, or 2-D with one row per
-    language; the segments run along the last axis, and the result has
-    ``values``' leading shape plus one int64 total per segment.
+    language (score rows) or per counter lane (the ``int64`` lanes of the
+    table backends, four 16-bit language counters each); the segments run
+    along the last axis, and the result has ``values``' leading shape plus
+    one int64 total per segment.
 
     The segment starts are computed once; then ``np.add.reduceat`` sums each
     row in int64.  One call per row, not one over the flattened matrix: the
     reduction casts its whole input to int64 first, and a row's cast is 8
-    bytes per value where the matrix's would be 8 bytes per value per
-    language.  ``reduceat`` reads an empty segment as the single value at its
-    start, so empty segments are left out of the call and stay 0.  Values
-    past the last segment are ignored.
+    bytes per value where the matrix's would be 8 bytes per value per row.
+    Lanes are ``int64`` already, so their reduction casts nothing.
+    ``reduceat`` reads an empty segment as the single value at its start, so
+    empty segments are left out of the call and stay 0.  Values past the
+    last segment are ignored.
     """
     values = np.asarray(values)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -235,7 +269,11 @@ class NGramExtractor:
         n-gram, so trainers build their extractor with the default stride.
 
     Each window's 5-bit codes are concatenated into one integer key, so ``n``
-    is capped at ``64 // CODE_BITS`` (12).
+    is capped at ``64 // CODE_BITS`` (12).  :meth:`extract` and
+    :meth:`extract_batch` share one packing routine: ``bytes.translate``
+    with the alphabet table, then keys built by doubling in ceil(log2 n)
+    passes.  They equal :func:`pack_ngrams`' keys, which are built one code
+    at a time.
     """
 
     def __init__(self, n: int = DEFAULT_N, subsample_stride: int = 1):
@@ -252,10 +290,9 @@ class NGramExtractor:
         """Extract the packed n-grams of a document.
 
         A ``str`` is serialised to Latin-1 (:func:`encode_text`); ``bytes`` are
-        read as given (:func:`encode_bytes`).
+        read as given.
         """
-        codes = encode_text(text) if isinstance(text, str) else encode_bytes(text)
-        packed = pack_ngrams(codes, n=self.n)
+        packed = _pack_bytes(_latin1(text), self.n)
         if self.subsample_stride > 1:
             packed = subsample(packed, self.subsample_stride)
         return packed
@@ -271,23 +308,20 @@ class NGramExtractor:
         The batch is read as one byte stream, the way the paper's engine
         reads documents separated by end-of-document commands (Section 5.4):
         each document is encoded once by :meth:`extract`'s rule, the bytes
-        are joined, translated and packed in one pass, and the windows that
-        cross a document boundary are dropped with one mask.  With a stride,
-        one gather keeps each document's windows 0, s, 2s, …
+        are joined and packed by :meth:`extract`'s routine in one pass, and
+        one ``np.delete`` drops the windows that cross a document boundary.
+        With a stride, one gather keeps each document's windows 0, s, 2s, …
         """
-        data = [text.encode("latin-1", "replace") if isinstance(text, str) else text
-                for text in texts]
+        data = [_latin1(text) for text in texts]
         sizes = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
         n = self.n
-        packed = pack_ngrams(encode_bytes(b"".join(data)), n=n)
+        packed = _pack_bytes(b"".join(data), n)
         lengths = np.maximum(sizes - (n - 1), 0)
         if n > 1 and sizes.size > 1:
             # the window starting at byte p crosses the boundary at offset e
             # exactly when e - n + 1 <= p <= e - 1
             crossing = (np.cumsum(sizes[:-1])[:, None] - np.arange(1, n)).ravel()
-            keep = np.ones(packed.size, dtype=bool)
-            keep[crossing[(crossing >= 0) & (crossing < packed.size)]] = False
-            packed = packed[keep]
+            packed = np.delete(packed, crossing[(crossing >= 0) & (crossing < packed.size)])
         stride = self.subsample_stride
         if stride > 1:
             kept = -(-lengths // stride)

@@ -64,7 +64,7 @@ class H3Hash(KeyHash):
 
     # ------------------------------------------------------------------ setup
 
-    def _build_tables(self) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    def _build_tables(self) -> tuple[list[np.ndarray], list[int], list[int]]:
         """Precompute per-chunk XOR tables equivalent to the row matrix."""
         tables: list[np.ndarray] = []
         shifts: list[int] = []
@@ -78,7 +78,7 @@ class H3Hash(KeyHash):
             tables.append(table)
             shifts.append(bit)
             masks.append(table.size - 1)
-        return tables, np.asarray(shifts, dtype=np.uint64), np.asarray(masks, dtype=np.uint64)
+        return tables, shifts, masks
 
     # ------------------------------------------------------------ evaluation
 
@@ -88,11 +88,23 @@ class H3Hash(KeyHash):
         return self._matrix.copy()
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
+        """The chunk tables' XOR, holding two key-sized arrays besides ``keys``.
+
+        Each chunk's table index is shifted and masked into one reused
+        ``intp`` buffer, and the gather writes its table values back over
+        it (each value replaces the index it was read at).  The keys are
+        shifted as ``int64``: an arithmetic shift differs from a logical one
+        only above the mask.  A ``uint64`` index would make ``np.take``
+        copy it to ``intp``, a third array.
+        """
         keys = self._validate_keys(keys)
+        signed = keys.view(np.int64)
         result = np.zeros(keys.shape, dtype=np.uint64)
+        index = np.empty(keys.shape, dtype=np.intp)
         for table, shift, mask in zip(self._tables, self._shifts, self._masks):
-            chunk = (keys >> shift) & mask
-            result ^= table[chunk]
+            np.right_shift(signed, shift, out=index)
+            np.bitwise_and(index, mask, out=index)
+            result ^= np.take(table, index, out=index.view(np.uint64), mode="wrap")
         return result
 
     def hash_key_space(self, block_bits: int):

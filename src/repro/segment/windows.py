@@ -7,8 +7,8 @@ window it appears in (``window / stride`` times).  The scorer here is O(doc)
 regardless of window count:
 
 1. every n-gram is scored once against every language
-   (:meth:`repro.api.registry.Backend.ngram_hits`, the same probe the batch
-   path reduces; at n <= 4 the ``bloom`` backend reads each n-gram's
+   (:meth:`repro.api.registry.Backend.ngram_hits`, the same lookup the batch
+   path counts; at n <= 4 the ``bloom`` backend reads each n-gram's
    language word from its key table, otherwise it hashes each n-gram once
    and gathers each hash function's addresses for every language at once);
 2. a per-language cumulative sum over the n-gram axis turns any window's hit

@@ -112,20 +112,26 @@ class TestClassification:
         assert result.match_counts == {"en": 0, "fr": 0}
         assert result.scores == {"en": 0.0, "fr": 0.0}
 
-    def test_all_zero_counts_with_evidence_ties_to_first_language(self, trained):
+    def test_all_zero_counts_with_evidence_ties_to_first_language(self, trained, monkeypatch):
         # evidence exists (ngrams > 0) but nothing matches any profile: the
         # documented priority-encoder rule picks the first trained language
         packed = np.full(5, (1 << 20) - 1, dtype=np.uint64)
         counts = _counts(trained, packed)
         assert not counts.any()
-        result = trained._result_from_counts(counts.tolist(), packed.size)
+        monkeypatch.setattr(
+            trained.backend, "match_counts_batch", lambda packed, lengths: counts[None, :]
+        )
+        result = trained.classify("abcdefgh")  # 5 n-grams
         assert result.ngram_count == 5
         assert result.language == trained.languages[0]
 
-    def test_tie_between_later_languages_goes_to_the_first_of_them(self, trained):
+    def test_tie_between_later_languages_goes_to_the_first_of_them(self, trained, monkeypatch):
         counts = [0] * len(trained.languages)
         counts[1] = counts[2] = 7
-        result = trained._result_from_counts(counts, 9)
+        monkeypatch.setattr(
+            trained.backend, "match_counts_batch", lambda packed, lengths: np.asarray([counts])
+        )
+        result = trained.classify("twelve chars")
         assert result.language == trained.languages[int(np.argmax(counts))]
         assert result.language == trained.languages[1]
         assert result.match_counts == dict(zip(trained.languages, counts))
@@ -183,6 +189,23 @@ class TestExactClassifier:
         counts = _counts(exact, packed)
         for index, (language, profile) in enumerate(profiles.items()):
             assert counts[index] == int(profile.contains_many(packed).sum())
+
+    def test_more_languages_than_a_word_holds(self, profiles, sample_document):
+        # past 64 languages no language word holds every bit: exact keeps
+        # boolean score columns and reduces them one language row at a time
+        many = {
+            f"{language}{copy}": profile
+            for copy in range(11)
+            for language, profile in profiles.items()
+        }
+        exact = LanguageIdentifier(backend="exact").train_profiles(many)
+        assert len(many) > 64 and exact.backend._words is None
+        packed = exact.extractor.extract(sample_document.text)
+        result = exact.classify(sample_document.text)
+        assert result.match_counts == {
+            name: int(profile.contains_many(packed).sum()) for name, profile in many.items()
+        }
+        assert result.language == f"{sample_document.language}0"
 
     def test_bloom_counts_upper_bound_exact_counts(self, exact, profiles, sample_document):
         """Bloom filters can only add false positives, never lose true matches."""

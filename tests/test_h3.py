@@ -1,5 +1,7 @@
 """Unit tests for the H3 hash family."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,27 @@ class TestH3Hash:
         vectorized = h.hash_array(keys)
         reference = np.asarray([h.hash_scalar_reference(int(k)) for k in keys], dtype=np.uint64)
         assert np.array_equal(vectorized, reference)
+
+    def test_keys_with_the_top_bit_set_match_the_bit_serial_reference(self):
+        # chunks are shifted as int64, whose shift fills the top with ones;
+        # the mask must drop every filled bit, down to a one-bit last chunk
+        h = H3Hash(key_bits=64, out_bits=14, seed=21, chunk_bits=7)
+        keys = np.random.default_rng(3).integers(0, 2**64 - 1, 200, np.uint64, endpoint=True)
+        keys[:3] = [2**64 - 1, 2**63, 2**63 - 1]
+        reference = [h.hash_scalar_reference(int(key)) for key in keys]
+        assert h.hash_array(keys).tolist() == reference
+
+    def test_hash_array_holds_two_key_sized_arrays(self):
+        # the result and one reused index buffer, which the gather overwrites
+        h = H3Hash(key_bits=20, out_bits=14, seed=5)
+        keys = np.random.default_rng(2).integers(0, 1 << 20, 200_000, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            h.hash_array(keys)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * keys.nbytes
 
     def test_chunk_width_does_not_change_results(self):
         keys = np.arange(2048, dtype=np.uint64)

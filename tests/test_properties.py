@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.alphabet import ALPHABET_SIZE, SPACE_CODE, encode_text
+from repro.core.alphabet import ALPHABET_SIZE, SPACE_CODE, encode_bytes, encode_text
 from repro.core.bloom import ParallelBloomFilter
 from repro.core.fpr import false_positive_rate
 from repro.core.ngram import (
@@ -115,6 +115,21 @@ def test_extract_batch_concatenates_per_document_extracts(texts, n, stride):
     assert lengths.tolist() == [part.size for part in parts]
 
 
+@given(documents, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=4))
+@example(["", "ab", "x\ud800yz" * 9, "\udfff" * 13, b"\xe9t\xe9" * 9, bytearray(b"a" * 13)], 12, 1)
+@example(["abcdefghijklmnopqrstuvwxyz", b"", "abcdef"], 7, 3)  # n neither 2^k nor 2^k + 1
+@example(["abcdefghijklmnopqrstuvwxyz"], 5, 1)
+@settings(max_examples=80, deadline=None)
+def test_extract_keys_by_doubling_equal_horner_pack_ngrams(texts, n, stride):
+    """:meth:`NGramExtractor.extract`'s doubled keys are :func:`pack_ngrams`' keys."""
+    extractor = NGramExtractor(n=n, subsample_stride=stride)
+    for text in texts:
+        codes = encode_text(text) if isinstance(text, str) else encode_bytes(text)
+        keys = extractor.extract(text)
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, pack_ngrams(codes, n=n)[::stride])
+
+
 @given(st.lists(st.integers(min_value=0, max_value=100), max_size=300),
        st.integers(min_value=1, max_value=50))
 def test_top_ngrams_counts_sorted_and_bounded(values, t):
@@ -219,6 +234,50 @@ def test_segment_sums_matches_a_python_loop(lengths, extra, dtype, seed, rows):
             expected.append(sum(int(v) for v in row[start : start + length]))
             start += length
         assert row_sums.tolist() == expected
+
+
+# -- counter lanes -----------------------------------------------------------------
+
+
+@given(
+    st.integers(min_value=1, max_value=64),
+    st.lists(st.integers(min_value=0, max_value=60), max_size=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+)
+@example(10, [70_000, 0, 65_535, 65_536, 3], 0, False, True)  # every n-gram hits: pieces
+@example(10, [70_000, 0, 65_535, 65_536, 3, 131_071, 2], 5, True, False)  # blocks of pieces
+@example(64, [0, 131_071, 1], 1, True, True)
+@example(17, [0, 0], 2, False, True)  # zero-length documents only
+@example(1, [], 3, True, False)  # no documents
+@example(16, [5, 0, 7], 4, False, False)
+@settings(max_examples=60, deadline=None)
+def test_lane_counts_equal_segment_sums_over_unpacked_rows(languages, lengths, seed, wide, full):
+    """16-bit counters packed four to a lane count what the per-language rows count.
+
+    Words hold only their low ``languages`` bits, in the narrowest word type
+    (bloom's and exact's tables) or ``uint64`` (hail's).  ``full`` sets every
+    bit, so a document of 65,536 or more n-grams overflows any counter that
+    is not reduced in pieces; batches of more than 131,072 n-grams are
+    counted in blocks.
+    """
+    from repro.api.backends import _lane_counts, _MembershipBackend, _spread_tables
+
+    lengths = np.asarray(lengths, dtype=np.int64)
+    dtype = np.uint64 if wide else np.min_scalar_type((1 << languages) - 1)
+    top = np.uint64((1 << languages) - 1)
+    if full:
+        words = np.full(int(lengths.sum()), top, dtype=dtype)
+    else:
+        drawn = np.random.default_rng(seed).integers(
+            0, 2**64 - 1, int(lengths.sum()), dtype=np.uint64, endpoint=True
+        )
+        words = (drawn & top).astype(dtype)
+    counts = _lane_counts(words, lengths, _spread_tables(languages), languages)
+    expected = segment_sums(_MembershipBackend._unpack_words(words, languages), lengths).T
+    assert counts.shape == (lengths.size, languages)
+    assert counts.tolist() == expected.tolist()
 
 
 # -- Bloom filter ------------------------------------------------------------------

@@ -4,7 +4,7 @@ The paper's whole point is that many Bloom engines run in parallel on real
 silicon.  The thread tier (:class:`~repro.serve.replicas.ThreadReplicaPool`)
 runs one replica inline on the serving thread, so its throughput is one
 core's; the :class:`~repro.serve.process_pool.ProcessReplicaPool` runs
-``WORKERS`` replicas as worker processes reading one shared-memory model copy.
+``WORKERS`` replicas as worker processes mapping one model file.
 
 This benchmark drives both executors with the PR 2 load generator (concurrent
 requests through :class:`~repro.serve.service.ClassificationService`) on a
@@ -158,7 +158,7 @@ def test_process_pool_scales_past_the_gil(identifier, requests_mix):
         [
             ("thread (one inline replica)", f"{thread_seconds:.3f}", f"{thread_mb_s:.1f}",
              "1.00x"),
-            ("process pool (shared memory)", f"{process_seconds:.3f}",
+            ("process pool (mapped model file)", f"{process_seconds:.3f}",
              f"{process_mb_s:.1f}", f"{speedup:.2f}x"),
         ],
     )

@@ -12,8 +12,8 @@ short documents is classified
 3. again through the service with the LRU result cache enabled on a feed with
    repeated documents (boilerplate/retries), where hits skip the engine,
 4. and finally with ``executor="process"`` — replicas as worker processes
-   reading one shared-memory model copy, the software analogue of the paper's
-   many parallel Bloom engines (only faster than the default single inline
+   mapping one model file, the software analogue of the paper's many
+   parallel Bloom engines (only faster than the default single inline
    replica when the machine has spare cores; on one core it shows the IPC
    overhead honestly).
 
@@ -100,7 +100,7 @@ def main() -> None:
     )
     cached_mb_s = 2 * total_bytes / cached_seconds / 1e6
 
-    # 4. Process replicas over one shared-memory model copy (cache off): true
+    # 4. Process replicas mapping one model file (cache off): true
     #    multi-core scaling, where the thread tier runs one inline replica.
     workers = max(2, min(4, os.cpu_count() or 1))
     process_config = ServeConfig(

@@ -16,8 +16,8 @@ routing) plugs into a single API:
     ``train`` / ``classify`` / ``classify_batch`` / ``classify_stream`` /
     ``save`` / ``load``.
 :mod:`repro.api.persistence`
-    The versioned flat ``model.bin`` artifact behind ``save``/``load``, which
-    files, shared-memory segments and replica clones all parse the same way.
+    The versioned flat ``model.bin`` artifact behind ``save``/``load``; a
+    mapped file and an in-memory copy parse the same way.
 """
 
 from __future__ import annotations

@@ -389,7 +389,7 @@ class BloomBackend(_MembershipBackend):
         ``stacked_bits`` is :attr:`bits` viewed as ``uint8`` (one byte per
         bit, training-language order) and ``n_items`` each language's
         programmed-key count.  Stored unpacked precisely so a read-only
-        mmap/shared-memory buffer can back the live bits with zero copies.
+        memory map of the model file can back the live bits with zero copies.
         """
         self._check_trained()
         return {"stacked_bits": self.bits.view(np.uint8), "n_items": self.n_items}
@@ -400,9 +400,9 @@ class BloomBackend(_MembershipBackend):
         """Adopt :meth:`export_state` arrays as the bit store, zero-copy.
 
         The stacked matrix becomes a read-only view that :meth:`ngram_hits`
-        gathers from, so when the arrays are buffer-backed (mmap / shared
-        memory) this backend owns no bit storage of its own — every replica
-        process reads one physical copy.  Incomplete or mismatched state
+        gathers from, so when the arrays are views of a memory-mapped model
+        file this backend owns no bit storage of its own — every replica
+        process that maps the file reads one physical copy.  Incomplete or mismatched state
         falls back to a deterministic rebuild from the profiles.
         """
         stacked = state.get("stacked_bits")

@@ -100,15 +100,16 @@ class LanguageIdentifier:
     # ------------------------------------------------------------ classification
 
     def _result_from_counts(
-        self, counts: list[int], ngram_count: int, winner: int
+        self, languages: list[str], counts: list[int], ngram_count: int, winner: int
     ) -> ClassificationResult:
         """One document's result from its per-language counts (plain ints).
 
-        ``winner`` is the index of the first language with the highest
-        count, which :meth:`classify_batch` takes from one ``argmax`` over
-        the batch: the tie rule of the hardware's priority encoder.
+        ``languages`` is :attr:`languages`, which :meth:`classify_batch` reads
+        once per batch.  ``winner`` is the index of the first language with
+        the highest count, which :meth:`classify_batch` takes from one
+        ``argmax`` over the batch: the tie rule of the hardware's priority
+        encoder.
         """
-        languages = self.languages
         if ngram_count == 0:
             # no n-gram evidence at all (empty or shorter than n): the explicit
             # zero-confidence "und" result
@@ -161,8 +162,9 @@ class LanguageIdentifier:
         if rich is not None:
             return rich
         counts = self._backend.match_counts_batch(packed, lengths)
+        languages = self.languages
         return [
-            self._result_from_counts(row, ngram_count, winner)
+            self._result_from_counts(languages, row, ngram_count, winner)
             for row, ngram_count, winner in zip(
                 counts.tolist(), lengths.tolist(), counts.argmax(axis=1).tolist()
             )
@@ -266,7 +268,7 @@ class LanguageIdentifier:
         """Write the versioned ``model.bin`` artifact (config + profiles + backend state).
 
         ``path`` is written verbatim.  :meth:`load` memory-maps the artifact
-        zero-copy, the same layout shared-memory replicas read.  ``format``
+        zero-copy, the same file the process tier's workers map.  ``format``
         names the container; ``"flat"`` is the only one.
         """
         from repro.api.persistence import save_model

@@ -13,14 +13,15 @@ out.  The payload holds
 * ``state/<key>`` — backend-specific arrays from
   :meth:`~repro.api.registry.Backend.export_state`.  The ``bloom`` backend
   stores its bit-vectors *unpacked* (one byte per bit, the ``(k, languages,
-  m_bits)`` stacked hot-path layout), so a read-only ``np.memmap`` — or a
-  ``multiprocessing.shared_memory`` segment holding the same bytes — backs
-  the live bit store directly: N worker processes share one physical copy of
-  the model (see :class:`repro.serve.shared_model.SharedModel`).
+  m_bits)`` stacked hot-path layout), so a read-only ``np.memmap`` backs the
+  live bit store directly: N processes that map one file share one physical
+  copy of the model through the page cache (the process replica pool of
+  :mod:`repro.serve.process_pool` serves its workers this way).
 
 Nothing is pickled: metadata is JSON, so artifacts are safe to exchange.  Every
-reader — :func:`load_model` on a file, ``SharedModel`` on a segment — goes
-through the one parser, :func:`load_model_from_buffer`.
+reader goes through the one parser, :func:`load_model_from_buffer`, which
+:func:`load_model` calls on the mapped file, and every load checks the
+payload CRC32.
 """
 
 from __future__ import annotations
@@ -223,10 +224,8 @@ def _align(value: int) -> int:
 def flat_model_bytes(identifier) -> bytearray:
     """The complete flat-container serialisation of a trained identifier.
 
-    This is exactly what :func:`save_model` writes to disk;
-    :class:`repro.serve.shared_model.SharedModel` copies the same bytes into a
-    ``multiprocessing.shared_memory`` segment, so the one parser
-    (:func:`load_model_from_buffer`) serves files and segments alike.
+    This is exactly what :func:`save_model` writes to disk, and
+    :func:`load_model_from_buffer` parses these bytes without a file.
 
     The bloom state is deliberately unpacked (one byte per bit), so the
     serialisation avoids transient copies: the CRC is computed over the array
@@ -329,33 +328,20 @@ def load_model(path: str | Path, backend: str | None = None):
     return load_model_from_buffer(buffer, source=str(path), backend=backend)
 
 
-def load_model_from_buffer(
-    buffer,
-    source: str = "<buffer>",
-    backend: str | None = None,
-    verify: bool = True,
-):
+def load_model_from_buffer(buffer, source: str = "<buffer>", backend: str | None = None):
     """Open a flat-container artifact held in any byte buffer, zero-copy.
 
     ``buffer`` is anything :func:`np.frombuffer` accepts — a read-only
-    ``np.memmap`` of ``model.bin``, the ``buf`` of a
-    ``multiprocessing.shared_memory`` segment, or the output of
-    :func:`flat_model_bytes`.  Arrays inside the returned
-    identifier are read-only *views* of that buffer: for the ``bloom``
-    backend, the live bit-vectors address the buffer's bytes directly, so
-    every process that maps the same bytes shares one physical model copy.
-    The buffer must outlive the identifier.
-
-    ``verify=False`` skips the payload CRC32 pass (header and bounds checks
-    still run).  File loads keep the default — corruption detection is the
-    point — but trusted re-opens of bytes this process tree just wrote and
-    checked (N workers attaching one shared-memory segment) use it to avoid N
-    redundant full passes over the unpacked bit-vectors.
+    ``np.memmap`` of ``model.bin`` or the output of :func:`flat_model_bytes`.
+    Arrays inside the returned identifier are read-only *views* of that
+    buffer: for the ``bloom`` backend, the live bit-vectors address the
+    buffer's bytes directly, so every process that maps the same file shares
+    one physical model copy.  The buffer must outlive the identifier.
 
     Raises :class:`ModelFormatError` for every malformed input: short or
     truncated buffers, wrong magic, undecodable or mismatched headers, array
-    table entries out of bounds, unsupported dtypes, or (when verifying) a
-    payload that fails its CRC32.
+    table entries out of bounds, unsupported dtypes, or a payload that fails
+    its CRC32.
     """
     data = np.frombuffer(buffer, dtype=np.uint8)
     if data.flags.writeable:
@@ -384,15 +370,14 @@ def load_model_from_buffer(
     if not isinstance(table, dict) or not isinstance(payload_size, int):
         raise ModelFormatError(f"{source} flat header is missing its array table")
     # Trailing bytes beyond the declared payload are tolerated (but excluded
-    # from the CRC): shared-memory segments are page-rounded on some
-    # platforms, so the buffer may be slightly larger than the artifact.
+    # from the CRC), so a buffer may be larger than the artifact it holds.
     if payload_start + payload_size > data.size:
         raise ModelFormatError(
             f"{source} payload is {max(data.size - payload_start, 0)} bytes, header "
             f"claims {payload_size} (truncated artifact?)"
         )
     payload = data[payload_start : payload_start + payload_size]
-    if verify and zlib.crc32(payload) != header.get("payload_crc32"):
+    if zlib.crc32(payload) != header.get("payload_crc32"):
         raise ModelFormatError(f"{source} payload failed its CRC32 check (corrupt artifact)")
 
     arrays: dict[str, np.ndarray] = {}

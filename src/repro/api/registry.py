@@ -157,9 +157,9 @@ class Backend(abc.ABC):
     ) -> None:
         """Restore from persisted profiles plus :meth:`export_state` arrays.
 
-        ``state`` arrays may be read-only views over an ``np.memmap`` or a
-        ``multiprocessing.shared_memory`` buffer; overriding backends adopt
-        them without copying or mutating them.  The default ignores ``state``
+        ``state`` arrays may be read-only views over an ``np.memmap`` of the
+        model file; overriding backends adopt them without copying or
+        mutating them.  The default ignores ``state``
         and re-fits from the profiles, which is bit-exact for every
         deterministic backend.
         """

@@ -1128,7 +1128,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor", choices=("thread", "process"), default="thread",
         help="replica execution tier: 'thread' (one replica on the serving "
         "thread; the kernel blocks the event loop while it runs) or 'process' "
-        "(worker processes sharing one shared-memory model copy; multi-core)",
+        "(worker processes mapping one model file; multi-core)",
     )
     serve.add_argument(
         "--cache-size", type=int, default=1024,

@@ -14,7 +14,7 @@ Layout on disk::
         LATEST                  # the active version name, updated atomically
         versions/
             v000001/
-                model.bin       # flat artifact (memmap / shared-memory ready)
+                model.bin       # flat artifact (memory-mapped zero-copy)
                 manifest.json
             v000002/
                 ...

@@ -12,10 +12,9 @@ subsystem applies the same architecture to the software engine:
     One model replica run inline on the serving thread — no hand-off, but
     the kernel blocks the event loop while it runs.
 :class:`~repro.serve.process_pool.ProcessReplicaPool`
-    N worker *processes* reading one
-    :class:`~repro.serve.shared_model.SharedModel` shared-memory copy of the
-    model, dispatched round-robin — multi-core scaling with crash detection
-    and respawn, and the event loop stays free while batches run.
+    N worker *processes* mapping one private ``model.bin`` file written by
+    the pool, dispatched round-robin — multi-core scaling with crash
+    detection and respawn, and the event loop stays free while batches run.
 :class:`~repro.serve.cache.ResultCache`
     LRU result cache keyed on (model fingerprint, document digest).
 :class:`~repro.serve.metrics.ServiceMetrics`
@@ -68,7 +67,6 @@ from repro.serve.metrics import ServiceMetrics, percentile
 from repro.serve.process_pool import ProcessReplicaPool
 from repro.serve.replicas import ReplicaPoolBase, ThreadReplicaPool
 from repro.serve.service import EXECUTORS, ClassificationService, ServeConfig
-from repro.serve.shared_model import SharedModel
 
 __all__ = [
     "MicroBatcher",
@@ -85,7 +83,6 @@ __all__ = [
     "ReplicaPoolBase",
     "ThreadReplicaPool",
     "ProcessReplicaPool",
-    "SharedModel",
     "ClassificationService",
     "ServeConfig",
     "EXECUTORS",

@@ -1,14 +1,18 @@
-"""Process-based replica pool: true multi-core serving over one shared model.
+"""Process-based replica pool: true multi-core serving over one mapped model.
 
 :class:`~repro.serve.replicas.ThreadReplicaPool` runs one replica inline on
 the serving thread, so its CPU-bound ``match_counts_batch`` work both
 serialises on the GIL and blocks the event loop while it runs.  This module
 provides the parallel engines: N worker *processes*, each running the
-vectorized batch path against read-only views of a single
-:class:`~repro.serve.shared_model.SharedModel` segment — one physical copy of
-the profiles and bit-vectors, N cores reading it concurrently, exactly the
-shared-read-only-state shape of the paper's hardware (many Bloom engines, one
-programmed model).
+vectorized batch path on a model it opens with
+:func:`~repro.api.persistence.load_model`.  The pool writes the model once to
+a ``model.bin`` file in a temporary directory of its own, and every worker
+maps that file read-only, so the workers share its page-cache pages: one
+physical copy of the profiles and bit-vectors, N cores reading it
+concurrently, the shape of the paper's hardware (many Bloom engines, one
+programmed model).  The copy is private so that it pins the model: a later
+save over the file the service was started from cannot hand a respawned
+worker a different model than its siblings serve.
 
 Topology per worker:
 
@@ -29,55 +33,56 @@ Topology per worker:
 Crash handling: the dispatcher waits on the pipe *and* the process sentinel,
 so a worker dying mid-batch is detected immediately, reported to the caller as
 :class:`~repro.serve.errors.WorkerCrashedError`, and the worker is respawned
-before the next batch — the pool self-heals.  ``close()`` stops every worker,
-joins it (escalating to ``terminate`` after a timeout), and unlinks the
-shared segment; a finalizer on the segment covers even an abandoned pool.
+before the next batch — the pool self-heals.  A respawned worker loads the
+pool's current file, which the pool first writes again if something (an
+age-based temp cleaner) has removed it.  ``close()`` stops every worker,
+joins it (escalating to ``terminate`` after a timeout), and removes the
+pool's directory; the directory's own finalizer covers an abandoned pool,
+and a crashed parent leaves only a file in the temp directory.
 """
 
 from __future__ import annotations
 
 import asyncio
-import gc
+import itertools
 import os
+import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import multiprocessing
 from multiprocessing import connection
 
 from repro.api.identifier import LanguageIdentifier
+from repro.api.persistence import load_model, save_model
 from repro.core.classifier import ClassificationResult
 from repro.serve.errors import WorkerCrashedError
 from repro.serve.replicas import ReplicaPoolBase
-from repro.serve.shared_model import SharedModel
 
 __all__ = ["ProcessReplicaPool"]
 
-#: seconds a worker gets to import NumPy + attach the segment before the pool
+#: seconds a worker gets to import NumPy + load the model before the pool
 #: declares it dead (spawn start-up is ~1 s; CI runners can be much slower)
 READY_TIMEOUT = 120.0
 #: seconds a worker gets to exit after a stop frame before being terminated
 STOP_TIMEOUT = 10.0
 
 
-def _worker_main(conn, segment_name: str, backend: str | None) -> None:
-    """Worker process entry point: attach, acknowledge, serve, detach.
+def _worker_main(conn, model_path: Path, backend: str | None) -> None:
+    """Worker process entry point: load, acknowledge, serve.
 
     Besides the classify/segment data frames, the worker honours a ``swap``
-    control frame carrying the name of a *new* shared-memory segment: it maps
-    the new segment, rebuilds its identifier over the new bytes, releases the
-    old segment's views and only then drops the old mapping — so from the
-    parent's perspective a worker that acked its swap has fully detached from
-    the retired segment, and the segment can be unlinked once every worker
-    (and finally the parent itself) has let go.
+    control frame carrying the path of a *new* model file: it loads the new
+    file and only then replaces its identifier, so a file that fails to load
+    leaves the old model installed.  Replacing the identifier drops the old
+    file's mapping.
     """
-    shared = SharedModel.attach(segment_name)
-    identifier = None
     try:
-        identifier = shared.identifier(backend=backend)
+        identifier = load_model(model_path, backend=backend)
         conn.send(("ready", identifier.languages))
         while True:
             try:
@@ -91,22 +96,11 @@ def _worker_main(conn, segment_name: str, backend: str | None) -> None:
                 break
             if kind == "swap":
                 try:
-                    replacement = SharedModel.attach(payload)
-                    try:
-                        new_identifier = replacement.identifier(backend=backend)
-                    except Exception:
-                        replacement.close()
-                        raise
+                    identifier = load_model(payload, backend=backend)
                 except Exception as exc:  # noqa: BLE001 - must cross the pipe
                     # the old model stays installed; the parent aborts the roll
                     conn.send(("error", f"{type(exc).__name__}: {exc}"))
                     continue
-                # Release the retired segment's views before dropping its
-                # mapping (same discipline as shutdown below), then ack.
-                identifier = None
-                gc.collect()
-                shared.close()
-                shared, identifier = replacement, new_identifier
                 conn.send(("ok", identifier.languages))
                 continue
             if kind not in ("classify", "segment"):  # pragma: no cover - protocol guard
@@ -129,11 +123,6 @@ def _worker_main(conn, segment_name: str, backend: str | None) -> None:
                 conn.send(("error", f"{type(exc).__name__}: {exc}"))
     finally:
         conn.close()
-        # Release the zero-copy views before dropping the mapping so the
-        # segment closes cleanly instead of tripping over exported buffers.
-        identifier = None  # noqa: F841 - drops the buffer views
-        gc.collect()
-        shared.close()
 
 
 @dataclass
@@ -147,12 +136,13 @@ class _Worker:
 
 
 class ProcessReplicaPool(ReplicaPoolBase):
-    """``n_replicas`` worker processes sharing one in-memory model copy.
+    """``n_replicas`` worker processes mapping one private model file.
 
     Parameters
     ----------
     identifier:
-        The trained model; serialised once into a shared-memory segment.
+        The trained model; written once to a file in the pool's own
+        temporary directory, which every worker loads.
     n_replicas:
         Worker process count.  Scaling past the machine's core count buys
         nothing — the sweet spot is ``min(replicas, cores)``.
@@ -175,17 +165,22 @@ class ProcessReplicaPool(ReplicaPoolBase):
         if not identifier.is_trained:
             raise RuntimeError("cannot replicate an untrained identifier")
         self._n_replicas = n_replicas
+        # kept so a respawn can write the file again if it has been removed
+        self._identifier = identifier
         self._languages = identifier.languages
         self._backend = identifier.config.backend
         self._on_respawn = on_respawn
         self._rr_next = 0
         self._closed = False
-        # Serialises respawn decisions against close(): a dispatcher that
-        # detects a crash mid-batch must never spawn a replacement worker
-        # after shutdown has started stopping/joining the fleet.
+        # Serialises respawns and model-file writes against close(): once
+        # shutdown has started, no replacement worker is spawned and no file
+        # is written into the pool's removed directory.
         self._lifecycle = threading.Lock()
         self.respawns_total = 0
-        self._shared = SharedModel.create(identifier)
+        self._directory = tempfile.TemporaryDirectory(prefix="repro-pool-")
+        self._file_numbers = itertools.count()
+        with self._lifecycle:
+            self._model_path = self._write(identifier)
         self._ctx = multiprocessing.get_context("spawn")
         self._workers = [self._spawn(index) for index in range(n_replicas)]
         self._dispatchers = [
@@ -196,15 +191,27 @@ class ProcessReplicaPool(ReplicaPoolBase):
     # ------------------------------------------------------------ workers
 
     @property
-    def shared_segment_name(self) -> str:
-        """Name of the shared-memory segment every worker maps."""
-        return self._shared.name
+    def model_path(self) -> Path:
+        """The pool's current model file, which every worker maps."""
+        return self._model_path
+
+    def _write(self, identifier: LanguageIdentifier) -> Path:
+        """Save ``identifier`` to a new file in the pool's directory.
+
+        The caller holds ``_lifecycle``: :func:`save_model` creates missing
+        parent directories, so a write that ran after :meth:`close` removed
+        the directory would recreate it and leak it.
+        """
+        if self._closed:
+            raise RuntimeError("replica pool is closed")
+        name = f"model-{next(self._file_numbers)}.bin"
+        return save_model(identifier, Path(self._directory.name, name))
 
     def _spawn(self, index: int) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._shared.name, self._backend),
+            args=(child_conn, self._model_path, self._backend),
             name=f"repro-serve-worker-{index}",
             daemon=True,
         )
@@ -213,11 +220,16 @@ class ProcessReplicaPool(ReplicaPoolBase):
         return _Worker(index=index, process=process, conn=parent_conn)
 
     def _respawn(self, index: int) -> None:
+        """Replace a dead worker (the caller holds ``_lifecycle``)."""
         worker = self._workers[index]
         worker.conn.close()
         if worker.process.is_alive():  # pragma: no cover - half-dead worker
             worker.process.terminate()
         worker.process.join(timeout=STOP_TIMEOUT)
+        if not self._model_path.exists():
+            # an age-based temp cleaner can remove the file; without it the
+            # replacement would die at start-up and the replica never heal
+            save_model(self._identifier, self._model_path)
         self._workers[index] = self._spawn(index)
         self.respawns_total += 1
         if self._on_respawn is not None:
@@ -356,33 +368,32 @@ class ProcessReplicaPool(ReplicaPoolBase):
     # ------------------------------------------------------------ model swap
 
     async def swap_model(self, identifier: LanguageIdentifier) -> None:
-        """Blue/green segment swap: roll every worker onto a new shared model.
+        """Blue/green file swap: roll every worker onto a new model file.
 
-        The new (green) model is serialised into a fresh shared-memory
-        segment, then each worker is told to remap — one at a time, through
-        that worker's own dispatcher, so the remap serialises behind the
-        worker's in-flight batch while every other worker keeps serving.  A
-        worker acks its swap only after it has detached from the old (blue)
-        segment, so once the roll completes the parent holds the last blue
-        mapping and can unlink the name.  Any failure mid-roll rolls the
+        The new (green) model is written to a new file in the pool's
+        directory, then each worker is told to load it — one at a time,
+        through that worker's own dispatcher, so the load serialises behind
+        the worker's in-flight batch while every other worker keeps serving.
+        The old (blue) file is deleted only once the roll completes; a worker
+        that still maps it keeps reading its pages, because unlinking a file
+        does not unmap it.  Any failure mid-roll rolls the
         already-swapped workers back to blue (best effort — a worker that
-        crashed was respawned on blue already), unlinks green, and re-raises:
+        crashed was respawned on blue already), deletes green, and re-raises:
         the pool never serves a mix of models past this method's return.
         """
-        if self._closed:
-            raise RuntimeError("replica pool is closed")
         if not identifier.is_trained:
             raise RuntimeError("cannot swap to an untrained identifier")
         loop = asyncio.get_running_loop()
-        green = SharedModel.create(identifier)
-        blue_name = self._shared.name
+        with self._lifecycle:
+            green = self._write(identifier)
+        blue = self._model_path
         swapped: list[int] = []
         try:
             for index in range(self._n_replicas):
                 if self._closed:
                     raise RuntimeError("replica pool closed during model swap")
                 languages = await loop.run_in_executor(
-                    self._dispatchers[index], self._call, index, "swap", green.name
+                    self._dispatchers[index], self._call, index, "swap", green
                 )
                 if list(languages) != list(identifier.languages):  # pragma: no cover
                     raise WorkerCrashedError(
@@ -392,27 +403,26 @@ class ProcessReplicaPool(ReplicaPoolBase):
             with self._lifecycle:
                 if self._closed:
                     raise RuntimeError("replica pool closed during model swap")
-                blue = self._shared
-                self._shared = green
+                self._model_path = green
+                self._identifier = identifier
                 self._languages = identifier.languages
         except BaseException:
             for index in swapped:
                 try:
                     await loop.run_in_executor(
-                        self._dispatchers[index], self._call, index, "swap", blue_name
+                        self._dispatchers[index], self._call, index, "swap", blue
                     )
                 except Exception:
                     pass  # worker died or pool is closing; respawn/close covers it
-            green.unlink()
+            green.unlink(missing_ok=True)
             raise
-        # Outside the except: every worker detached from blue before acking,
-        # so the parent's own mapping is the last reader and the name frees.
-        blue.unlink()
+        # Outside the except: a rollback must still find blue.
+        blue.unlink(missing_ok=True)
 
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Stop the workers, join them, and unlink the shared segment.
+        """Stop the workers, join them, and remove the pool's directory.
 
         Shutdown is *bounded*: workers are stopped (escalating to
         ``terminate`` after :data:`STOP_TIMEOUT`) before the dispatcher
@@ -445,14 +455,17 @@ class ProcessReplicaPool(ReplicaPoolBase):
             dispatcher.shutdown(wait=True)
         for worker in self._workers:
             worker.conn.close()
-        self._shared.unlink()
+        self._directory.cleanup()
 
     def describe(self) -> dict:
         info = super().describe()
         info["executor"] = self.executor_kind
         info["backend"] = self._backend
-        info["shared_segment"] = self._shared.name
-        info["shared_bytes"] = self._shared.size
+        info["model_path"] = str(self._model_path)
+        try:
+            info["model_bytes"] = self._model_path.stat().st_size
+        except FileNotFoundError:  # closed pool, or a temp cleaner removed it
+            info["model_bytes"] = None
         info["respawns_total"] = self.respawns_total
         # Per-worker liveness so health checks can see a dying fleet before
         # the next batch trips over it.

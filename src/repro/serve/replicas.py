@@ -13,9 +13,9 @@ concurrently.  Two execution tiers implement one contract
     overlap under the GIL, so more in-process replicas would only split the
     queue and copy the model; the kernel blocks the loop while it runs.
 :class:`~repro.serve.process_pool.ProcessReplicaPool`
-    N worker *processes* reading one shared-memory model copy
-    (:class:`~repro.serve.shared_model.SharedModel`) — true multi-core
-    scaling, the software analogue of the paper's many parallel Bloom engines.
+    N worker *processes* mapping one private ``model.bin`` file — true
+    multi-core scaling, the software analogue of the paper's many parallel
+    Bloom engines.
 
 Dispatch picks replicas in strict rotation (:meth:`ReplicaPoolBase.next_round_robin`).
 """
@@ -41,7 +41,7 @@ class ReplicaPoolBase:
     indices: :meth:`next_round_robin` picks an index,
     :meth:`classify_batch` runs one replica's vectorized batch path, and
     :meth:`close` releases every execution resource (worker processes,
-    dispatcher threads, shared-memory segments).  Subclasses set
+    dispatcher threads, model files).  Subclasses set
     ``_n_replicas`` and ``_languages`` and implement ``classify_batch`` /
     ``close``.
     """

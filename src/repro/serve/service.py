@@ -69,9 +69,9 @@ class ServeConfig:
     executor:
         ``"thread"`` runs one replica on the serving thread itself (no
         hand-off, but the kernel blocks the event loop while it runs);
-        ``"process"`` runs ``replicas`` worker processes sharing one
-        shared-memory model copy — multi-core scaling, and the loop stays
-        free (see :class:`~repro.serve.process_pool.ProcessReplicaPool`).
+        ``"process"`` runs ``replicas`` worker processes mapping one model
+        file — multi-core scaling, and the loop stays free (see
+        :class:`~repro.serve.process_pool.ProcessReplicaPool`).
     cache_size:
         LRU result-cache entries; 0 disables caching.
     max_pending:

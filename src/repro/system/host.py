@@ -27,12 +27,11 @@ driver (``examples/serving_demo.py`` replays the sync-vs-async comparison).
 The *engine parallelism* axis has a software twin too: where the FPGA instantiates
 many Bloom engines reading one set of programmed bit-vectors out of on-chip RAM,
 :class:`~repro.serve.process_pool.ProcessReplicaPool` runs N worker processes
-whose bit stores are read-only views of one
-:class:`~repro.serve.shared_model.SharedModel` shared-memory segment — one
-physical model copy, N cores probing it concurrently (the
-``benchmarks/test_parallel_scaling.py`` load generator measures this tier against
-:class:`~repro.serve.replicas.ThreadReplicaPool`, one replica run inline on the
-serving thread).
+whose bit stores are read-only views of one memory-mapped ``model.bin`` file
+— one physical model copy in the page cache, N cores probing it concurrently
+(the ``benchmarks/test_parallel_scaling.py`` load generator measures this tier
+against :class:`~repro.serve.replicas.ThreadReplicaPool`, one replica run
+inline on the serving thread).
 """
 
 from __future__ import annotations

@@ -124,7 +124,7 @@ class TestDocumentGenerator:
     def test_rng_for_document_deterministic_across_instances(self):
         # the per-document rng must depend only on (language, seed, index) so
         # that profiles trained in one process match documents generated in
-        # another (the shared-memory replica workers rely on this)
+        # another (the process replica workers rely on this)
         a = DocumentGenerator("pt", seed=13)
         b = DocumentGenerator("pt", seed=13)
         for index in (0, 1, 77):

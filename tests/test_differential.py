@@ -16,10 +16,10 @@ Bloom false positives, so for every document and language
 datapath with the same H3 seed, so it must match ``bloom`` *bit for bit*.
 
 **Execution-path identity.**  The thread replica pool, the process replica
-pool (shared-memory zero-copy model clones), and the bare
-``LanguageIdentifier.classify_batch`` must return bit-identical match counts
-for the same model on 1 000 seeded documents — the shared-memory path must not
-change a single count.
+pool (workers mapping the pool's private ``model.bin`` zero-copy), and the
+bare ``LanguageIdentifier.classify_batch`` must return bit-identical match
+counts for the same model on 1 000 seeded documents — the mapped-file path
+must not change a single count.
 """
 
 import asyncio

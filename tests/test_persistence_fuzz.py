@@ -144,9 +144,9 @@ class TestFlatCorruption:
         assert flipped_but_loaded == 0
 
     def test_trailing_padding_is_tolerated(self, flat_blob, tmp_path):
-        """Bytes past the declared payload must be ignored: shared-memory
-        segments are page-rounded on some platforms, so the mapped buffer can
-        be larger than the artifact.  The CRC covers only the real payload."""
+        """Bytes past the declared payload must be ignored, so a buffer may be
+        larger than the artifact it holds.  The CRC covers only the real
+        payload."""
         path = tmp_path / "padded.bin"
         path.write_bytes(flat_blob + b"\x00" * 4096)
         assert load_model(path).is_trained

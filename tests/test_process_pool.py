@@ -1,26 +1,30 @@
-"""Tests for the process execution tier: shared model segments + worker pool.
+"""Tests for the process execution tier: the pool's model files + worker pool.
 
-Covers the zero-copy contract (one shared-memory copy of the model, read-only
-views in every consumer), the :class:`ProcessReplicaPool` lifecycle (bit-exact
-results, crash detection, respawn, clean shutdown), and the no-leaked-segments
-guarantee after both graceful close and worker crashes.
+Covers the zero-copy contract (every worker maps one private ``model.bin``
+that the pool writes into its own temporary directory; read-only views in
+every consumer), the :class:`ProcessReplicaPool` lifecycle (bit-exact
+results, crash detection, respawn, clean shutdown), and the no-leaked-files
+guarantee after graceful close, worker crashes and blue/green swaps.
 """
 
 import asyncio
-from multiprocessing import shared_memory
+import gc
+import os
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.api import ClassifierConfig, LanguageIdentifier
+from repro.api.persistence import load_model, save_model
 from repro.corpus.corpus import build_jrc_acquis_like
 from repro.serve import (
     ClassificationService,
     ProcessReplicaPool,
     ServeConfig,
-    SharedModel,
     WorkerCrashedError,
 )
+from repro.serve import process_pool
 
 
 @pytest.fixture(scope="module")
@@ -43,18 +47,16 @@ def identifier_v2():
 
 
 @pytest.fixture
-def track_segments(monkeypatch):
-    """Record the name of every shared-memory segment created during a test."""
-    created: list[str] = []
-    original_create = SharedModel.create.__func__
+def track_model_files(monkeypatch):
+    """Record the path of every model file a pool writes during a test."""
+    written = []
 
-    def tracking_create(cls, model):
-        shared = original_create(cls, model)
-        created.append(shared.name)
-        return shared
+    def tracking_save(model, path):
+        written.append(path)
+        return save_model(model, path)
 
-    monkeypatch.setattr(SharedModel, "create", classmethod(tracking_create))
-    return created
+    monkeypatch.setattr(process_pool, "save_model", tracking_save)
+    return written
 
 
 @pytest.fixture(scope="module")
@@ -69,41 +71,36 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def segment_exists(name: str) -> bool:
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    segment.close()
-    return True
+def counts(results):
+    return [r.match_counts for r in results]
 
 
-# ------------------------------------------------------------------- shared model
+# ------------------------------------------------------------------- model file
 
 
-class TestSharedModel:
-    def test_segment_round_trips_bit_exactly(self, identifier, texts):
-        shared = SharedModel.create(identifier)
-        try:
-            view = SharedModel.attach(shared.name)
-            clone = view.identifier()
-            direct = identifier.classify_batch(texts)
-            assert [r.match_counts for r in clone.classify_batch(texts)] == [
-                r.match_counts for r in direct
-            ]
-        finally:
-            shared.unlink()
+class TestPoolModelFile:
+    def test_model_file_round_trips_bit_exactly(self, identifier, texts):
+        async def scenario():
+            pool = ProcessReplicaPool(identifier, 1)
+            try:
+                direct = counts(identifier.classify_batch(texts))
+                assert counts(await pool.classify_batch(0, texts)) == direct
+                assert counts(load_model(pool.model_path).classify_batch(texts)) == direct
+            finally:
+                pool.close()
+
+        run(scenario())
 
     def test_views_are_read_only_and_zero_copy(self, identifier):
-        shared = SharedModel.create(identifier)
+        pool = ProcessReplicaPool(identifier, 1)
         try:
-            clone = SharedModel.attach(shared.name).identifier()
+            clone = load_model(pool.model_path)
             for profile in clone.profiles.values():
                 assert not profile.ngrams.flags.writeable
             assert not clone.backend.bits.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 clone.backend.bits[0, 0, 0] = True
-            # the live bit-vectors alias the segment, not a private copy
+            # the live bit-vectors alias the mapped file, not a private copy
             assert clone.describe()["shared_bit_vectors"] is True
             stacked = clone.backend.export_state()["stacked_bits"]
             assert stacked.shape == (
@@ -115,24 +112,69 @@ class TestSharedModel:
                 stacked, identifier.backend.export_state()["stacked_bits"]
             )
         finally:
-            shared.unlink()
+            pool.close()
 
-    def test_unlink_is_idempotent_and_frees_the_name(self, identifier):
-        shared = SharedModel.create(identifier)
-        name = shared.name
-        assert segment_exists(name)
-        shared.unlink()
-        assert not segment_exists(name)
-        shared.unlink()  # second call is a quiet no-op
+    def test_close_removes_the_directory(self, identifier):
+        pool = ProcessReplicaPool(identifier, 1)
+        directory = pool.model_path.parent
+        assert directory.name.startswith("repro-pool-")
+        assert pool.describe()["model_bytes"] == pool.model_path.stat().st_size
+        pool.close()
+        assert not directory.exists()
+        assert pool.describe()["model_bytes"] is None
 
-    def test_abandoned_segment_is_reaped_by_finalizer(self, identifier):
-        shared = SharedModel.create(identifier)
-        name = shared.name
-        del shared  # no explicit unlink: the weakref finalizer must fire
-        import gc
+    def test_abandoned_pool_directory_is_removed_by_finalizer(self, identifier):
+        pool = ProcessReplicaPool(identifier, 1)
+        directory = pool.model_path.parent
+        # wait for the worker to load its file, on this thread: a dispatcher
+        # thread could still hold the pool for a moment after a batch
+        pool._ensure_ready(pool._workers[0])
+        with pytest.warns(ResourceWarning, match="Implicitly cleaning up"):
+            del pool  # no close(): the directory's own finalizer must fire
+            gc.collect()
+        assert not directory.exists()
 
-        gc.collect()
-        assert not segment_exists(name)
+    def test_private_file_pins_the_model_across_a_respawn(
+        self, identifier, identifier_v2, texts, tmp_path
+    ):
+        served = tmp_path / "model.bin"
+        identifier.save(served)
+        expected = counts(identifier.classify_batch(texts))
+        assert counts(identifier_v2.classify_batch(texts)) != expected
+
+        async def scenario():
+            pool = ProcessReplicaPool(LanguageIdentifier.load(served), 1)
+            try:
+                assert counts(await pool.classify_batch(0, texts)) == expected
+                # a retrain saved over the served path must not reach the pool
+                save_model(identifier_v2, served)
+                pool._workers[0].process.kill()
+                with pytest.raises(WorkerCrashedError):
+                    await pool.classify_batch(0, texts)
+                assert counts(await pool.classify_batch(0, texts)) == expected
+            finally:
+                pool.close()
+
+        run(scenario())
+
+    def test_respawn_rewrites_a_removed_model_file(self, identifier, texts):
+        async def scenario():
+            pool = ProcessReplicaPool(identifier, 1)
+            try:
+                before = counts(await pool.classify_batch(0, texts))
+                # what an age-based temp cleaner does: the file (and here its
+                # directory) goes while the worker still maps it
+                shutil.rmtree(pool.model_path.parent)
+                pool._workers[0].process.kill()
+                with pytest.raises(WorkerCrashedError):
+                    await pool.classify_batch(0, texts)
+                assert counts(await pool.classify_batch(0, texts)) == before
+                assert pool.model_path.exists()
+            finally:
+                pool.close()
+            assert not pool.model_path.parent.exists()
+
+        run(scenario())
 
 
 # ------------------------------------------------------------------- process pool
@@ -170,30 +212,30 @@ class TestProcessReplicaPool:
             pool = ProcessReplicaPool(
                 identifier, 1, on_respawn=lambda index: respawns.append(index)
             )
-            segment = pool.shared_segment_name
+            model_file = pool.model_path
             try:
                 before = await pool.classify_batch(0, texts[:3])
                 pool._workers[0].process.kill()
                 with pytest.raises(WorkerCrashedError):
                     await pool.classify_batch(0, texts[:3])
-                # the pool must have healed itself: same answers, same segment
+                # the pool must have healed itself: same answers, same file
                 after = await pool.classify_batch(0, texts[:3])
                 assert [r.match_counts for r in after] == [r.match_counts for r in before]
                 assert pool.respawns_total == 1 and respawns == [0]
-                assert segment_exists(segment)
+                assert os.path.exists(model_file)
             finally:
                 pool.close()
-            assert not segment_exists(segment)
+            assert not os.path.exists(model_file)
 
         run(scenario())
 
     def test_close_unlinks_segment_and_is_idempotent(self, identifier, texts):
         async def scenario():
             pool = ProcessReplicaPool(identifier, 1)
-            segment = pool.shared_segment_name
+            model_file = pool.model_path
             await pool.classify_batch(0, texts[:2])
             pool.close()
-            assert not segment_exists(segment)
+            assert not os.path.exists(model_file)
             pool.close()  # idempotent
             with pytest.raises(RuntimeError):
                 await pool.classify_batch(0, texts[:2])
@@ -205,22 +247,22 @@ class TestProcessReplicaPool:
 
 
 class TestSwapHygiene:
-    """Shared-memory hygiene under blue/green swaps: no segment ever leaks."""
+    """Model-file hygiene under blue/green swaps: no file ever leaks."""
 
     def test_swap_rolls_to_green_and_unlinks_blue(
-        self, identifier, identifier_v2, texts, track_segments
+        self, identifier, identifier_v2, texts, track_model_files
     ):
         async def scenario():
             pool = ProcessReplicaPool(identifier, 2)
-            blue = pool.shared_segment_name
+            blue = pool.model_path
             try:
                 await pool.classify_batch(0, texts[:3])
                 await pool.swap_model(identifier_v2)
-                green = pool.shared_segment_name
+                green = pool.model_path
                 assert green != blue
                 # blue is gone the moment the roll completes, green is live
-                assert not segment_exists(blue)
-                assert segment_exists(green)
+                assert not os.path.exists(blue)
+                assert os.path.exists(green)
                 direct = identifier_v2.classify_batch(texts)
                 for index in range(2):
                     served = await pool.classify_batch(index, texts)
@@ -231,22 +273,22 @@ class TestSwapHygiene:
                 pool.close()
 
         run(scenario())
-        for name in track_segments:
-            assert not segment_exists(name)
+        for path in track_model_files:
+            assert not os.path.exists(path)
 
     def test_worker_crash_mid_swap_rolls_back_without_leaks(
-        self, identifier, identifier_v2, texts, track_segments
+        self, identifier, identifier_v2, texts, track_model_files
     ):
         async def scenario():
             pool = ProcessReplicaPool(identifier, 1)
-            blue = pool.shared_segment_name
+            blue = pool.model_path
             try:
                 before = await pool.classify_batch(0, texts[:3])
                 pool._workers[0].process.kill()
                 with pytest.raises(WorkerCrashedError):
                     await pool.swap_model(identifier_v2)
                 # the swap aborted: still on blue, healed, answers unchanged
-                assert pool.shared_segment_name == blue
+                assert pool.model_path == blue
                 after = await pool.classify_batch(0, texts[:3])
                 assert [r.match_counts for r in after] == [
                     r.match_counts for r in before
@@ -256,15 +298,15 @@ class TestSwapHygiene:
                 pool.close()
 
         run(scenario())
-        for name in track_segments:
-            assert not segment_exists(name)
+        for path in track_model_files:
+            assert not os.path.exists(path)
 
     def test_aborted_roll_swaps_completed_workers_back_to_blue(
-        self, identifier, identifier_v2, texts, track_segments
+        self, identifier, identifier_v2, texts, track_model_files
     ):
         async def scenario():
             pool = ProcessReplicaPool(identifier, 2)
-            blue = pool.shared_segment_name
+            blue = pool.model_path
             direct_blue = identifier.classify_batch(texts)
             original_call = pool._call
 
@@ -280,8 +322,8 @@ class TestSwapHygiene:
                 with pytest.raises(RuntimeError, match="injected swap failure"):
                     await pool.swap_model(identifier_v2)
                 # both workers are back on blue and answer with the old model
-                assert pool.shared_segment_name == blue
-                assert segment_exists(blue)
+                assert pool.model_path == blue
+                assert os.path.exists(blue)
                 for index in range(2):
                     served = await pool.classify_batch(index, texts)
                     assert [r.match_counts for r in served] == [
@@ -291,11 +333,11 @@ class TestSwapHygiene:
                 pool.close()
 
         run(scenario())
-        for name in track_segments:
-            assert not segment_exists(name)
+        for path in track_model_files:
+            assert not os.path.exists(path)
 
     def test_shutdown_during_swap_leaves_no_segments(
-        self, identifier, identifier_v2, texts, track_segments
+        self, identifier, identifier_v2, texts, track_model_files
     ):
         async def scenario():
             config = ServeConfig(
@@ -305,7 +347,7 @@ class TestSwapHygiene:
             await service.start()
             await service.classify(texts[0])
             # shut down while the swap is (potentially) mid-roll between the
-            # blue and green segments; whichever side wins, nothing may leak
+            # blue and green files; whichever side wins, nothing may leak
             swap_task = asyncio.create_task(service.swap_model(identifier_v2))
             await asyncio.sleep(0)
             outcomes = await asyncio.gather(
@@ -316,9 +358,9 @@ class TestSwapHygiene:
             assert not isinstance(outcomes[1], BaseException)
 
         run(scenario())
-        assert track_segments  # the green segment was actually created
-        for name in track_segments:
-            assert not segment_exists(name)
+        assert len(track_model_files) > 1  # the green file was actually written
+        for path in track_model_files:
+            assert not os.path.exists(path)
 
 
 # ------------------------------------------------------------------- service wiring
@@ -346,7 +388,7 @@ class TestProcessExecutorService:
         ]
         assert thread_info["pool"]["executor"] == "thread"
         assert process_info["pool"]["executor"] == "process"
-        assert not segment_exists(process_info["pool"]["shared_segment"])
+        assert not os.path.exists(process_info["pool"]["model_path"])
 
     def test_worker_crash_surfaces_and_metrics_count_respawn(self, identifier, texts):
         async def scenario():

@@ -471,7 +471,7 @@ class TestMicroBatcher:
 
 class TestReplicaPool:
     def test_clone_is_bit_exact_and_disjoint(self, identifier):
-        clone = load_model_from_buffer(flat_model_bytes(identifier), verify=False)
+        clone = load_model_from_buffer(flat_model_bytes(identifier))
         assert clone is not identifier and clone.backend is not identifier.backend
         # built by the artifact parser: the bit-vectors are views of the clone's
         # own read-only buffer, not the source's arrays

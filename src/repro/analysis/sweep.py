@@ -245,15 +245,3 @@ def sweep_subsampling(
             )
         )
     return rows
-
-
-def sweep_exact_reference(train: Corpus, test: Corpus, t: int = 5000, n: int = 4) -> AblationRow:
-    """Accuracy of the exact-membership (direct lookup) classifier — the no-false-positive bound."""
-    identifier = LanguageIdentifier(n=n, t=t, backend="exact")
-    report = _fit_and_evaluate(identifier, train, test)
-    return AblationRow(
-        label="exact-lookup",
-        average_accuracy=report.average_accuracy,
-        overall_accuracy=report.overall_accuracy,
-        detail={"t": t, "n": n},
-    )

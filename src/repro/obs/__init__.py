@@ -8,11 +8,12 @@ The observability layer of the serving tier (:mod:`repro.serve`):
     ipc_roundtrip, kernel, respond, serialize — recorded by checkpoint
     chaining so the spans tile the end-to-end latency exactly.
 :class:`~repro.obs.trace.Tracer`
-    Mints contexts at admission, feeds every request's stage timings into
-    the per-stage latency histograms of
-    :class:`~repro.serve.metrics.ServiceMetrics`, and retains exemplar
-    traces (probabilistic sample + always-keep-slow) in a bounded ring
-    served by ``GET /debug/traces``.
+    Mints contexts at admission, retains exemplar traces (probabilistic
+    sample + always-keep-slow) in a bounded ring served by
+    ``GET /debug/traces``, and logs one ``request`` line per finished
+    trace.  The service's exit, not the tracer, feeds each request's stage
+    timings into the histograms of
+    :class:`~repro.serve.metrics.ServiceMetrics`.
 :class:`~repro.obs.logging.JsonLogger`
     One structured JSON line per request / lifecycle event (swaps,
     respawns, rejections) — ``repro serve --log-json``.  The analytics

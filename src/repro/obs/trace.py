@@ -26,8 +26,8 @@ tier mirrors that decomposition in software: every request admitted to the
     timed around the call itself (inside the worker process on the process
     tier) so serving overhead can never pollute it.
 ``respond``
-    Future resolution, cache store, and metric bookkeeping back on the event
-    loop.
+    Future resolution and the cache store back on the event loop, up to the
+    request's exit.
 ``serialize``
     JSON encoding at the HTTP layer (annotated after the trace closes).
 
@@ -43,9 +43,10 @@ overhead in.
 (``sample_rate``) plus every request slower than ``slow_threshold_ms``
 (always-keep exemplars — the traces you actually want when chasing a tail
 latency).  Retained traces land in a bounded in-memory ring served by
-``GET /debug/traces``.  Span timings feed the per-stage latency histograms in
-:class:`~repro.serve.metrics.ServiceMetrics` for *every* request regardless of
-sampling, so the histograms describe the full population.
+``GET /debug/traces``.  The tracer keeps to sampling, the ring and the
+``request`` log line: it feeds no metrics.  The service's exit hands every
+finished trace's spans to :meth:`~repro.serve.metrics.ServiceMetrics.record_outcome`,
+so the per-stage histograms cover *every* request regardless of sampling.
 """
 
 from __future__ import annotations
@@ -232,16 +233,12 @@ class TraceContext:
 
 
 class Tracer:
-    """Mints trace contexts, feeds stage metrics, and retains exemplars.
+    """Mints trace contexts, retains exemplars, and logs each finished request.
 
     Parameters
     ----------
     config:
         The retention policy (:class:`TraceConfig`).
-    metrics:
-        Optional :class:`~repro.serve.metrics.ServiceMetrics`; every finished
-        trace's spans are folded into its per-stage histograms (all requests,
-        not just retained ones).
     logger:
         Optional :class:`~repro.obs.logging.JsonLogger`; one structured line
         is emitted per finished request.
@@ -249,9 +246,8 @@ class Tracer:
         Injectable :class:`random.Random` for deterministic sampling in tests.
     """
 
-    def __init__(self, config: TraceConfig | None = None, metrics=None, logger=None, rng=None):
+    def __init__(self, config: TraceConfig | None = None, logger=None, rng=None):
         self.config = config if config is not None else TraceConfig()
-        self.metrics = metrics
         self.logger = logger
         self._rng = rng if rng is not None else random.Random()
         self._ring: deque[TraceContext] = deque(maxlen=self.config.ring_size)
@@ -270,12 +266,10 @@ class Tracer:
         return TraceContext(new_request_id(), kind, sampled=sampled)
 
     def finish(self, ctx: TraceContext, status: str = "ok", cached: bool = False) -> TraceContext:
-        """Close ``ctx``, feed the stage histograms, and retain if it qualifies."""
+        """Close ``ctx``, retain it if it qualifies, and log its ``request`` line."""
         ctx.close(status)
         if cached:
             ctx.note(cached=True)
-        if self.metrics is not None:
-            self.metrics.observe_spans(ctx.spans)
         slow = 1e3 * ctx.duration_seconds >= self.config.slow_threshold_ms
         if slow:
             ctx.note(slow=True)

@@ -63,7 +63,7 @@ from repro.serve.errors import (
     WorkerCrashedError,
 )
 from repro.serve.http import result_to_json, segmentation_to_json, serve_http
-from repro.serve.metrics import ServiceMetrics, percentile
+from repro.serve.metrics import ServiceMetrics
 from repro.serve.process_pool import ProcessReplicaPool
 from repro.serve.replicas import ReplicaPoolBase, ThreadReplicaPool
 from repro.serve.service import EXECUTORS, ClassificationService, ServeConfig
@@ -79,7 +79,6 @@ __all__ = [
     "RequestTooLargeError",
     "WorkerCrashedError",
     "ServiceMetrics",
-    "percentile",
     "ReplicaPoolBase",
     "ThreadReplicaPool",
     "ProcessReplicaPool",

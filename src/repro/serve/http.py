@@ -8,9 +8,10 @@ serving stack adds no dependencies beyond NumPy.  Endpoints:
     ``{"results": [...]}``; an optional ``"source"`` string attributes the
     document(s) to a traffic source in the analytics plane (``GET /stats``).
     Rejections map onto status codes: 413 for oversized documents, 429 for
-    backpressure, 503 while shutting down.  Every response (errors included,
-    when the request reached admission) carries an ``X-Request-Id`` header
-    naming its trace.
+    backpressure, 503 while shutting down, 500 for a crashed replica worker.
+    Every response (errors included, when the request reached admission)
+    carries an ``X-Request-Id`` header naming its trace; error bodies do not
+    carry the id.
 ``POST /segment``
     Same body contract (including ``X-Request-Id``), but each result is a
     mixed-language segmentation: the document tiled into ``spans`` of
@@ -64,6 +65,7 @@ from repro.serve.errors import (
     RequestTooLargeError,
     ServiceClosedError,
     ServiceOverloadedError,
+    WorkerCrashedError,
 )
 from repro.serve.service import ClassificationService
 
@@ -344,6 +346,12 @@ async def _dispatch(service: ClassificationService, method, path, query, body) -
             raise _HttpError(429, str(exc), headers=_request_id_headers(exc)) from None
         except ServiceClosedError as exc:
             raise _HttpError(503, str(exc), headers=_request_id_headers(exc)) from None
+        except WorkerCrashedError as exc:
+            # the body stays generic, as for any 500; the id joins it to the
+            # request's error:WorkerCrashedError log line
+            raise _HttpError(
+                500, "internal error", headers=_request_id_headers(exc)
+            ) from None
         serialize_start = time.perf_counter()
         encoded = json.dumps(wire).encode("utf-8")
         serialize_seconds = time.perf_counter() - serialize_start

@@ -7,16 +7,26 @@ batch-size histogram, which shows directly whether the micro-batcher is
 coalescing requests (mass at ``max_batch``) or degenerating into the
 request-at-a-time baseline (mass at 1).
 
-Latency is decomposed, not averaged: every pipeline stage the tracing layer
+Every request is recorded in two steps by the service: once at admission
+(:meth:`ServiceMetrics.record_request`) and once at its exit
+(:meth:`ServiceMetrics.record_outcome`), which records everything else the
+request learned — its cache lookup, its spans, and whether it was answered,
+rejected or failed.  A counter that another one already implies is derived
+when read, not stored twice: ``responses_total`` is the ``request``
+histogram's count, ``cache_hits`` the sum of the per-operation hits, and
+``batches_total`` the batch-size histogram's total.
+
+Latency is decomposed, not averaged: every pipeline stage a request's trace
 records (see :mod:`repro.obs.trace`) lands in its own bucketed
 :class:`LatencyHistogram` — ``admission``, ``queue_wait``, ``ipc_roundtrip``,
-``kernel``, ... plus the end-to-end ``request`` series — so "where does a
-slow request spend its time" is answerable from ``/metrics`` alone, without
-catching an exemplar trace.  Buckets are explicit and fixed, which keeps
-recording O(log buckets) forever and makes the Prometheus exposition
-(``_bucket{le=...}`` / ``_sum`` / ``_count`` with HELP/TYPE lines)
-aggregatable across replicas and restarts; the reported percentiles are
-interpolated within buckets, exactly as ``histogram_quantile`` would.
+``kernel``, ... plus the end-to-end ``request`` series of answered requests
+— so "where does a slow request spend its time" is answerable from
+``/metrics`` alone, without catching an exemplar trace.  Buckets are
+explicit and fixed, which keeps recording O(log buckets) forever and makes
+the Prometheus exposition (``_bucket{le=...}`` / ``_sum`` / ``_count`` with
+HELP/TYPE lines) aggregatable across replicas and restarts; the reported
+percentiles are interpolated within buckets, exactly as
+``histogram_quantile`` would.
 
 Confidence note: the ``confidence`` field these metrics ride alongside in
 ``/classify`` responses is the *raw* normalized separation score.  It is
@@ -32,7 +42,7 @@ import time
 from bisect import bisect_left
 from collections import Counter
 
-__all__ = ["ServiceMetrics", "LatencyHistogram", "DEFAULT_LATENCY_BUCKETS", "percentile"]
+__all__ = ["ServiceMetrics", "LatencyHistogram", "DEFAULT_LATENCY_BUCKETS"]
 
 #: bucket upper bounds in seconds, spanning sub-millisecond cache hits to
 #: multi-second pathological requests (an implicit +Inf bucket tops them off)
@@ -40,22 +50,6 @@ DEFAULT_LATENCY_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
-
-
-def percentile(samples, q: float) -> float:
-    """The ``q``-th percentile (0..100) of ``samples`` by linear interpolation."""
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("percentile must be between 0 and 100")
-    ordered = sorted(samples)
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return float(ordered[0])
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
-    return float(ordered[low] * (1.0 - frac) + ordered[high] * frac)
 
 
 def _bound_label(bound: float) -> str:
@@ -154,9 +148,7 @@ class ServiceMetrics:
         LatencyHistogram(self._latency_buckets)  # validate once, up front
         self.started_at = clock()
         self.requests_total = 0
-        self.responses_total = 0
         self.segment_requests_total = 0
-        self.cache_hits = 0
         #: per-operation cache lookup outcomes (op -> count): classify hits
         #: vs segment hits are different savings, and the analytics plane
         #: needs them to report the effective (cache-inclusive) traffic mix
@@ -174,7 +166,6 @@ class ServiceMetrics:
         self.abstentions_by_reason: Counter[str] = Counter()
         self.ensemble_votes_total = 0
         self.ensemble_unanimous_total = 0
-        self.batches_total = 0
         self.worker_respawns_total = 0
         self.model_swaps_total = 0
         self.model_version: str | None = None
@@ -188,51 +179,60 @@ class ServiceMetrics:
     # ------------------------------------------------------------ recording
 
     def record_request(self, n_bytes: int, kind: str = "classify") -> None:
-        """Count one *admitted* request (rejections go to :meth:`record_rejection`,
-        so ``requests_total + rejected_* `` is the total arrival count).
-        ``kind="segment"`` additionally ticks the segmentation counter, so
-        ``requests_total`` stays the overall admitted volume."""
+        """Count one *admitted* request, at admission, so a live snapshot
+        counts the requests in flight; rejections are counted only by
+        :meth:`record_outcome`.  ``kind="segment"`` additionally ticks the
+        segmentation counter, so ``requests_total`` stays the overall
+        admitted volume."""
         with self._lock:
             self.requests_total += 1
             self.bytes_total += int(n_bytes)
             if kind == "segment":
                 self.segment_requests_total += 1
 
-    def record_response(self, latency_seconds: float, cached: bool = False) -> None:
-        with self._lock:
-            self.responses_total += 1
-            if cached:
-                self.cache_hits += 1
-            self._stage_locked("request").observe(float(latency_seconds))
+    def record_outcome(
+        self,
+        op: str,
+        outcome: str | None,
+        hit: bool | None = None,
+        spans=(),
+        latency_seconds: float = 0.0,
+        result=None,
+    ) -> None:
+        """Record everything one finished request learned, under one lock.
 
-    def record_cache_lookup(self, op: str, hit: bool) -> None:
-        """Count one result-cache lookup for ``op`` (``classify``/``segment``)."""
-        with self._lock:
-            if hit:
-                self.cache_hits_by_op[op] += 1
-            else:
-                self.cache_misses_by_op[op] += 1
-
-    def record_ensemble_result(self, result) -> None:
-        """Fold one ensemble classify response into the voting-health counters.
-
-        ``result`` is any object exposing ``abstain_reason`` and
-        ``member_votes`` (the ensemble's enriched
-        :class:`~repro.core.classifier.ClassificationResult`); results from
-        other backends carry neither and are a no-op, so the service can call
-        this unconditionally.
+        ``outcome`` is ``"ok"`` (answered, by the kernel or from the cache),
+        ``"too-large"`` or ``"overload"`` (rejected: ``rejected_too_large`` /
+        ``rejected_overload``), ``"error"`` (failed for any other reason:
+        ``errors_total``), or ``None`` for a cancelled request, which counts
+        nothing but its lookup and spans.  ``hit`` is the request's cache
+        lookup for ``op`` (``None`` when it never reached the cache), and
+        every ``(stage, offset, duration)`` span feeds its stage histogram.
+        An answered request also feeds the ``request`` histogram with
+        ``latency_seconds``, and its ``result`` is folded into the ensemble
+        voting-health counters when it carries ``abstain_reason`` or
+        ``member_votes`` (other results carry neither and count nothing).
         """
-        reason = getattr(result, "abstain_reason", None)
-        votes = getattr(result, "member_votes", None)
-        if reason is None and votes is None:
-            return
         with self._lock:
-            if reason is not None:
-                self.abstentions_total += 1
-                self.abstentions_by_reason[reason] += 1
-            if votes:
+            if hit is not None:
+                (self.cache_hits_by_op if hit else self.cache_misses_by_op)[op] += 1
+            for stage, _offset, duration in spans:
+                self._stage_locked(stage).observe(duration)
+            if outcome == "overload":
+                self.rejected_overload += 1
+            elif outcome == "too-large":
+                self.rejected_too_large += 1
+            elif outcome == "error":
+                self.errors_total += 1
+            elif outcome == "ok":
+                self._stage_locked("request").observe(latency_seconds)
+                reason = getattr(result, "abstain_reason", None)
+                if reason is not None:
+                    self.abstentions_total += 1
+                    self.abstentions_by_reason[reason] += 1
+                votes = getattr(result, "member_votes", None) or {}
                 cast = [
-                    vote.get("language")
+                    vote["language"]
                     for vote in votes.values()
                     if vote.get("language") is not None
                 ]
@@ -241,18 +241,8 @@ class ServiceMetrics:
                     if len(set(cast)) == 1:
                         self.ensemble_unanimous_total += 1
 
-    def record_rejection(self, reason: str) -> None:
-        with self._lock:
-            if reason == "overload":
-                self.rejected_overload += 1
-            elif reason == "too-large":
-                self.rejected_too_large += 1
-            else:
-                self.errors_total += 1
-
     def record_batch(self, size: int) -> None:
         with self._lock:
-            self.batches_total += 1
             self.batch_sizes[int(size)] += 1
 
     def record_worker_respawn(self) -> None:
@@ -284,23 +274,31 @@ class ServiceMetrics:
         with self._lock:
             self._stage_locked(stage).observe(seconds)
 
-    def observe_spans(self, spans) -> None:
-        """Fold a whole trace's ``(stage, offset, duration)`` spans in at once.
-
-        One lock acquisition per request rather than per span — this is the
-        hot path the :class:`~repro.obs.trace.Tracer` hits for *every*
-        request, sampled or not.
-        """
-        with self._lock:
-            for stage, _offset, duration in spans:
-                self._stage_locked(stage).observe(duration)
-
     def stage_histograms(self) -> dict[str, dict]:
         """JSON-ready per-stage histogram snapshots, sorted by stage name."""
         with self._lock:
             return {name: self._stages[name].snapshot() for name in sorted(self._stages)}
 
     # ------------------------------------------------------------ derived
+
+    @property
+    def responses_total(self) -> int:
+        """Answered requests, cache hits included (the ``request`` histogram's count)."""
+        with self._lock:
+            histogram = self._stages.get("request")
+            return histogram.count if histogram is not None else 0
+
+    @property
+    def cache_hits(self) -> int:
+        """Requests answered from the result cache, over every operation."""
+        with self._lock:
+            return sum(self.cache_hits_by_op.values())
+
+    @property
+    def batches_total(self) -> int:
+        """Micro-batcher flushes (the batch-size histogram's total)."""
+        with self._lock:
+            return sum(self.batch_sizes.values())
 
     @property
     def uptime_seconds(self) -> float:
@@ -325,7 +323,8 @@ class ServiceMetrics:
     def mean_batch_size(self) -> float:
         with self._lock:
             total = sum(size * count for size, count in self.batch_sizes.items())
-            return total / self.batches_total if self.batches_total else 0.0
+            batches = self.batches_total
+            return total / batches if batches else 0.0
 
     def latency_percentiles(self, qs=QUANTILES) -> dict[str, float]:
         """Seconds at each requested percentile of end-to-end request latency.
@@ -392,12 +391,12 @@ class ServiceMetrics:
         "uptime_seconds": ("Seconds since the service metrics started.", "gauge"),
         "requests_per_second": ("Admitted requests/s over the serving window.", "gauge"),
         "requests_total": ("Admitted requests (classify + segment).", "counter"),
-        "responses_total": ("Completed responses, including cache hits.", "counter"),
+        "responses_total": ("Answered requests, including cache hits.", "counter"),
         "segment_requests_total": ("Admitted segmentation requests.", "counter"),
         "cache_hits": ("Responses answered from the LRU result cache.", "counter"),
         "rejected_overload": ("Requests rejected by queue backpressure (429).", "counter"),
         "rejected_too_large": ("Requests rejected for oversized documents (413).", "counter"),
-        "errors_total": ("Requests failed for other reasons.", "counter"),
+        "errors_total": ("Requests failed other than by a rejection (500).", "counter"),
         "abstentions_total": ("Ensemble classify responses that abstained (und).", "counter"),
         "ensemble_votes_total": ("Ensemble responses with at least one member vote.", "counter"),
         "ensemble_unanimous_total": ("Ensemble responses with unanimous member votes.", "counter"),

@@ -26,7 +26,8 @@ Topology per worker:
   ``meta`` echoes the trace ids (so the parent can prove which worker
   generation served which requests), the worker-measured kernel seconds (so
   serving overhead never pollutes kernel timing), and the worker pid.
-  Control frames (``swap`` / ``stop``) are two-element;
+  Control frames (``swap`` / ``stop``) are two-element.  The parent sends
+  every frame as bytes it pickled itself (see :func:`_send`);
 * a single-thread dispatcher executor that performs the blocking pipe
   round-trip off the event loop, keeping one batch in flight per replica.
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import os
+import pickle
 import tempfile
 import threading
 import time
@@ -61,7 +63,7 @@ from repro.api.identifier import LanguageIdentifier
 from repro.api.persistence import load_model, save_model
 from repro.core.classifier import ClassificationResult
 from repro.serve.errors import WorkerCrashedError
-from repro.serve.replicas import ReplicaPoolBase
+from repro.serve.replicas import ReplicaPoolBase, run_batch
 
 __all__ = ["ProcessReplicaPool"]
 
@@ -109,10 +111,7 @@ def _worker_main(conn, model_path: Path, backend: str | None) -> None:
             _, _, trace_ids, sources = frame
             try:
                 kernel_start = time.perf_counter()
-                if kind == "segment":
-                    results = [identifier.segment(text) for text in payload]
-                else:
-                    results = identifier.classify_batch(payload, sources=sources)
+                results = run_batch(identifier, kind, payload, sources)
                 meta = {
                     "trace_ids": trace_ids,
                     "kernel_seconds": time.perf_counter() - kernel_start,
@@ -123,6 +122,18 @@ def _worker_main(conn, model_path: Path, backend: str | None) -> None:
                 conn.send(("error", f"{type(exc).__name__}: {exc}"))
     finally:
         conn.close()
+
+
+def _send(conn: connection.Connection, frame) -> None:
+    """Send ``frame`` to a worker as one pickled message its ``recv()`` reads.
+
+    ``Connection.send`` pickles into a ``BytesIO`` and sends a memoryview of
+    it.  When that send fails on a dead worker, the exception's traceback
+    keeps the view alive, and the garbage collector can then close the
+    ``BytesIO`` before releasing it, which development mode reports as a
+    ``BufferError``.  Bytes from :func:`pickle.dumps` leave no view behind.
+    """
+    conn.send_bytes(pickle.dumps(frame))
 
 
 @dataclass
@@ -297,7 +308,7 @@ class ProcessReplicaPool(ReplicaPoolBase):
         try:
             self._ensure_ready(worker)
             try:
-                worker.conn.send(frame_out)
+                _send(worker.conn, frame_out)
             except (BrokenPipeError, OSError) as exc:
                 raise WorkerCrashedError(
                     f"replica worker {index} pipe is broken (worker died?)"
@@ -336,33 +347,25 @@ class ProcessReplicaPool(ReplicaPoolBase):
         sources: Sequence[str | None] | None = None,
     ) -> list[ClassificationResult]:
         """Run one worker's vectorized batch path off the event loop."""
-        if self._closed:
-            raise RuntimeError("replica pool is closed")
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._dispatchers[replica_index],
-            self._call,
-            replica_index,
-            "classify",
-            list(texts),
-            list(contexts) if contexts else None,
-            list(sources) if sources is not None else None,
-        )
+        return await self._run(replica_index, "classify", texts, contexts, sources)
 
     async def segment_batch(
         self, replica_index: int, texts: Sequence[str | bytes], contexts: Sequence | None = None
     ) -> list:
         """Run one worker's windowed segmentation over a batch off the event loop."""
+        return await self._run(replica_index, "segment", texts, contexts)
+
+    async def _run(self, replica_index: int, op: str, texts, contexts, sources=None) -> list:
         if self._closed:
             raise RuntimeError("replica pool is closed")
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
+        return await asyncio.get_running_loop().run_in_executor(
             self._dispatchers[replica_index],
             self._call,
             replica_index,
-            "segment",
+            op,
             list(texts),
             list(contexts) if contexts else None,
+            list(sources) if sources is not None else None,
         )
 
     # ------------------------------------------------------------ model swap
@@ -441,7 +444,7 @@ class ProcessReplicaPool(ReplicaPoolBase):
             workers = list(self._workers)
         for worker in workers:
             try:
-                worker.conn.send(("stop", None))
+                _send(worker.conn, ("stop", None))
             except (BrokenPipeError, OSError):
                 pass  # already dead; join below reaps it
         for worker in self._workers:

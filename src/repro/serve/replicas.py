@@ -18,6 +18,7 @@ concurrently.  Two execution tiers implement one contract
     Bloom engines.
 
 Dispatch picks replicas in strict rotation (:meth:`ReplicaPoolBase.next_round_robin`).
+Both tiers, and the worker processes, run a batch through :func:`run_batch`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,24 @@ from repro.core.classifier import ClassificationResult
 __all__ = [
     "ReplicaPoolBase",
     "ThreadReplicaPool",
+    "run_batch",
 ]
+
+
+def run_batch(
+    identifier: LanguageIdentifier,
+    op: str,
+    texts: Sequence[str | bytes],
+    sources: Sequence[str | None] | None = None,
+) -> list:
+    """Run one batch of ``op`` on ``identifier``: the body every replica shares.
+
+    ``classify`` is the vectorized ``classify_batch`` (``sources`` feed
+    prior-aware backends); ``segment`` segments each document in turn.
+    """
+    if op == "segment":
+        return [identifier.segment(text) for text in texts]
+    return identifier.classify_batch(texts, sources=sources)
 
 
 class ReplicaPoolBase:
@@ -39,11 +57,12 @@ class ReplicaPoolBase:
 
     A pool exposes ``n_replicas`` bit-exact engine replicas behind integer
     indices: :meth:`next_round_robin` picks an index,
-    :meth:`classify_batch` runs one replica's vectorized batch path, and
-    :meth:`close` releases every execution resource (worker processes,
-    dispatcher threads, model files).  Subclasses set
-    ``_n_replicas`` and ``_languages`` and implement ``classify_batch`` /
-    ``close``.
+    :meth:`classify_batch` runs one replica's vectorized batch path,
+    :meth:`segment_batch` its segmentation, and :meth:`close` releases
+    every execution resource (worker processes, dispatcher threads, model
+    files).  Subclasses set ``_n_replicas`` and ``_languages`` and implement
+    ``classify_batch`` and ``segment_batch`` over one body of their own,
+    plus ``swap_model`` and ``close``.
     """
 
     _n_replicas: int = 0
@@ -158,21 +177,19 @@ class ThreadReplicaPool(ReplicaPoolBase):
         ``ipc_roundtrip`` (≈ 0 here) + ``kernel`` spans.  ``sources`` are
         passed straight to the facade's batch path for prior-aware backends.
         """
-        if self._closed:
-            raise RuntimeError("replica pool is closed")
-        t0 = time.perf_counter()
-        results = self.identifier.classify_batch(texts, sources=sources)
-        self._record_dispatch(contexts, time.perf_counter() - t0)
-        return results
+        return self._run("classify", texts, contexts, sources)
 
     async def segment_batch(
         self, replica_index: int, texts: Sequence[str | bytes], contexts: Sequence | None = None
     ) -> list:
         """Run windowed segmentation over a batch inline on the calling thread."""
+        return self._run("segment", texts, contexts)
+
+    def _run(self, op: str, texts, contexts, sources=None) -> list:
         if self._closed:
             raise RuntimeError("replica pool is closed")
         t0 = time.perf_counter()
-        results = [self.identifier.segment(text) for text in texts]
+        results = run_batch(self.identifier, op, texts, sources)
         self._record_dispatch(contexts, time.perf_counter() - t0)
         return results
 

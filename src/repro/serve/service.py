@@ -51,6 +51,9 @@ __all__ = ["ServeConfig", "ClassificationService", "EXECUTORS"]
 #: replica execution tiers: one replica on the serving thread vs multi-core processes
 EXECUTORS = ("thread", "process")
 
+#: the two rejections, by the outcome name ServiceMetrics counts them under
+_REJECTIONS = {RequestTooLargeError: "too-large", ServiceOverloadedError: "overload"}
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -87,8 +90,6 @@ class ServeConfig:
     trace_slow_ms:
         Requests slower than this are retained even when not sampled
         (always-keep slow exemplars); ``float("inf")`` disables the rule.
-    trace_ring_size:
-        Bound on retained exemplar traces (most recent win).
     analytics:
         Whether the service folds every classification response into the
         per-source traffic-analytics plane (:mod:`repro.analytics`) behind
@@ -112,7 +113,6 @@ class ServeConfig:
     max_document_bytes: int = 1 << 20
     trace_sample_rate: float = 0.01
     trace_slow_ms: float = 250.0
-    trace_ring_size: int = 256
     analytics: bool = True
     analytics_config: AnalyticsConfig | None = None
     analytics_quality_sample_every: int = 8
@@ -120,9 +120,7 @@ class ServeConfig:
     def trace_config(self) -> TraceConfig:
         """The retention policy these knobs describe (validates them too)."""
         return TraceConfig(
-            sample_rate=self.trace_sample_rate,
-            slow_threshold_ms=self.trace_slow_ms,
-            ring_size=self.trace_ring_size,
+            sample_rate=self.trace_sample_rate, slow_threshold_ms=self.trace_slow_ms
         )
 
     def __post_init__(self) -> None:
@@ -180,7 +178,9 @@ class ClassificationService:
     tracer:
         Optional pre-built :class:`~repro.obs.trace.Tracer` (tests inject a
         deterministic one); by default one is constructed from the config's
-        ``trace_*`` knobs, wired to this service's metrics and logger.
+        ``trace_*`` knobs and this service's logger.  The tracer only
+        samples, retains and logs traces: the service's own exit feeds every
+        finished trace into :attr:`metrics`, whichever tracer it uses.
     analytics:
         Optional pre-built :class:`~repro.analytics.AnalyticsHook` (tests
         inject one with a deterministic clock); by default one is constructed
@@ -210,7 +210,7 @@ class ClassificationService:
         self.tracer = (
             tracer
             if tracer is not None
-            else Tracer(self.config.trace_config(), metrics=self.metrics, logger=logger)
+            else Tracer(self.config.trace_config(), logger=logger)
         )
         if analytics is not None:
             self.analytics: AnalyticsHook | None = analytics
@@ -242,8 +242,8 @@ class ClassificationService:
         #: CLI/HTTP tier when the service fronts a model registry
         self.switch = None
         self._pool: ReplicaPoolBase | None = None
-        self._batchers: list[MicroBatcher] = []
-        self._segment_batchers: list[MicroBatcher] = []
+        #: op -> one micro-batcher per replica
+        self._batchers: dict[str, list[MicroBatcher]] = {}
         self._swap_lock = asyncio.Lock()
         #: bumped as each pool roll starts and again as it ends, so it is odd
         #: while one is in progress; a result is cached only when it stayed
@@ -260,7 +260,7 @@ class ClassificationService:
         return self._started and not self._closing
 
     async def start(self) -> "ClassificationService":
-        """Build the replica pool and start one micro-batcher per replica."""
+        """Build the replica pool and start one micro-batcher per op and replica."""
         if self._started:
             return self
         if self.config.executor == "process":
@@ -271,28 +271,20 @@ class ClassificationService:
             )
         else:
             self._pool = ThreadReplicaPool(self.identifier)
-        self._batchers = []
-        self._segment_batchers = []
-        for replica_index in range(self.config.replicas):
-            # Classification and segmentation each get their own queue per
-            # replica so one workload's deadline flushes never carry the
-            # other's requests; both drain through the same replica engine.
-            batcher = MicroBatcher(
-                self._make_flush(replica_index),
-                max_batch=self.config.max_batch,
-                max_delay=self.config.max_delay_ms / 1e3,
-                max_pending=self.config.max_pending,
-            )
-            batcher.start()
-            self._batchers.append(batcher)
-            segment_batcher = MicroBatcher(
-                self._make_segment_flush(replica_index),
-                max_batch=self.config.max_batch,
-                max_delay=self.config.max_delay_ms / 1e3,
-                max_pending=self.config.max_pending,
-            )
-            segment_batcher.start()
-            self._segment_batchers.append(segment_batcher)
+        # Classification and segmentation each get their own queue per replica
+        # so one workload's deadline flushes never carry the other's
+        # requests; both drain through the same replica engine.
+        self._batchers = {"classify": [], "segment": []}
+        for op, batchers in self._batchers.items():
+            for replica_index in range(self.config.replicas):
+                batcher = MicroBatcher(
+                    self._make_flush(op, replica_index),
+                    max_batch=self.config.max_batch,
+                    max_delay=self.config.max_delay_ms / 1e3,
+                    max_pending=self.config.max_pending,
+                )
+                batcher.start()
+                batchers.append(batcher)
         self._started = True
         self._closing = False
         return self
@@ -302,8 +294,9 @@ class ClassificationService:
         if not self._started or self._closing:
             return
         self._closing = True
-        for batcher in (*self._batchers, *self._segment_batchers):
-            await batcher.close()
+        for batchers in self._batchers.values():
+            for batcher in batchers:
+                await batcher.close()
         if self._pool is not None:
             # Process-pool shutdown blocks (joins workers and dispatchers);
             # keep the event loop responsive while it happens.
@@ -393,70 +386,43 @@ class ClassificationService:
 
     # ------------------------------------------------------------ classification
 
-    def _open_batch(self, items: Sequence, replica_index: int):
-        """Unpack a flushed batch of ``(text, ctx, source)`` triples and stamp its traces.
+    def _make_flush(self, op: str, replica_index: int):
+        """The flush of ``op``'s queue on one replica.
 
         Every trace riding the batch closes its ``queue_wait`` span at one
         shared instant (the flush began for all of them at once), learns which
         replica and batch it landed in, then closes ``batch_assembly`` once the
         unpacking/bookkeeping is done — so the spans keep tiling the timeline.
         """
-        flushed_at = time.perf_counter()
-        texts = [item[0] for item in items]
-        contexts = [item[1] for item in items]
-        sources = [item[2] for item in items]
-        self.metrics.record_batch(len(texts))
-        assembled_at = time.perf_counter()
-        for ctx in contexts:
-            if ctx is None:
-                continue
-            ctx.stage("queue_wait", now=flushed_at)
-            ctx.note(replica=replica_index, batch_size=len(texts))
-            ctx.stage("batch_assembly", now=assembled_at)
-        return texts, contexts, sources
 
-    def _make_flush(self, replica_index: int):
-        async def flush(items: Sequence) -> Sequence[ClassificationResult]:
-            texts, contexts, sources = self._open_batch(items, replica_index)
-            return await self._pool.classify_batch(
-                replica_index, texts, contexts, sources
-            )
-
-        return flush
-
-    def _make_segment_flush(self, replica_index: int):
         async def flush(items: Sequence) -> Sequence:
-            texts, contexts, _sources = self._open_batch(items, replica_index)
-            return await self._pool.segment_batch(replica_index, texts, contexts)
+            flushed_at = time.perf_counter()
+            texts = [item[0] for item in items]
+            contexts = [item[1] for item in items]
+            self.metrics.record_batch(len(texts))
+            assembled_at = time.perf_counter()
+            for ctx in contexts:
+                ctx.stage("queue_wait", now=flushed_at)
+                ctx.note(replica=replica_index, batch_size=len(texts))
+                ctx.stage("batch_assembly", now=assembled_at)
+            if op == "segment":
+                return await self._pool.segment_batch(replica_index, texts, contexts)
+            sources = [item[2] for item in items]
+            return await self._pool.classify_batch(replica_index, texts, contexts, sources)
 
         return flush
 
-    async def _submit(
-        self,
-        text: str | bytes,
-        batchers: list[MicroBatcher],
-        kind: str,
-        source: str | None = None,
-    ):
-        result, _ctx = await self._submit_traced(text, batchers, kind, source)
-        return result
-
-    def _reject(self, ctx: TraceContext, kind: str, reason: str, **fields) -> None:
-        self.metrics.record_rejection(reason)
+    def _reject(self, ctx: TraceContext, reason: str, **fields) -> None:
+        """Log a rejection event (the request's exit counts it)."""
         if self.logger is not None:
             self.logger.event(
-                "rejection", request_id=ctx.trace_id, kind=kind, reason=reason, **fields
+                "rejection", request_id=ctx.trace_id, kind=ctx.kind, reason=reason, **fields
             )
 
-
     async def _submit_traced(
-        self,
-        text: str | bytes,
-        batchers: list[MicroBatcher],
-        kind: str,
-        source: str | None = None,
+        self, text: str | bytes, kind: str, source: str | None = None
     ) -> tuple:
-        """The shared admission pipeline: size check, cache, micro-batch, record.
+        """The one request path of both ops: size check, cache, micro-batch, exit.
 
         A ``str`` is encoded once (UTF-8, lone surrogates passed through) and
         ``bytes`` are taken as given; the size check, the byte count and the
@@ -465,19 +431,26 @@ class ClassificationService:
         Every request is minted a :class:`~repro.obs.trace.TraceContext` whose
         spans tile its lifetime — admission, cache_lookup, then (on a miss)
         queue_wait / batch_assembly / ipc_roundtrip / kernel stamped by the
-        flush path, and finally respond.  Returns ``(result, context)``; errors
-        carry the request id out via ``ServeError.request_id`` and close the
-        trace with an ``error:*`` status.
+        flush path, and finally respond.  The request's facts (its cache
+        lookup, its result or its exception) are collected as it runs, and
+        one ``finally`` records them: it closes the trace, gives
+        :meth:`~repro.serve.metrics.ServiceMetrics.record_outcome` the
+        outcome, and passes a classify answer to analytics.  Returns
+        ``(result, context)``; errors carry the request id out via
+        ``ServeError.request_id`` and close the trace with an ``error:*``
+        status.
         """
         if not self.is_running:
             raise ServiceClosedError("service is not running; use 'async with' or start()")
         ctx = self.tracer.begin(kind)
+        hit = result = outcome = None
+        status = "ok"
         try:
             is_str = isinstance(text, str)
             data = text.encode("utf-8", "surrogatepass") if is_str else text
             n_bytes = len(data)
             if n_bytes > self.config.max_document_bytes:
-                self._reject(ctx, kind, "too-large", bytes=n_bytes)
+                self._reject(ctx, "too-large", bytes=n_bytes)
                 raise RequestTooLargeError(
                     f"document of {n_bytes} bytes exceeds the "
                     f"{self.config.max_document_bytes}-byte limit"
@@ -497,49 +470,46 @@ class ClassificationService:
             if source is not None:
                 ctx.note(source=source)
             ctx.stage("admission")
-            cached = self.cache.get(cache_key, op=kind)
-            self.metrics.record_cache_lookup(kind, hit=cached is not None)
+            result = self.cache.get(cache_key, op=kind)
+            hit = result is not None
             ctx.stage("cache_lookup")
-            if cached is not None:
-                self.metrics.record_request(n_bytes, kind=kind)
-                self.tracer.finish(ctx, cached=True)
-                self.metrics.record_response(ctx.duration_seconds, cached=True)
-                # analytics plane: only classify responses carry the
-                # (language, confidence) pair the stream stats are built on;
-                # cache hits included so /stats shows the effective mix
-                if kind == "classify":
-                    self.metrics.record_ensemble_result(cached)
-                    if self._analytics_record is not None:
-                        self._analytics_record(cached, source, text, None, True)
-                return cached, ctx
-            try:
-                future = batchers[self._pool.next_round_robin()].submit_nowait(
-                    (text, ctx, source)
-                )
-            except ServiceOverloadedError:
-                self._reject(ctx, kind, "overload")
-                raise
+            if not hit:
+                batchers = self._batchers[kind]
+                try:
+                    future = batchers[self._pool.next_round_robin()].submit_nowait(
+                        (text, ctx, source)
+                    )
+                except ServiceOverloadedError:
+                    self._reject(ctx, "overload")
+                    raise
             # admitted: requests_total / bytes_total count only documents the
             # service accepted, so rejections never inflate throughput_mb_s
             self.metrics.record_request(n_bytes, kind=kind)
-            result = await future
-            # A swap that began or ran since admission may have answered this
-            # request with the new model after the old key was evicted.
-            if generation == self._swap_generation and not generation & 1:
-                self.cache.put(cache_key, result)
-            self.tracer.finish(ctx)
-            self.metrics.record_response(ctx.duration_seconds)
-            if kind == "classify":
-                self.metrics.record_ensemble_result(result)
-                if self._analytics_record is not None:
-                    self._analytics_record(result, source, text, None, False)
+            if not hit:
+                result = await future
+                # A swap that began or ran since admission may have answered
+                # this request with the new model after the old key was evicted.
+                if generation == self._swap_generation and not generation & 1:
+                    self.cache.put(cache_key, result)
+            outcome = "ok"
             return result, ctx
         except BaseException as exc:
+            status = f"error:{type(exc).__name__}"
             if isinstance(exc, ServeError):
                 exc.request_id = ctx.trace_id
-            if ctx.duration_seconds is None:  # not finished by a success path
-                self.tracer.finish(ctx, status=f"error:{type(exc).__name__}")
+            if isinstance(exc, Exception):  # a cancellation only closes its trace
+                outcome = _REJECTIONS.get(type(exc), "error")
             raise
+        finally:
+            self.tracer.finish(ctx, status, cached=bool(hit))
+            self.metrics.record_outcome(
+                kind, outcome, hit, ctx.spans, ctx.duration_seconds, result
+            )
+            # analytics plane: only classify answers carry the (language,
+            # confidence) pair the stream stats are built on; cache hits
+            # included so /stats shows the effective mix
+            if outcome == "ok" and kind == "classify" and self._analytics_record is not None:
+                self._analytics_record(result, source, text, None, hit)
 
     async def classify(
         self, text: str | bytes, source: str | None = None
@@ -558,8 +528,12 @@ class ClassificationService:
             If the document exceeds ``max_document_bytes``.
         ServiceOverloadedError
             If the target replica's queue is full (backpressure).
+        WorkerCrashedError
+            If the replica worker died with the request's batch in flight;
+            this and any other failure of the batch count in ``errors_total``.
         """
-        return await self._submit(text, self._batchers, "classify", source)
+        result, _ctx = await self._submit_traced(text, "classify", source)
+        return result
 
     async def classify_traced(
         self, text: str | bytes, source: str | None = None
@@ -570,7 +544,7 @@ class ClassificationService:
         and the per-stage span waterfall; same exception contract as
         :meth:`classify`.
         """
-        return await self._submit_traced(text, self._batchers, "classify", source)
+        return await self._submit_traced(text, "classify", source)
 
     async def classify_many(
         self, texts: Sequence[str | bytes], source: str | None = None
@@ -598,11 +572,12 @@ class ClassificationService:
         :class:`ServiceOverloadedError`).  Returns a
         :class:`~repro.segment.types.SegmentationResult`.
         """
-        return await self._submit(text, self._segment_batchers, "segment")
+        result, _ctx = await self._submit_traced(text, "segment")
+        return result
 
     async def segment_traced(self, text: str | bytes) -> tuple:
         """:meth:`segment`, returning ``(result, trace_context)``."""
-        return await self._submit_traced(text, self._segment_batchers, "segment")
+        return await self._submit_traced(text, "segment")
 
     async def segment_many(self, texts: Sequence[str | bytes]) -> list:
         """Segment several documents concurrently (one result per input, in order)."""
@@ -646,9 +621,9 @@ class ClassificationService:
             "tracing": self.tracer.describe(),
         }
         if self._pool is not None:
-            all_batchers = (*self._batchers, *self._segment_batchers)
-            info["pending"] = [len(batcher) for batcher in self._batchers]
-            info["segment_pending"] = [len(batcher) for batcher in self._segment_batchers]
+            all_batchers = [b for batchers in self._batchers.values() for b in batchers]
+            info["pending"] = [len(batcher) for batcher in self._batchers["classify"]]
+            info["segment_pending"] = [len(batcher) for batcher in self._batchers["segment"]]
             info["queue_depth"] = sum(len(batcher) for batcher in all_batchers)
             info["oldest_wait_ms"] = 1e3 * max(
                 (batcher.oldest_wait_seconds() for batcher in all_batchers), default=0.0

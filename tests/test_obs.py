@@ -159,12 +159,14 @@ class TestTracer:
 
     def test_unsampled_fast_requests_are_not_retained_but_feed_metrics(self):
         metrics = ServiceMetrics()
-        tracer = Tracer(
-            TraceConfig(sample_rate=0.0, slow_threshold_ms=float("inf")), metrics=metrics
-        )
+        tracer = Tracer(TraceConfig(sample_rate=0.0, slow_threshold_ms=float("inf")))
         ctx = tracer.begin("classify")
         ctx.stage("admission")
         tracer.finish(ctx)
+        # the service's exit hands every finished trace to the metrics
+        metrics.record_outcome(
+            ctx.kind, "ok", spans=ctx.spans, latency_seconds=ctx.duration_seconds
+        )
         assert tracer.export() == []
         # ...but the stage histograms cover the full population
         assert metrics.stage_histograms()["admission"]["count"] == 1

@@ -11,10 +11,14 @@ import asyncio
 import gc
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import ClassifierConfig, LanguageIdentifier
 from repro.api.persistence import load_model, save_model
 from repro.corpus.corpus import build_jrc_acquis_like
@@ -242,6 +246,53 @@ class TestProcessReplicaPool:
 
         run(scenario())
 
+    def test_failed_send_to_a_dead_worker_leaves_no_buffer_error(self, identifier, tmp_path):
+        """A send that fails on a dead worker must leave no pickle buffer behind.
+
+        ``Connection.send`` pickles into an ``io.BytesIO`` and sends a
+        memoryview of it; a failed send leaves that view in the traceback of
+        the request's exception, and the micro-batcher's failed batch holds
+        that exception in a reference cycle.  Collecting the cycle can close
+        the ``BytesIO`` before the view, which development mode (``-X dev``)
+        reports as a ``BufferError``.  The scenario therefore runs in a
+        ``-X dev`` child, which counts the reports that reach
+        ``sys.unraisablehook``.
+        """
+        script = """
+import asyncio, gc, sys
+from repro.serve import ClassificationService, ServeConfig, WorkerCrashedError
+
+reports = []
+sys.unraisablehook = lambda report: reports.append(report.exc_type.__name__)
+
+async def crash(path):
+    config = ServeConfig(max_delay_ms=1.0, executor="process", cache_size=0)
+    async with ClassificationService(path, config) as service:
+        await service.classify("a first document")
+        service._pool._workers[0].process.kill()
+        service._pool._workers[0].process.join(timeout=30)
+        try:
+            await service.classify("a document for the dead worker")
+        except WorkerCrashedError:
+            pass
+
+asyncio.run(crash(sys.argv[1]))
+gc.collect()
+print(reports.count("BufferError"))
+"""
+        model = identifier.save(tmp_path / "model.bin")
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": source_root}
+        child = subprocess.run(
+            [sys.executable, "-X", "dev", "-c", script, str(model)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split()[-1] == "0", child.stderr
+
 
 # ------------------------------------------------------------------- swap hygiene
 
@@ -404,7 +455,11 @@ class TestProcessExecutorService:
                 result = await service.classify(texts[1])
                 assert result.language in identifier.languages
                 assert service.metrics.worker_respawns_total == 1
-                assert service.metrics.snapshot()["worker_respawns_total"] == 1
+                snapshot = service.metrics.snapshot()
+                assert snapshot["worker_respawns_total"] == 1
+                # the crashed request failed once, and is no response
+                assert snapshot["errors_total"] == 1
+                assert snapshot["responses_total"] == 2
 
         run(scenario())
 

@@ -28,7 +28,6 @@ from repro.serve import (
     ServiceOverloadedError,
     ThreadReplicaPool,
     model_fingerprint,
-    percentile,
     text_digest,
 )
 
@@ -207,24 +206,15 @@ class TestModelFingerprint:
 
 
 class TestServiceMetrics:
-    def test_percentile_interpolation(self):
-        samples = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(samples, 0) == 1.0
-        assert percentile(samples, 100) == 4.0
-        assert percentile(samples, 50) == 2.5
-        assert percentile([], 99) == 0.0
-        with pytest.raises(ValueError):
-            percentile(samples, 101)
-
     def test_snapshot_and_histogram(self):
         metrics = ServiceMetrics()
         for size in (1, 4, 4, 8):
             metrics.record_batch(size)
         metrics.record_request(100)
-        metrics.record_response(0.010)
-        metrics.record_response(0.001, cached=True)
-        metrics.record_rejection("overload")
-        metrics.record_rejection("too-large")
+        metrics.record_outcome("classify", "ok", hit=False, latency_seconds=0.010)
+        metrics.record_outcome("classify", "ok", hit=True, latency_seconds=0.001)
+        metrics.record_outcome("classify", "overload", hit=False)
+        metrics.record_outcome("classify", "too-large")
         snapshot = metrics.snapshot()
         assert snapshot["requests_total"] == 1
         assert snapshot["responses_total"] == 2
@@ -243,8 +233,9 @@ class TestServiceMetrics:
     def test_render_text_exposition(self):
         metrics = ServiceMetrics()
         metrics.record_batch(2)
-        metrics.record_response(0.003)
-        metrics.observe_stage("kernel", 0.002)
+        metrics.record_outcome(
+            "classify", "ok", spans=[("kernel", 0.0, 0.002)], latency_seconds=0.003
+        )
         text = metrics.render_text()
         assert "repro_serve_batches_total 1" in text
         assert 'repro_serve_batch_size_total{size="2"} 1' in text
@@ -261,16 +252,6 @@ class TestServiceMetrics:
         assert 'repro_serve_stage_duration_seconds_count{stage="kernel"} 1' in text
         assert 'repro_serve_stage_duration_seconds_count{stage="request"} 1' in text
 
-    def test_percentile_empty_and_singleton_samples(self):
-        # empty reservoir: every percentile is 0.0, not an IndexError
-        for q in (0.0, 50.0, 99.0, 100.0):
-            assert percentile([], q) == 0.0
-        # singleton reservoir: every percentile is that observation
-        for q in (0.0, 50.0, 99.0, 100.0):
-            assert percentile([0.25], q) == 0.25
-        with pytest.raises(ValueError):
-            percentile([0.25], -0.1)
-
     def test_fresh_metrics_snapshot_is_all_zeros(self):
         snapshot = ServiceMetrics().snapshot()
         assert snapshot["responses_total"] == 0
@@ -284,9 +265,9 @@ class TestServiceMetrics:
         # bounded reservoir): 100 slow responses stay visible in the
         # percentiles after 8 fast ones arrive.
         for _ in range(100):
-            metrics.record_response(5.0)
+            metrics.record_outcome("classify", "ok", latency_seconds=5.0)
         for _ in range(8):
-            metrics.record_response(0.001)
+            metrics.record_outcome("classify", "ok", latency_seconds=0.001)
         percentiles = metrics.latency_percentiles()
         assert percentiles["p50"] > 1.0  # dominated by the slow majority
         assert metrics.responses_total == 108
@@ -339,8 +320,8 @@ class TestServiceMetrics:
                 for i in range(per_writer):
                     metrics.record_batch(offset * per_writer + i)  # always a new size
                     metrics.record_request(17)
-                    metrics.record_response(0.001 * (i % 7))
-                    metrics.record_rejection("overload")
+                    metrics.record_outcome("classify", "ok", latency_seconds=0.001 * (i % 7))
+                    metrics.record_outcome("classify", "overload")
             except BaseException as error:  # pragma: no cover - failure path
                 failures.append(error)
 
@@ -551,7 +532,7 @@ class TestReplicaPool:
                 # admitted and queued under blue, but not yet flushed ...
                 queued = [asyncio.ensure_future(service.classify(t)) for t in texts[8:]]
                 await asyncio.sleep(0)
-                assert len(service._batchers[0]) == 8
+                assert len(service._batchers["classify"][0]) == 8
                 # ... so the swap, one assignment, lands before their batches
                 await service.swap_model(green)
                 after = await asyncio.gather(*queued)
@@ -744,3 +725,100 @@ class TestClassificationService:
             ).match_counts
 
         run(scenario())
+
+
+# ------------------------------------------------------------------- outcomes
+
+
+#: the scripted documents (ASCII, each under the 64-byte limit below)
+MISS_THEN_HIT = "ceci est un document pour le cache"
+BATCHED, OVERLOADED = "el primer documento del lote", "the second document is refused"
+FAILED = "dieser Kern faellt einmal aus"
+SEGMENTED = "un texte court a segmenter"
+
+
+async def scripted_outcomes(identifier, monkeypatch) -> dict:
+    """One request of every outcome, through public calls only; the snapshot.
+
+    A miss and then a hit of one document, a too-large document, an overload
+    (two concurrent requests against a one-request queue), a kernel failure
+    (the backend's ``match_counts_batch`` raises once) and a segment request.
+    """
+    config = ServeConfig(max_delay_ms=1.0, max_pending=1, max_document_bytes=64)
+    kernel = identifier.backend.match_counts_batch
+    failed = []
+
+    def fail_once(packed, lengths):
+        if not failed:
+            failed.append(True)
+            raise RuntimeError("kernel fault")
+        return kernel(packed, lengths)
+
+    async with ClassificationService(identifier, config) as service:
+        await service.classify(MISS_THEN_HIT)
+        await service.classify(MISS_THEN_HIT)
+        with pytest.raises(RequestTooLargeError):
+            await service.classify("x" * 65)
+        answered, refused = await asyncio.gather(
+            service.classify(BATCHED), service.classify(OVERLOADED), return_exceptions=True
+        )
+        assert answered.language in identifier.languages
+        assert isinstance(refused, ServiceOverloadedError)
+        monkeypatch.setattr(identifier.backend, "match_counts_batch", fail_once)
+        with pytest.raises(RuntimeError, match="kernel fault"):
+            await service.classify(FAILED)
+        await service.segment(SEGMENTED)
+        return service.metrics.snapshot()
+
+
+class TestRequestOutcomes:
+    """Each request's exit records its outcome once, and failures are counted."""
+
+    def test_scripted_outcomes_match_hand_counts(self, identifier, monkeypatch):
+        snapshot = run(scripted_outcomes(identifier, monkeypatch))
+        admitted = [MISS_THEN_HIT, MISS_THEN_HIT, BATCHED, FAILED, SEGMENTED]
+        counters = {
+            "requests_total": 5,
+            "responses_total": 4,  # the kernel failure is not a response
+            "segment_requests_total": 1,
+            "cache_hits": 1,
+            "cache_hits_total": {"classify": 1},
+            # the overload and the failure looked the cache up first
+            "cache_misses_total": {"classify": 4, "segment": 1},
+            "rejected_overload": 1,
+            "rejected_too_large": 1,
+            "errors_total": 1,
+            "abstentions_total": 0,
+            "abstentions_by_reason": {},
+            "ensemble_votes_total": 0,
+            "ensemble_unanimous_total": 0,
+            # the failed request's batch flushed before its kernel raised
+            "batches_total": 4,
+            "worker_respawns_total": 0,
+            "model_swaps_total": 0,
+            "model_version": None,
+            "model_fingerprint": model_fingerprint(identifier).hex(),
+            "mean_batch_size": 1.0,
+            "batch_size_histogram": {"1": 4},
+            "bytes_total": sum(len(text) for text in admitted),
+        }
+        timings = {
+            "uptime_seconds", "requests_per_second", "throughput_mb_s",
+            "latency_seconds", "latency_ms", "stage_latency_seconds",
+        }
+        assert set(snapshot) == set(counters) | timings
+        assert {name: snapshot[name] for name in counters} == counters
+        stage_counts = {
+            stage: histogram["count"]
+            for stage, histogram in snapshot["stage_latency_seconds"].items()
+        }
+        assert stage_counts == {
+            "admission": 6,  # every request but the too-large one
+            "cache_lookup": 6,
+            "queue_wait": 4,  # the three answered misses and the failure
+            "batch_assembly": 4,
+            "ipc_roundtrip": 3,  # the failure never got a kernel span
+            "kernel": 3,
+            "respond": 7,  # every request closes its trace
+            "request": 4,  # end-to-end latency of answered requests only
+        }

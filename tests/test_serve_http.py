@@ -65,9 +65,11 @@ class _Client:
         await self.writer.wait_closed()
 
 
-def run_with_server(identifier, scenario, config=None):
+def run_with_server(identifier, scenario, config=None, logger=None):
     async def main():
-        service = ClassificationService(identifier, config or ServeConfig(max_delay_ms=1.0))
+        service = ClassificationService(
+            identifier, config or ServeConfig(max_delay_ms=1.0), logger=logger
+        )
         async with service:
             server = await serve_http(service, host="127.0.0.1", port=0)
             port = server.sockets[0].getsockname()[1]
@@ -212,6 +214,28 @@ class TestInternalErrors:
         assert json.loads(raw) == {"error": "internal error"}
         # the operator still sees what went wrong
         assert marker in stream.getvalue()
+
+    def test_crashed_worker_500_carries_its_request_id(self, identifier):
+        stream = io.StringIO()
+
+        async def scenario(client, service):
+            before = await client.request_full("POST", "/classify", {"text": "bonjour"})
+            service._pool._workers[0].process.kill()
+            crashed = await client.request_full("POST", "/classify", {"text": "au revoir"})
+            return before, crashed, service.metrics.snapshot()
+
+        config = ServeConfig(max_delay_ms=1.0, executor="process", cache_size=0)
+        before, (status, headers, raw), snapshot = run_with_server(
+            identifier, scenario, config, logger=JsonLogger(stream)
+        )
+        assert before[0] == 200
+        assert status == 500
+        assert json.loads(raw) == {"error": "internal error"}
+        events = [json.loads(line) for line in stream.getvalue().splitlines()]
+        failed = [e for e in events if e.get("status") == "error:WorkerCrashedError"]
+        assert len(failed) == 1
+        assert headers["x-request-id"] == failed[0]["request_id"]
+        assert snapshot["errors_total"] == 1 and snapshot["responses_total"] == 1
 
 
 class TestSegmentEndpoint:

@@ -42,7 +42,8 @@ WORKERS = max(2, min(4, os.cpu_count() or 1))
 #: CPU-bound request mix: fewer, larger documents than the serve benchmark
 N_REQUESTS = 192
 REQUEST_CHARS = 4000
-REPEATS = 2
+#: timed waves per tier; the reading is each tier's fastest wave
+REPEATS = 20
 #: cores below which the speedup assertion is informational only
 MIN_CORES_FOR_ASSERT = 4
 #: acceptance floor for process-pool / thread-pool throughput on >= 4 cores
@@ -103,25 +104,37 @@ def test_both_executors_match_the_batch_path(identifier, requests_mix):
         assert metrics["mean_batch_size"] >= 2
 
 
-def _timed_executor(identifier, texts, executor: str):
-    """Best-of-N steady-state wall time for one full concurrent wave.
+def _timed_executors(identifier, texts):
+    """Each tier's best steady-state wall time for one full concurrent wave.
 
-    The service (and, for the process tier, its spawned workers) starts once;
-    a small warm-up wave forces every replica ready before timing begins, so
+    Both services (and the process tier's spawned workers) start once; a
+    small warm-up wave forces every replica ready before timing begins, so
     the measurement compares steady-state serving throughput, not process
-    start-up cost (which a long-lived service pays once).
+    start-up cost (which a long-lived service pays once).  The tiers then
+    take turns, one wave each, ``REPEATS`` times: a shared host changes
+    speed over seconds, and alternating the waves lets both tiers' best
+    wave see the same speeds.  Returns ``{executor: (seconds, results,
+    metrics)}``.
     """
 
     async def main():
-        service = ClassificationService(identifier, _serve_config(executor))
-        async with service:
-            await service.classify_many(texts[: 4 * WORKERS])  # every replica warm
-            best, results = float("inf"), None
+        async with ClassificationService(
+            identifier, _serve_config("thread")
+        ) as thread, ClassificationService(identifier, _serve_config("process")) as process:
+            services = {"thread": thread, "process": process}
+            best = dict.fromkeys(services, float("inf"))
+            results = {}
+            for service in services.values():
+                await service.classify_many(texts[: 4 * WORKERS])  # every replica warm
             for _ in range(REPEATS):
-                start = time.perf_counter()
-                results = await service.classify_many(texts)
-                best = min(best, time.perf_counter() - start)
-            return best, results, service.metrics.snapshot()
+                for executor, service in services.items():
+                    start = time.perf_counter()
+                    results[executor] = await service.classify_many(texts)
+                    best[executor] = min(best[executor], time.perf_counter() - start)
+            return {
+                executor: (best[executor], results[executor], service.metrics.snapshot())
+                for executor, service in services.items()
+            }
 
     return asyncio.run(main())
 
@@ -135,12 +148,9 @@ def test_process_pool_scales_past_the_gil(identifier, requests_mix):
     cores = os.cpu_count() or 1
     total_bytes = sum(len(text) for text in requests_mix)
 
-    thread_seconds, thread_results, thread_metrics = _timed_executor(
-        identifier, requests_mix, "thread"
-    )
-    process_seconds, process_results, process_metrics = _timed_executor(
-        identifier, requests_mix, "process"
-    )
+    timed = _timed_executors(identifier, requests_mix)
+    thread_seconds, thread_results, thread_metrics = timed["thread"]
+    process_seconds, process_results, process_metrics = timed["process"]
 
     # Correctness first: both tiers must match the bare batch path bit-for-bit.
     direct = identifier.classify_batch(requests_mix)

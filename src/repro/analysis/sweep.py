@@ -88,7 +88,7 @@ def _measured_fpr(identifier: LanguageIdentifier, sample_size: int, seed: int) -
         if non_members.size == 0:
             rates[language] = 0.0
             continue
-        counts = identifier.backend.match_counts_batch(non_members, [non_members.size])
+        counts = identifier.backend.match_counts_batch(non_members, [0], [non_members.size])
         rates[language] = float(counts[0, index]) / float(non_members.size)
     return rates
 

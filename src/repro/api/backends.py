@@ -28,15 +28,18 @@ Five engines are registered:
     language bitmaps (:class:`repro.baselines.hail.HailClassifier`).
 
 All adapters consume the same per-language :class:`~repro.core.profile.LanguageProfile`
-objects and classify a whole concatenated batch in ``match_counts_batch``.
+objects and classify a whole batch in ``match_counts_batch``, which reads
+the batch as one stream of n-grams with each document's range, the
+boundary windows between documents left in the gaps.
 The four *table backends* — ``bloom``, ``exact``, ``hail`` and ``mguesser``,
 whose per-n-gram answer is a lookup — share that kernel.  ``bloom`` (from
 its key table, n <= 4), ``exact`` (a word column in its sorted table) and
 ``hail`` (its SRAM words) hand it one *language word* per n-gram, bit ``j``
-= language ``j``.  Small spread tables, derived from the language count,
-turn the words into *lanes*: ``int64`` values holding four 16-bit language
-counters each, like the paper's bank of match counters stepping together.
-One reduction per lane gives every document's counts.  ``mguesser``'s
+= language ``j``.  One spread table turns each ten bits of a word into a
+*lane*: an ``int64`` holding ten 6-bit language counters, like the paper's
+bank of match counters stepping together.  A document is counted in
+pieces of at most 63 n-grams, one reduction per lane gives every piece's
+counts, and one more adds each document's pieces.  ``mguesser``'s
 weights and bloom's hash-and-probe path (n > 4, or more than 64 languages)
 are reduced one language row at a time.  ``exact`` and ``mguesser`` find
 each n-gram's column with one ``searchsorted`` per batch over one sorted
@@ -87,19 +90,23 @@ KEY_TABLE_MAX_LANGUAGES = 64
 KEY_TABLE_BLOCK_BITS = 14
 
 #: width of one language's match counter in a lane
-FIELD_BITS = 16
-#: most n-grams one counter counts; longer documents are reduced in pieces
+FIELD_BITS = 6
+#: most n-grams one counter counts: a document is counted in pieces of at most this many
 FIELD_MAX = (1 << FIELD_BITS) - 1
-#: counters per ``int64`` lane
+#: counters per ``int64`` lane: ten use 60 of its 64 bits, so a lane's sum
+#: over one piece never carries into the next counter or the sign bit
 LANE_FIELDS = 64 // FIELD_BITS
 #: each counter's shift within its lane
-FIELD_SHIFTS = np.arange(0, 64, FIELD_BITS)
-#: languages per spread table, which has a column for every word of that many bits
-SPREAD_GROUP_LANGUAGES = 16
-SPREAD_GROUP_MASK = (1 << SPREAD_GROUP_LANGUAGES) - 1
-#: n-grams per block of lanes: a block spans under twice this many, so its
-#: lanes stay under 6.3 MB at ten languages however large the batch, while 64
-#: long documents (~97 K n-grams) still count in one block
+FIELD_SHIFTS = np.arange(0, FIELD_BITS * LANE_FIELDS, FIELD_BITS)
+#: a word's bits per lane, each lane's index into :data:`SPREAD`
+LANE_MASK = (1 << LANE_FIELDS) - 1
+#: the spread table: entry ``w`` holds bit ``j`` of the ten-bit ``w`` in counter
+#: ``j`` of one lane; every lane of every language count spreads through it (8 KB)
+SPREAD = ((np.arange(LANE_MASK + 1)[:, None] >> np.arange(LANE_FIELDS) & 1) << FIELD_SHIFTS).sum(1)
+SPREAD.flags.writeable = False
+#: n-grams per block of pieces: a block's lanes span at most this many plus
+#: one piece (1 MB per lane), however large the batch, while 64 long
+#: documents (~95 K n-grams) still count in one block
 LANE_BLOCK_NGRAMS = 1 << 17
 
 
@@ -115,26 +122,28 @@ class _MembershipBackend(Backend):
     ``bloom`` (from its key table), ``exact`` and ``hail`` also supply
     :meth:`_language_words`: one word per n-gram whose bit ``j`` is language
     ``j``'s hit.  Their counts come from the paper's counter bank, where
-    every language's counter steps at once: :func:`_lane_counts` spreads the
-    words through :attr:`_spread` into 16-bit counters packed four to an
-    ``int64`` lane and reduces each lane once: up to 16 languages, one
-    gather and ``ceil(languages / 4)`` reductions where unpacking and
-    reducing one row per language took three calls per language.
-    ``mguesser``'s ``int64`` weights and bloom's :meth:`~BloomBackend.probe`
-    have no words; one :func:`~repro.core.ngram.segment_sums` call reduces
-    their score rows.
+    every language's counter steps at once: :func:`_lane_counts` spreads
+    each ten bits of the words through :data:`SPREAD` into an ``int64`` lane
+    of ten 6-bit counters, and reduces each lane once per block of pieces of
+    at most 63 n-grams: at ten languages, one gather and one reduction
+    where unpacking and reducing one row per language took three calls per
+    language.  ``mguesser``'s ``int64`` weights and bloom's
+    :meth:`~BloomBackend.probe` have no words; one
+    :func:`~repro.core.ngram.segment_sums` call reduces their score rows.
+    Either way the kernel reads the batch stream as it is, and only each
+    document's range of it is counted.
     """
 
-    #: :func:`_spread_tables` of the language count, set with the word source
-    _spread: tuple[np.ndarray, ...] | None = None
-
-    def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    def match_counts_batch(
+        self, packed: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    ) -> np.ndarray:
         self._check_trained()
+        starts = np.asarray(starts, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
         words = self._language_words(packed)
         if words is None:
-            return segment_sums(self.ngram_hits(packed), lengths).T
-        return _lane_counts(words, lengths, self._spread, len(self.profiles))
+            return segment_sums(self.ngram_hits(packed), starts, lengths).T
+        return _lane_counts(words, starts, lengths, len(self.profiles))
 
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
         """Boolean ``(languages, N)`` hits: the language words, one row per bit."""
@@ -169,89 +178,58 @@ def _pack_rows(rows: np.ndarray) -> np.ndarray:
     return words
 
 
-def _spread_tables(languages: int) -> tuple[np.ndarray, ...]:
-    """Tables that spread a language word into counter lanes.
-
-    Languages go in groups of ``SPREAD_GROUP_LANGUAGES``; a group of ``g``
-    languages has one ``(ceil(g / 4), 2 ** g)`` ``int64`` table whose column
-    ``w`` holds bit ``j`` of the group's ``w`` in bit ``16 * (j % 4)`` of
-    lane ``j // 4``.  Derived from the language count alone: 24 KB at ten
-    languages, 2 MB per full group.
-    """
-    tables = []
-    for first in range(0, languages, SPREAD_GROUP_LANGUAGES):
-        group = min(SPREAD_GROUP_LANGUAGES, languages - first)
-        lanes = -(-group // LANE_FIELDS)
-        bits = np.arange(lanes * LANE_FIELDS)
-        # a bit past the group's last language is zero in every word
-        fields = (np.arange(1 << group, dtype=np.int64) >> bits[:, None]) & 1
-        fields <<= FIELD_BITS * (bits % LANE_FIELDS)[:, None]
-        table = fields.reshape(lanes, LANE_FIELDS, -1).sum(axis=1)
-        table.flags.writeable = False
-        tables.append(table)
-    return tuple(tables)
-
-
 def _lane_counts(
-    words: np.ndarray, lengths: np.ndarray, spread: tuple[np.ndarray, ...], languages: int
+    words: np.ndarray, starts: np.ndarray, lengths: np.ndarray, languages: int
 ) -> np.ndarray:
     """``(documents, languages)`` counts of the set bits of each document's words.
 
-    A document of more than ``FIELD_MAX`` n-grams is counted in pieces of at
-    most ``FIELD_MAX``, whose counts are added, so no 16-bit counter
-    overflows.  The pieces are counted in blocks: those that start in one
-    stretch of ``LANE_BLOCK_NGRAMS`` n-grams, so a block's lanes hold fewer
-    than twice that many n-grams however large the batch.
+    Document ``i``'s words are ``words[starts[i] : starts[i] + lengths[i]]``.
+    Each document is counted in pieces of at most ``FIELD_MAX`` n-grams (an
+    empty document in one empty piece), so no 6-bit counter overflows, and
+    one ``np.add.reduceat`` adds each document's pieces.  The pieces are
+    counted in blocks: those that start in one stretch of
+    ``LANE_BLOCK_NGRAMS`` n-grams, so a block's lanes hold at most that many
+    plus one piece however large the batch.
     """
-    pieces = lengths
-    split = lengths.size > 0 and int(lengths.max()) > FIELD_MAX
-    if split:
-        per_document = np.maximum(-(-lengths // FIELD_MAX), 1)
-        last = np.cumsum(per_document) - 1
-        pieces = np.full(last[-1] + 1, FIELD_MAX, dtype=np.int64)
-        pieces[last] = lengths - FIELD_MAX * (per_document - 1)
-    piece_bounds, word_bounds = [0, pieces.size], [0, words.size]
-    if words.size > LANE_BLOCK_NGRAMS:
-        starts = np.cumsum(pieces) - pieces
-        cuts = np.flatnonzero(np.diff(starts // LANE_BLOCK_NGRAMS)) + 1
-        piece_bounds[1:1] = cuts.tolist()
-        word_bounds[1:1] = starts[cuts].tolist()
-    counts = np.concatenate([
-        _block_counts(words[start:end], pieces[first:stop], spread, languages)
-        for first, stop, start, end in zip(
-            piece_bounds, piece_bounds[1:], word_bounds, word_bounds[1:]
-        )
-    ])
-    if split:
-        counts = np.add.reduceat(counts, last + 1 - per_document, axis=0)
-    return counts
+    per_document = np.maximum((lengths + (FIELD_MAX - 1)) // FIELD_MAX, 1)
+    first = np.cumsum(per_document) - per_document
+    # piece j of document i starts FIELD_MAX * j n-grams after the document
+    offsets = np.repeat(starts - FIELD_MAX * first, per_document)
+    offsets += np.arange(0, FIELD_MAX * offsets.size, FIELD_MAX)
+    pieces = np.minimum(np.repeat(starts + lengths, per_document) - offsets, FIELD_MAX)
+    bounds = [0, offsets.size]
+    if offsets.size and offsets[-1] >= LANE_BLOCK_NGRAMS:
+        bounds[1:1] = (np.flatnonzero(np.diff(offsets // LANE_BLOCK_NGRAMS)) + 1).tolist()
+    counts = [
+        _block_counts(words, offsets[first_piece:stop], pieces[first_piece:stop], languages)
+        for first_piece, stop in zip(bounds, bounds[1:])
+    ]
+    return np.add.reduceat(counts[0] if len(counts) == 1 else np.concatenate(counts), first, axis=0)
 
 
 def _block_counts(
-    words: np.ndarray, pieces: np.ndarray, spread: tuple[np.ndarray, ...], languages: int
+    words: np.ndarray, starts: np.ndarray, lengths: np.ndarray, languages: int
 ) -> np.ndarray:
-    """``(pieces, languages)`` counts of one block, through counter lanes.
+    """``(pieces, languages)`` counts of one block of pieces, through counter lanes.
 
-    One gather per spread table turns the words into ``int64`` lanes of four
-    16-bit counters each, and one :func:`~repro.core.ngram.segment_sums`
-    call reduces each lane once.  A lane's sum wraps, but exactly: no piece
-    holds more than ``FIELD_MAX`` n-grams, so no carry crosses into the next
-    counter.  The counters are split with a shift and a mask (not a
-    ``uint16`` view, which would depend on byte order); an arithmetic shift
-    differs from a logical one only above the mask.
+    Each lane takes one gather from :data:`SPREAD`, over the words from the
+    block's first piece to its last, and one
+    :func:`~repro.core.ngram.segment_sums` call reduces every lane's pieces.
+    A lane's sum over a piece is exact: the piece holds at most
+    ``FIELD_MAX`` n-grams, so no carry crosses into the next counter.  The
+    counters are split with a shift and a mask (not a byte view, which
+    would depend on byte order).
     """
-    lanes = np.empty((sum(table.shape[0] for table in spread), words.size), dtype=np.int64)
-    row = 0
-    for group, table in enumerate(spread):
-        index = words
-        if len(spread) > 1:
-            index = (words >> (group * SPREAD_GROUP_LANGUAGES)) & SPREAD_GROUP_MASK
+    begin, end = (int(starts[0]), int(starts[-1] + lengths[-1])) if starts.size else (0, 0)
+    block = words[begin:end]
+    lanes = np.empty((-(-languages // LANE_FIELDS), block.size), dtype=np.int64)
+    for group, lane in enumerate(lanes):
+        index = block if lanes.shape[0] == 1 else block >> (LANE_FIELDS * group) & LANE_MASK
         # every index is in range; "clip" only spares np.take buffering ``out``
-        np.take(table, index, axis=1, out=lanes[row : row + table.shape[0]], mode="clip")
-        row += table.shape[0]
-    sums = segment_sums(lanes, pieces)
+        np.take(SPREAD, index, out=lane, mode="clip")
+    sums = segment_sums(lanes, starts - begin, lengths)
     counts = (sums.T[:, :, None] >> FIELD_SHIFTS) & FIELD_MAX
-    return counts.reshape(-1, LANE_FIELDS * lanes.shape[0])[:, :languages]
+    return counts.reshape(lengths.size, LANE_FIELDS * lanes.shape[0])[:, :languages]
 
 
 def _require_profiles(profiles: Mapping[str, LanguageProfile]) -> None:
@@ -333,16 +311,18 @@ class BloomBackend(_MembershipBackend):
                 or self.bits.shape[1] > KEY_TABLE_MAX_LANGUAGES
             ):
                 return None
-            # built into a local and published with one assignment, after the
-            # spread tables: racing first calls at worst build it twice
-            self._spread = _spread_tables(self.bits.shape[1])
+            # built into a local and published with one assignment: racing
+            # first calls at worst build it twice
             table = self._key_table = self._build_key_table()
         if packed.size and int(packed.max()) >> self.config.key_bits:
             raise ValueError(
                 f"key does not fit in {self.config.key_bits} bits "
                 f"(max value seen: {int(packed.max())})"
             )
-        return np.take(table, packed)
+        # every key is below 2^key_bits, so its intp view is the same index:
+        # np.take gathers through it without a cast copy of the keys, and
+        # "clip" never clips (it only skips the bounds check)
+        return np.take(table, packed.view(np.intp), mode="clip")
 
     def probe(self, packed: np.ndarray) -> np.ndarray:
         """:meth:`ngram_hits` by hashing: ``k`` hashes and ``k`` probes per n-gram.
@@ -506,7 +486,6 @@ class ExactBackend(_SortedTableBackend):
         super().fit_profiles(profiles)
         self._words = None
         if len(profiles) <= KEY_TABLE_MAX_LANGUAGES:
-            self._spread = _spread_tables(len(profiles))
             self._words, self._values = _pack_rows(self._values), None
 
     def _language_words(self, packed: np.ndarray) -> np.ndarray | None:
@@ -536,8 +515,10 @@ class HardwareSimBackend(Backend):
         self.engine.load_profiles_fast(profiles)
         self.profiles = dict(profiles)
 
-    def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Stream each document through the simulated datapath on its own.
+    def match_counts_batch(
+        self, packed: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    ) -> np.ndarray:
+        """Stream each document's range through the simulated datapath on its own.
 
         The engine's match counters (and cycle accounting) are per document,
         exactly as in the hardware, which resets its counters between
@@ -545,11 +526,10 @@ class HardwareSimBackend(Backend):
         """
         self._check_trained()
         packed = np.asarray(packed, dtype=np.uint64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        out = np.zeros((lengths.size, len(self.languages)), dtype=np.int64)
-        ends = np.cumsum(lengths)
-        for row, (start, end) in enumerate(zip(ends - lengths, ends)):
-            report = self.engine.process_document(packed[start:end])
+        out = np.zeros((len(lengths), len(self.languages)), dtype=np.int64)
+        ranges = zip(np.asarray(starts).tolist(), np.asarray(lengths).tolist())
+        for row, (start, length) in enumerate(ranges):
+            report = self.engine.process_document(packed[start : start + length])
             out[row] = [report.match_counts[language] for language in self.languages]
         return out
 
@@ -617,7 +597,6 @@ class HailBackend(_MembershipBackend):
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> None:
         self.table.fit_profiles(profiles)
-        self._spread = _spread_tables(len(profiles))
         self.profiles = dict(profiles)
 
     def _language_words(self, packed: np.ndarray) -> np.ndarray:

@@ -138,11 +138,11 @@ class EnsembleBackend(Backend):
             raise ValueError("texts and labels must align")
         if not texts:
             raise ValueError("cannot fit calibrators from zero documents")
-        packed, lengths = self._extractor.extract_batch(texts)
+        packed, starts, lengths = self._extractor.extract_batch(texts)
         languages = np.asarray(self.languages)
         label_array = np.asarray(list(labels))
         for name, member in self.members.items():
-            counts = member.match_counts_batch(packed, lengths)
+            counts = member.match_counts_batch(packed, starts, lengths)
             top_idx, raw = _top_and_raw_confidence(counts)
             correct = languages[top_idx] == label_array
             self.calibrators[name] = _calibrator_cls().fit(raw, correct)
@@ -219,6 +219,7 @@ class EnsembleBackend(Backend):
     def _vote_batch(
         self,
         packed: np.ndarray,
+        starts: np.ndarray,
         lengths: np.ndarray,
         sources: Sequence[str | None] | None,
     ) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
@@ -236,7 +237,7 @@ class EnsembleBackend(Backend):
         breakdown: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         rows = np.arange(n_docs)
         for name, member in self.members.items():
-            counts = member.match_counts_batch(packed, lengths)
+            counts = member.match_counts_batch(packed, starts, lengths)
             top_idx, raw = _top_and_raw_confidence(counts)
             calibrator = self.calibrators.get(name)
             calibrated = np.asarray(calibrator(raw) if calibrator is not None else 1.0)
@@ -271,19 +272,25 @@ class EnsembleBackend(Backend):
     def classify_batch_results(
         self,
         packed: np.ndarray,
+        starts: np.ndarray,
         lengths: np.ndarray,
         *,
         texts=None,
         sources=None,
     ) -> list[ClassificationResult]:
-        """The rich batch path: gates → calibrated votes → priors → abstention."""
+        """The rich batch path: gates → calibrated votes → priors → abstention.
+
+        Takes the batch stream and document ranges that
+        :meth:`~repro.api.registry.Backend.match_counts_batch` takes, and
+        hands them to every member as they are.
+        """
         self._check_trained()
         lengths = np.asarray(lengths, dtype=np.int64)
         n_docs = lengths.size
         languages = self.languages
         if isinstance(sources, (str, bytes)) or sources is None:
             sources = [sources] * n_docs
-        scores, breakdown = self._vote_batch(packed, lengths, sources)
+        scores, breakdown = self._vote_batch(packed, starts, lengths, sources)
         policy = self.ensemble_config
         results: list[ClassificationResult] = []
         for row in range(n_docs):
@@ -363,11 +370,12 @@ class EnsembleBackend(Backend):
 
     # ------------------------------------------------------------ Backend contract
 
-    def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    def match_counts_batch(
+        self, packed: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    ) -> np.ndarray:
         """Fixed-point vote scores per document (no text gates, no priors)."""
         self._check_trained()
-        lengths = np.asarray(lengths, dtype=np.int64)
-        scores, _ = self._vote_batch(packed, lengths, None)
+        scores, _ = self._vote_batch(packed, starts, lengths, None)
         return np.round(scores * ENSEMBLE_SCORE_SCALE).astype(np.int64)
 
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:

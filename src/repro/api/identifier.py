@@ -137,12 +137,12 @@ class LanguageIdentifier:
         """Classify several documents with one vectorized pass.
 
         :meth:`~repro.core.ngram.NGramExtractor.extract_batch` reads the
-        batch as one byte stream and hands every document's packed n-grams,
-        concatenated, to the backend's batch kernel.  One ``argmax`` over
-        the kernel's counts picks every document's winner, and each result
-        is built here by :meth:`_result_from_counts` from one ``tolist()``
-        of the counts and the winners, unless the backend builds richer ones
-        itself (the ensemble's votes).
+        batch as one byte stream and hands its packed n-grams, with each
+        document's range of them, to the backend's batch kernel.  One
+        ``argmax`` over the kernel's counts picks every document's winner, and
+        each result is built here by :meth:`_result_from_counts` from one
+        ``tolist()`` of the counts and the winners, unless the backend builds
+        richer ones itself (the ensemble's votes).
 
         ``sources`` is one source tag for the whole batch, or one per document
         (``None`` gaps allowed); only prior-aware backends consume it.
@@ -155,13 +155,13 @@ class LanguageIdentifier:
             sources = [sources] * len(texts)
         elif len(sources) != len(texts):
             raise ValueError("sources must align with texts (one tag per document)")
-        packed, lengths = self.extractor.extract_batch(texts)
+        packed, starts, lengths = self.extractor.extract_batch(texts)
         rich = self._backend.classify_batch_results(
-            packed, lengths, texts=texts, sources=sources
+            packed, starts, lengths, texts=texts, sources=sources
         )
         if rich is not None:
             return rich
-        counts = self._backend.match_counts_batch(packed, lengths)
+        counts = self._backend.match_counts_batch(packed, starts, lengths)
         languages = self.languages
         return [
             self._result_from_counts(languages, row, ngram_count, winner)

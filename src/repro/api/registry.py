@@ -44,8 +44,8 @@ class Backend(abc.ABC):
 
     Subclasses implement :meth:`fit_profiles` (program the engine from
     per-language profiles), :meth:`ngram_hits` (per-n-gram scores) and
-    :meth:`match_counts_batch` (per-language counts for a concatenated batch
-    of documents).  The table backends in :mod:`repro.api.backends` share
+    :meth:`match_counts_batch` (per-language counts for each document of a
+    batch stream).  The table backends in :mod:`repro.api.backends` share
     one batch kernel, whose counts are the sums of :meth:`ngram_hits`' scores;
     only ``hw-sim`` and ``ensemble`` keep a batch kernel of their own.  A single
     document is a batch of one: there is no separate per-document kernel.
@@ -76,16 +76,24 @@ class Backend(abc.ABC):
     # ------------------------------------------------------------ classification
 
     @abc.abstractmethod
-    def match_counts_batch(self, packed: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Per-language match counts for a concatenated batch of documents.
+    def match_counts_batch(
+        self, packed: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    ) -> np.ndarray:
+        """Per-language match counts for each document of a batch stream.
 
         Parameters
         ----------
         packed:
-            The batch's packed n-grams, all documents concatenated.
-        lengths:
-            Number of n-grams contributed by each document (``sum(lengths) ==
-            packed.size``; zero-length documents are allowed).
+            The batch's packed n-grams as
+            :meth:`~repro.core.ngram.NGramExtractor.extract_batch` returns
+            them: one stream, with the windows that cross a boundary between
+            two documents left in it.
+        starts, lengths:
+            Each document's range of ``packed``: the index of its first
+            n-gram and its n-gram count.  The ranges are in order and do not
+            overlap; only they are counted, never the gaps between them.
+            Zero-length documents are allowed.  A batch packed back to back
+            passes ``starts = cumsum(lengths) - lengths``.
 
         Returns
         -------
@@ -99,12 +107,16 @@ class Backend(abc.ABC):
     def classify_batch_results(
         self,
         packed: np.ndarray,
+        starts: np.ndarray,
         lengths: np.ndarray,
         *,
         texts=None,
         sources=None,
     ):
         """Optional rich batch path: full per-document results, or ``None``.
+
+        ``packed``, ``starts`` and ``lengths`` are the batch stream and
+        document ranges that :meth:`match_counts_batch` takes.
 
         Backends whose output is more than an argmax over
         :meth:`match_counts_batch` — the ensemble's calibrated votes, priors

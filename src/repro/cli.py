@@ -660,6 +660,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from repro.analytics import AnalyticsConfig
     from repro.serve import ClassificationService, ServeConfig, serve_http
@@ -711,6 +712,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service = ClassificationService(Path(args.model), serve_config, logger=logger)
 
     async def run() -> None:
+        # SIGTERM (kill, a container stop) ends the server the way Ctrl-C
+        # does: the serving task is cancelled, and the service drains and
+        # closes, which removes the process tier's model files
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         async with service:
             server = await serve_http(service, host=args.host, port=args.port)
             bound = server.sockets[0].getsockname()
@@ -737,7 +744,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("shutting down (drained in-flight batches)")
     return 0
 

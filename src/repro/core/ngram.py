@@ -32,6 +32,7 @@ __all__ = [
     "top_ngrams_from_counts",
     "merge_ngram_counts",
     "segment_sums",
+    "gather_ranges",
     "subsample",
     "NGramExtractor",
 ]
@@ -208,39 +209,63 @@ def merge_ngram_counts(
     return merged, summed
 
 
-def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sum integer ``values`` over consecutive segments of the given lengths.
+def segment_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum integer ``values`` over the ranges ``[starts[i], starts[i] + lengths[i])``.
 
-    Reduces a concatenated multi-document stream (hits, counts, bitmap tests)
-    back to per-document totals — the reduction shared by every batch
-    classification path.  ``values`` is 1-D, or 2-D with one row per
-    language (score rows) or per counter lane (the ``int64`` lanes of the
-    table backends, four 16-bit language counters each); the segments run
-    along the last axis, and the result has ``values``' leading shape plus
-    one int64 total per segment.
+    Reduces a batch stream (hits, scores, counter lanes) back to per-document
+    totals — the reduction shared by every batch classification path.  The
+    ranges run along the last axis of ``values``, in ascending order and
+    without overlap; values in the gaps between them (the windows that cross
+    a document boundary) and past the last range are not counted.
+    ``values`` is 1-D, or 2-D with one row per language (score rows) or per
+    counter lane (the table backends' ``int64`` lanes); the result has
+    ``values``' leading shape plus one int64 total per range.
 
-    The segment starts are computed once; then ``np.add.reduceat`` sums each
-    row in int64.  One call per row, not one over the flattened matrix: the
+    One ``np.add.reduceat`` per row over every range's start and end: the
+    sums from the starts are the ranges', those from the ends (the gaps')
+    are dropped.  One call per row, not one over the flattened matrix: the
     reduction casts its whole input to int64 first, and a row's cast is 8
     bytes per value where the matrix's would be 8 bytes per value per row.
-    Lanes are ``int64`` already, so their reduction casts nothing.
-    ``reduceat`` reads an empty segment as the single value at its start, so
-    empty segments are left out of the call and stay 0.  Values past the
-    last segment are ignored.
+    ``reduceat`` reads an empty range as the single value at its start, so
+    when some range is empty, the empty ones are left out of the call and
+    stay 0.
     """
     values = np.asarray(values)
+    starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    ends = np.cumsum(lengths)
-    nonempty = lengths > 0
-    sums = np.zeros(values.shape[:-1] + lengths.shape, dtype=np.int64)
-    if nonempty.any():
-        starts = (ends - lengths)[nonempty]
-        reduced = np.empty(values.shape[:-1] + starts.shape, dtype=np.int64)
-        rows = values[..., : ends[-1]].reshape(-1, ends[-1])
-        for row, out in zip(rows, reduced.reshape(-1, starts.size)):
-            np.add.reduceat(row, starts, dtype=np.int64, out=out)
-        sums[..., nonempty] = reduced
+    if not (lengths.size and lengths.all()):
+        sums = np.zeros(values.shape[:-1] + lengths.shape, dtype=np.int64)
+        kept = lengths > 0
+        if kept.any():
+            sums[..., kept] = segment_sums(values, starts[kept], lengths[kept])
+        return sums
+    bounds = np.empty((lengths.size, 2), dtype=np.int64)
+    bounds[:, 0] = starts
+    np.add(starts, lengths, out=bounds[:, 1])
+    end = int(bounds[-1, 1])
+    # every index but the last end lies inside the rows cut at that end
+    bounds = bounds.ravel()[:-1]
+    sums = np.empty(values.shape[:-1] + lengths.shape, dtype=np.int64)
+    for row, out in zip(values[..., :end].reshape(-1, end), sums.reshape(-1, lengths.size)):
+        out[:] = np.add.reduceat(row, bounds, dtype=np.int64)[::2]
     return sums
+
+
+def gather_ranges(
+    values: np.ndarray, starts: np.ndarray, counts: np.ndarray, stride: int
+) -> np.ndarray:
+    """``values[starts[i] + stride * j]`` for every ``j < counts[i]``, range after range.
+
+    One slice per range, copied once into the result: no index array is
+    built, so the result is the only new memory.
+    """
+    return np.concatenate(
+        [values[:0]]
+        + [
+            values[start : start + stride * count : stride]
+            for start, count in zip(np.asarray(starts).tolist(), np.asarray(counts).tolist())
+        ]
+    )
 
 
 def subsample(packed: np.ndarray, stride: int) -> np.ndarray:
@@ -297,39 +322,40 @@ class NGramExtractor:
             packed = subsample(packed, self.subsample_stride)
         return packed
 
-    def extract_batch(self, texts: Iterable[str | bytes]) -> tuple[np.ndarray, np.ndarray]:
-        """Extract a batch: every document's keys, concatenated, and their counts.
+    def extract_batch(
+        self, texts: Iterable[str | bytes]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Extract a batch as one stream: its keys and each document's range.
 
-        Returns ``(packed, lengths)``: the ``uint64`` keys of all documents in
-        order, and one ``int64`` key count per document.  No n-gram spans two
-        documents.  This is the input every batch kernel takes, and it equals
-        the concatenated :meth:`extract` results.
+        Returns ``(packed, starts, lengths)``: the ``uint64`` keys of the
+        batch's documents, and for each document the ``int64`` index of its
+        first key and its key count.  ``packed[starts[i] : starts[i] +
+        lengths[i]]`` is :meth:`extract` of document ``i``.  This is the
+        input every batch kernel takes.
 
         The batch is read as one byte stream, the way the paper's engine
         reads documents separated by end-of-document commands (Section 5.4):
-        each document is encoded once by :meth:`extract`'s rule, the bytes
-        are joined and packed by :meth:`extract`'s routine in one pass, and
-        one ``np.delete`` drops the windows that cross a document boundary.
-        With a stride, one gather keeps each document's windows 0, s, 2s, …
+        each document is encoded by :meth:`extract`'s rule, the bytes are
+        joined and packed by :meth:`extract`'s routine in one pass, and every
+        window of the stream is kept.  The ``n - 1`` windows that cross a
+        boundary between two documents lie in the gaps between the ranges,
+        and no kernel counts them.  An empty range (a document shorter than
+        ``n``) may start past the stream's last window.  With a stride,
+        :func:`gather_ranges` keeps each document's windows 0, s, 2s, … and
+        the ranges tile the gathered keys.
         """
         data = [_latin1(text) for text in texts]
         sizes = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
-        n = self.n
-        packed = _pack_bytes(b"".join(data), n)
-        lengths = np.maximum(sizes - (n - 1), 0)
-        if n > 1 and sizes.size > 1:
-            # the window starting at byte p crosses the boundary at offset e
-            # exactly when e - n + 1 <= p <= e - 1
-            crossing = (np.cumsum(sizes[:-1])[:, None] - np.arange(1, n)).ravel()
-            packed = np.delete(packed, crossing[(crossing >= 0) & (crossing < packed.size)])
+        packed = _pack_bytes(b"".join(data), self.n)
+        # document i's first window starts at its first byte
+        starts = np.cumsum(sizes) - sizes
+        lengths = np.maximum(sizes - (self.n - 1), 0)
         stride = self.subsample_stride
         if stride > 1:
-            kept = -(-lengths // stride)
-            # kept window j of a document is its window j * stride
-            first = np.cumsum(lengths) - lengths - stride * (np.cumsum(kept) - kept)
-            packed = packed[np.repeat(first, kept) + stride * np.arange(kept.sum())]
-            lengths = kept
-        return packed, lengths
+            lengths = -(-lengths // stride)
+            packed = gather_ranges(packed, starts, lengths, stride)
+            starts = np.cumsum(lengths) - lengths
+        return packed, starts, lengths
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"NGramExtractor(n={self.n}, subsample_stride={self.subsample_stride})"

@@ -15,6 +15,7 @@ import numpy as np
 from repro.core.ngram import (
     DEFAULT_N,
     NGramExtractor,
+    gather_ranges,
     ngram_to_string,
     top_ngrams,
     top_ngrams_from_counts,
@@ -103,8 +104,14 @@ class LanguageProfile:
         n: int = DEFAULT_N,
         t: int = DEFAULT_PROFILE_SIZE,
     ) -> "LanguageProfile":
-        """Build a profile from raw training documents: every n-gram of every document."""
-        packed, _lengths = NGramExtractor(n=n).extract_batch(texts)
+        """Build a profile from raw training documents: every n-gram of every document.
+
+        Only each document's own range of the batch stream is counted, not
+        the windows that cross a boundary between two documents.
+        """
+        packed, starts, lengths = NGramExtractor(n=n).extract_batch(texts)
+        # rebound, so the stream is freed before the n-grams are counted
+        packed = gather_ranges(packed, starts, lengths, 1)
         return cls.from_packed(language, packed, n=n, t=t)
 
     # ------------------------------------------------------------ queries

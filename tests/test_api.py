@@ -123,7 +123,7 @@ class TestRegistry:
             def fit_profiles(self, profiles):  # pragma: no cover - never called
                 pass
 
-            def match_counts_batch(self, packed, lengths):  # pragma: no cover - never called
+            def match_counts_batch(self, packed, starts, lengths):  # pragma: no cover
                 pass
 
         with pytest.raises(ValueError, match="already registered"):

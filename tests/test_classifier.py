@@ -21,7 +21,7 @@ from repro.core.ngram import ngrams_from_text
 def _counts(identifier, packed) -> np.ndarray:
     """The backend kernel's per-language counts for one document's keys."""
     packed = np.asarray(packed, dtype=np.uint64)
-    return identifier.backend.match_counts_batch(packed, [packed.size])[0]
+    return identifier.backend.match_counts_batch(packed, [0], [packed.size])[0]
 
 
 class TestClassificationResult:
@@ -119,7 +119,9 @@ class TestClassification:
         counts = _counts(trained, packed)
         assert not counts.any()
         monkeypatch.setattr(
-            trained.backend, "match_counts_batch", lambda packed, lengths: counts[None, :]
+            trained.backend,
+            "match_counts_batch",
+            lambda packed, starts, lengths: counts[None, :],
         )
         result = trained.classify("abcdefgh")  # 5 n-grams
         assert result.ngram_count == 5
@@ -129,7 +131,9 @@ class TestClassification:
         counts = [0] * len(trained.languages)
         counts[1] = counts[2] = 7
         monkeypatch.setattr(
-            trained.backend, "match_counts_batch", lambda packed, lengths: np.asarray([counts])
+            trained.backend,
+            "match_counts_batch",
+            lambda packed, starts, lengths: np.asarray([counts]),
         )
         result = trained.classify("twelve chars")
         assert result.language == trained.languages[int(np.argmax(counts))]

@@ -1,10 +1,20 @@
 """Tests for the command-line interface."""
 
+import http.client
 import io
 import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.api import LanguageIdentifier
 from repro.cli import build_parser, main
 
 
@@ -440,6 +450,51 @@ class TestServeParser:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and message in lines[0]
+
+
+class TestServeShutdown:
+    def test_sigterm_drains_and_leaves_no_model_files(self, train_corpus, tmp_path):
+        """``kill`` ends ``repro serve`` the way Ctrl-C does: exit 0, temp dir clean.
+
+        The process tier keeps its model file in a ``repro-pool-*`` directory
+        under the temp dir, which only a graceful close removes.
+        """
+        model = LanguageIdentifier(t=800).train(train_corpus).save(tmp_path / "model.bin")
+        private_tmp = tmp_path / "tmp"
+        private_tmp.mkdir()
+        env = {
+            **os.environ,
+            "TMPDIR": str(private_tmp),
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+        }
+        server = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "--model", str(model),
+             "--port", "0", "--executor", "process"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        try:
+            # the banner names the bound port once the service is up
+            assert select.select([server.stdout], [], [], 120)[0], "no banner"
+            port = int(re.search(r"http://[^:]+:(\d+)", server.stdout.readline()).group(1))
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            connection.request(
+                "POST", "/classify", body=json.dumps({"text": "the first document here"}),
+                headers={"Content-Type": "application/json"},
+            )
+            assert connection.getresponse().status == 200
+            connection.close()
+            assert list(private_tmp.glob("repro-pool-*"))
+            server.send_signal(signal.SIGTERM)
+            _out, err = server.communicate(timeout=120)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, err
+        assert list(private_tmp.glob("repro-pool-*")) == []
 
 
 class TestEnsembleCLI:

@@ -163,7 +163,7 @@ class TestSegmentSums:
         lengths = np.full(1_000, 200, dtype=np.int64)
         tracemalloc.start()
         try:
-            sums = segment_sums(hits, lengths)
+            sums = segment_sums(hits, np.arange(0, 200_000, 200), lengths)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -225,14 +225,19 @@ class TestNGramExtractor:
 
     def test_extract_batch_respects_document_boundaries(self):
         extractor = NGramExtractor(n=4)
-        combined, lengths = extractor.extract_batch(["abcd", "efgh"])
-        # each 4-character document yields exactly one 4-gram; no n-gram spans both
-        assert combined.size == 2
-        assert lengths.tolist() == [1, 1]
+        stream, starts, lengths = extractor.extract_batch(["abcd", "efgh"])
+        # each 4-character document yields exactly one 4-gram; the three
+        # windows that span both lie between the two ranges
+        assert stream.size == 5
+        assert starts.tolist() == [0, 4] and lengths.tolist() == [1, 1]
+        assert stream[starts].tolist() == [
+            int(extractor.extract("abcd")[0]), int(extractor.extract("efgh")[0])
+        ]
 
     def test_extract_batch_empty(self):
-        packed, lengths = NGramExtractor().extract_batch([])
+        packed, starts, lengths = NGramExtractor().extract_batch([])
         assert packed.size == 0 and packed.dtype == np.uint64
+        assert starts.size == 0 and starts.dtype == np.int64
         assert lengths.size == 0 and lengths.dtype == np.int64
 
     def test_subsample_stride(self):

@@ -9,6 +9,7 @@ from repro.core.bloom import ParallelBloomFilter
 from repro.core.fpr import false_positive_rate
 from repro.core.ngram import (
     NGramExtractor,
+    gather_ranges,
     merge_ngram_counts,
     pack_ngrams,
     segment_sums,
@@ -104,15 +105,41 @@ documents = st.lists(
 @example(["", "", b"", "abcdef", "ghij"], 3, 1)  # leading empty documents
 @example(["ab", "", "cde", b"f"], 1, 3)  # n = 1
 @example(["abcdef", "gh", "ijklmnop"], 2, 4)  # a stride longer than a document
+@example(["abcdefgh", "", "ab", "ijklmnopq", "\u4e2d\u6587 text", b"xyz"], 12, 1)
+@example(["abcdefgh", "", "ab", "ijklmnopq", "\u4e2d\u6587 text", b"xyz"], 5, 3)
+@example(["abcdef", "ghi"], 4, 1)  # the last range ends at the end of the stream
+@example(["abcdef", "gh"], 4, 1)  # an empty range starts past the stream's last window
 @settings(max_examples=80, deadline=None)
 def test_extract_batch_concatenates_per_document_extracts(texts, n, stride):
+    """Each document's range of the batch stream holds exactly its ``extract`` keys.
+
+    The ranges are in order, do not overlap and lie inside the stream, so
+    gathered one after the other they are the concatenated extracts.  At
+    stride 1 the stream is every window of the joined bytes, so the windows
+    that cross a boundary sit in the gaps; with a stride the ranges tile the
+    gathered keys.
+    """
     extractor = NGramExtractor(n=n, subsample_stride=stride)
-    packed, lengths = extractor.extract_batch(texts)
+    packed, starts, lengths = extractor.extract_batch(texts)
     parts = [extractor.extract(text) for text in texts]
-    expected = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
-    assert packed.dtype == np.uint64 and lengths.dtype == np.int64
-    assert np.array_equal(packed, expected)
+    assert packed.dtype == np.uint64
+    assert starts.dtype == np.int64 and lengths.dtype == np.int64
     assert lengths.tolist() == [part.size for part in parts]
+    for start, length, part in zip(starts.tolist(), lengths.tolist(), parts):
+        assert np.array_equal(packed[start : start + length], part)
+    ends = starts + lengths
+    assert (starts[1:] >= ends[:-1]).all() and (ends[lengths > 0] <= packed.size).all()
+    expected = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+    assert np.array_equal(gather_ranges(packed, starts, lengths, 1), expected)
+    if stride == 1:
+        joined = b"".join(
+            text.encode("latin-1", "replace") if isinstance(text, str) else bytes(text)
+            for text in texts
+        )
+        assert np.array_equal(packed, NGramExtractor(n=n).extract(joined))
+    else:
+        assert starts.tolist() == (np.cumsum(lengths) - lengths).tolist()
+        assert packed.size == lengths.sum()
 
 
 @given(documents, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=4))
@@ -207,32 +234,48 @@ def test_h3_output_always_in_range(keys):
 
 
 @given(
-    st.lists(st.integers(min_value=0, max_value=6), max_size=12),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=6)),
+        max_size=12,
+    ),
     st.integers(min_value=0, max_value=4),
     st.sampled_from([np.bool_, np.int64]),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from([None, 1, 2, 3]),
 )
-@example([0, 3, 2], 0, np.bool_, 1, None)  # empty first segment
-@example([3, 0, 2], 0, np.int64, 2, 3)  # empty middle segment
-@example([3, 2, 0], 2, np.bool_, 3, 2)  # empty last segment, then values past it
-@example([0, 0, 0], 3, np.int64, 4, 2)  # every segment empty
-@example([], 2, np.int64, 5, None)  # no segments
-@example([], 0, np.bool_, 6, 3)  # no segments, no values
+@example([(0, 0), (0, 3), (0, 2)], 0, np.bool_, 1, None)  # empty first range
+@example([(0, 3), (0, 0), (0, 2)], 0, np.int64, 2, 3)  # empty middle range
+@example([(0, 3), (0, 2), (0, 0)], 2, np.bool_, 3, 2)  # empty last range, then values past it
+@example([(0, 0), (1, 0), (2, 0)], 3, np.int64, 4, 2)  # every range empty
+@example([], 2, np.int64, 5, None)  # no ranges
+@example([], 0, np.bool_, 6, 3)  # no ranges, no values
+@example([(2, 3), (3, 1), (1, 4)], 0, np.int64, 7, 2)  # gaps; the last range ends at the end
+@example([(0, 3), (0, 0)], 0, np.int64, 8, None)  # an empty range starts at the end
+@example([(1, 2), (3, 0), (0, 5)], 2, np.bool_, 9, 1)  # gaps around an empty range
 @settings(max_examples=60)
-def test_segment_sums_matches_a_python_loop(lengths, extra, dtype, seed, rows):
-    """``rows`` None is a 1-D stream; otherwise a ``(rows, N)`` matrix reduced row by row."""
-    shape = (sum(lengths) + extra,) if rows is None else (rows, sum(lengths) + extra)
+def test_segment_sums_matches_a_python_loop(ranges, extra, dtype, seed, rows):
+    """Each range is a gap then a length; values in the gaps and past the last range are skipped.
+
+    ``rows`` None is a 1-D stream; otherwise a ``(rows, N)`` matrix reduced row by row.
+    """
+    starts, position = [], 0
+    for gap, length in ranges:
+        starts.append(position + gap)
+        position += gap + length
+    lengths = [length for _gap, length in ranges]
+    shape = (position + extra,) if rows is None else (rows, position + extra)
     values = np.random.default_rng(seed).integers(-1000, 1000, size=shape)
     values = values > 0 if dtype is np.bool_ else values
-    sums = segment_sums(values, np.asarray(lengths, dtype=np.int64))
+    sums = segment_sums(
+        values, np.asarray(starts, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
+    )
     assert sums.dtype == np.int64
     assert sums.shape == shape[:-1] + (len(lengths),)
     for row, row_sums in zip(np.atleast_2d(values), np.atleast_2d(sums)):
-        expected, start = [], 0
-        for length in lengths:
-            expected.append(sum(int(v) for v in row[start : start + length]))
-            start += length
+        expected = [
+            sum(int(v) for v in row[start : start + length])
+            for start, length in zip(starts, lengths)
+        ]
         assert row_sums.tolist() == expected
 
 
@@ -240,44 +283,67 @@ def test_segment_sums_matches_a_python_loop(lengths, extra, dtype, seed, rows):
 
 
 @given(
-    st.integers(min_value=1, max_value=64),
-    st.lists(st.integers(min_value=0, max_value=60), max_size=8),
+    st.sampled_from([1, 9, 10, 11, 17, 64]) | st.integers(min_value=1, max_value=64),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=140)),
+        max_size=8,
+    ),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.booleans(),
     st.booleans(),
 )
-@example(10, [70_000, 0, 65_535, 65_536, 3], 0, False, True)  # every n-gram hits: pieces
-@example(10, [70_000, 0, 65_535, 65_536, 3, 131_071, 2], 5, True, False)  # blocks of pieces
-@example(64, [0, 131_071, 1], 1, True, True)
-@example(17, [0, 0], 2, False, True)  # zero-length documents only
+@example(10, [(3, 70_000), (3, 0), (3, 65_535), (3, 65_536), (3, 3)], 0, False, True)  # pieces
+@example(  # blocks of pieces
+    10,
+    [(0, 70_000), (3, 0), (3, 65_535), (3, 65_536), (3, 3), (3, 131_071), (3, 2)],
+    5,
+    True,
+    False,
+)
+@example(64, [(0, 0), (3, 131_071), (3, 1)], 1, True, True)
+@example(17, [(0, 0), (3, 0)], 2, False, True)  # zero-length documents only
 @example(1, [], 3, True, False)  # no documents
-@example(16, [5, 0, 7], 4, False, False)
+@example(16, [(0, 5), (0, 0), (0, 7)], 4, False, False)  # ranges back to back
+@example(9, [(0, 62), (3, 63), (3, 64), (3, 0), (11, 126), (1, 127)], 6, False, True)
+@example(11, [(2, 64), (0, 63), (3, 62), (3, 65_536)], 7, False, True)  # two lanes
+@example(1, [(0, 63), (3, 64), (3, 0)], 8, False, True)  # uint8 words
 @settings(max_examples=60, deadline=None)
-def test_lane_counts_equal_segment_sums_over_unpacked_rows(languages, lengths, seed, wide, full):
-    """16-bit counters packed four to a lane count what the per-language rows count.
+def test_lane_counts_equal_segment_sums_over_unpacked_rows(languages, ranges, seed, wide, full):
+    """Ten 6-bit counters to a lane count what the per-language rows count, per document.
 
-    Words hold only their low ``languages`` bits, in the narrowest word type
-    (bloom's and exact's tables) or ``uint64`` (hail's).  ``full`` sets every
-    bit, so a document of 65,536 or more n-grams overflows any counter that
-    is not reduced in pieces; batches of more than 131,072 n-grams are
-    counted in blocks.
+    Each range is a gap then a document's length.  Words hold only their low
+    ``languages`` bits, in the narrowest word type (bloom's and exact's
+    tables: ``uint8`` to ``uint64``) or ``uint64`` (hail's).  Every bit is
+    set in the gaps and past the last range, so a counted boundary window
+    shows; ``full`` sets every bit inside the ranges too, so a piece of 64
+    or more n-grams overflows its counters.  Batches of more than 131,072
+    n-grams are counted in blocks.
     """
-    from repro.api.backends import _lane_counts, _MembershipBackend, _spread_tables
+    from repro.api.backends import _lane_counts, _MembershipBackend
 
-    lengths = np.asarray(lengths, dtype=np.int64)
+    starts, position = [], 0
+    for gap, length in ranges:
+        starts.append(position + gap)
+        position += gap + length
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray([length for _gap, length in ranges], dtype=np.int64)
     dtype = np.uint64 if wide else np.min_scalar_type((1 << languages) - 1)
     top = np.uint64((1 << languages) - 1)
-    if full:
-        words = np.full(int(lengths.sum()), top, dtype=dtype)
-    else:
-        drawn = np.random.default_rng(seed).integers(
-            0, 2**64 - 1, int(lengths.sum()), dtype=np.uint64, endpoint=True
-        )
-        words = (drawn & top).astype(dtype)
-    counts = _lane_counts(words, lengths, _spread_tables(languages), languages)
-    expected = segment_sums(_MembershipBackend._unpack_words(words, languages), lengths).T
+    drawn = np.random.default_rng(seed).integers(
+        0, 2**64 - 1, position + 2, dtype=np.uint64, endpoint=True
+    )
+    words = np.full(position + 2, top, dtype=dtype)
+    if not full:
+        for start, length in zip(starts.tolist(), lengths.tolist()):
+            words[start : start + length] = (drawn[start : start + length] & top).astype(dtype)
+    counts = _lane_counts(words, starts, lengths, languages)
+    rows = _MembershipBackend._unpack_words(words, languages)
+    expected = [
+        rows[:, start : start + length].sum(axis=1).tolist()
+        for start, length in zip(starts.tolist(), lengths.tolist())
+    ]
     assert counts.shape == (lengths.size, languages)
-    assert counts.tolist() == expected.tolist()
+    assert counts.tolist() == expected
 
 
 # -- Bloom filter ------------------------------------------------------------------

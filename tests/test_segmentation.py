@@ -36,7 +36,7 @@ LANGS = ("en", "fr", "fi", "es")
 
 def _doc_counts(backend, packed):
     """The backend's per-language counts for one document (a batch of one)."""
-    return backend.match_counts_batch(packed, [packed.size])[0]
+    return backend.match_counts_batch(packed, [0], [packed.size])[0]
 
 
 @pytest.fixture(scope="module")

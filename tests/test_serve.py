@@ -748,11 +748,11 @@ async def scripted_outcomes(identifier, monkeypatch) -> dict:
     kernel = identifier.backend.match_counts_batch
     failed = []
 
-    def fail_once(packed, lengths):
+    def fail_once(packed, starts, lengths):
         if not failed:
             failed.append(True)
             raise RuntimeError("kernel fault")
-        return kernel(packed, lengths)
+        return kernel(packed, starts, lengths)
 
     async with ClassificationService(identifier, config) as service:
         await service.classify(MISS_THEN_HIT)

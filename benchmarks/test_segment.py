@@ -9,7 +9,7 @@ Two gates, one artifact:
   characters carrying the correct language label), and degenerate
   single-language documents must come back as exactly one span matching
   ``classify``;
-* **throughput** — the cumulative-sum windowed scorer must beat the naive
+* **throughput** — the edge-sum windowed scorer must beat the naive
   alternative (one ``classify`` call per sliding window, re-extracting and
   re-hashing every window's n-grams) by ≥ 5x, since it hashes each n-gram
   once however many windows overlap it.  This is a ``timing`` test; tier-1

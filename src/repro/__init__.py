@@ -35,10 +35,11 @@ The package is organised as a set of substrates plus the paper's core contributi
     LRU result cache, backpressure, metrics, JSON/HTTP front-end) — the
     software twin of the paper's asynchronous host driver.
 ``repro.segment``
-    Mixed-language document segmentation: a cumulative-sum windowed scorer on
-    the vectorized Bloom hot path plus Viterbi/hysteresis smoothing, turning
-    code-switched documents into labelled ``Span`` runs (also served as
-    ``POST /segment`` and ``repro segment``).
+    Mixed-language document segmentation: a windowed scorer that sums hits
+    between window edges on the vectorized Bloom hot path, plus
+    Viterbi/hysteresis smoothing, turning code-switched documents into
+    labelled ``Span`` runs (also served as ``POST /segment`` and
+    ``repro segment``).
 ``repro.eval``
     The robustness measurement layer: seeded noise channels swept over a
     backend × scenario × document-length matrix (``repro evaluate``,

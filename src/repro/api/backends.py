@@ -158,15 +158,15 @@ class _MembershipBackend(Backend):
     def _unpack_words(words: np.ndarray, languages: int) -> np.ndarray:
         """Boolean ``(languages, N)`` matrix whose row ``j`` is bit ``j`` of each word.
 
-        One row at a time, through one scratch word array, so no
-        ``(languages, N)`` word-sized temporary is ever built.
+        One ``np.unpackbits`` over the words' little-endian bytes gives each
+        word's low ``languages`` bits as an ``(N, languages)`` byte matrix,
+        returned transposed; no word-sized temporary is built.  The byte
+        order is normalised first (free on a little-endian host), so the
+        rows do not depend on it.
         """
-        hits = np.empty((languages, words.size), dtype=bool)
-        scratch = np.empty_like(words)
-        for row in range(languages):
-            np.bitwise_and(words, words.dtype.type(1 << row), out=scratch)
-            np.not_equal(scratch, 0, out=hits[row])
-        return hits
+        little = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder("<"))
+        word_bytes = little.view(np.uint8).reshape(words.size, little.itemsize)
+        return np.unpackbits(word_bytes, axis=1, count=languages, bitorder="little").view(bool).T
 
 
 def _pack_rows(rows: np.ndarray) -> np.ndarray:
@@ -291,7 +291,7 @@ class BloomBackend(_MembershipBackend):
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:
         """Boolean ``(languages, n_ngrams)`` membership matrix.
 
-        The key table's words, unpacked one language row at a time, where
+        The key table's words, unpacked into one row per language, where
         the table applies (see the class docstring); otherwise :meth:`probe`.
         Both give the same matrix, the windowed segmentation scorer's input.
         """

@@ -209,7 +209,7 @@ class LanguageIdentifier:
     def segment(self, text: str | bytes, **overrides):
         """Segment a mixed-language document into single-language spans.
 
-        Runs the windowed cumulative-sum scorer + smoothing pipeline of
+        Runs the windowed edge-sum scorer + smoothing pipeline of
         :mod:`repro.segment` against this identifier's backend and returns a
         :class:`~repro.segment.types.SegmentationResult` whose spans tile the
         document.  Keyword overrides configure the

@@ -138,11 +138,12 @@ class Backend(abc.ABC):
         The primitive behind windowed segmentation
         (:class:`repro.segment.windows.WindowedScorer`): instead of one count
         per (document, language), every n-gram keeps its own column of
-        per-language scores, so sliding-window totals fall out of a cumulative
-        sum.  For the table backends (``bloom``, ``exact``, ``hail``,
-        ``mguesser``) summing along the n-gram axis reproduces a document's
-        :meth:`match_counts_batch` counts exactly: 0/1 hits for the
-        membership backends, fixed-point weights for ``mguesser``.
+        per-language scores, so sliding-window totals are sums of these
+        columns between the window edges.  For the table backends
+        (``bloom``, ``exact``, ``hail``, ``mguesser``) summing along the
+        n-gram axis reproduces a document's :meth:`match_counts_batch`
+        counts exactly: 0/1 hits for the membership backends, fixed-point
+        weights for ``mguesser``.
 
         Returns
         -------

@@ -72,7 +72,9 @@ class HailClassifier:
         self.n = int(n)
         self.index_hash = H3Hash(key_bits=self.n * CODE_BITS, out_bits=self.table_bits, seed=seed)
         self.languages: list[str] = []
-        self._table: np.ndarray | None = None  # uint64 bitmap per bucket
+        # one language bitmap per bucket, in the narrowest unsigned word that
+        # holds the languages: uint8 up to 8, uint16 up to 16, ... uint64 up to 64
+        self._table: np.ndarray | None = None
 
     def fit_profiles(self, profiles: Mapping[str, LanguageProfile]) -> "HailClassifier":
         """Program the SRAM lookup table from prebuilt profiles."""
@@ -83,15 +85,20 @@ class HailClassifier:
         if len(profiles) > 64:
             raise ValueError("this model packs language bitmaps into 64-bit words")
         self.languages = list(profiles)
-        table = np.zeros(1 << self.table_bits, dtype=np.uint64)
+        dtype = np.min_scalar_type((1 << len(profiles)) - 1)
+        table = np.zeros(1 << self.table_bits, dtype=dtype)
         for index, (language, profile) in enumerate(profiles.items()):
             buckets = self.index_hash.hash_array(profile.ngrams)
-            np.bitwise_or.at(table, buckets, np.uint64(1 << index))
+            np.bitwise_or.at(table, buckets, dtype.type(1 << index))
         self._table = table
         return self
 
     def lookup(self, packed: np.ndarray) -> np.ndarray:
-        """One SRAM read per n-gram: the bucket's language bitmap (bit ``i`` = language ``i``)."""
+        """One SRAM read per n-gram: the bucket's language bitmap (bit ``i`` = language ``i``).
+
+        The bitmaps come in the table's word type, the narrowest unsigned
+        integer that holds one bit per language.
+        """
         if self._table is None:
             raise RuntimeError("table has not been programmed; call fit_profiles() first")
         return self._table[self.index_hash.hash_array(np.asarray(packed, dtype=np.uint64))]

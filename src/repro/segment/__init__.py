@@ -8,8 +8,9 @@ machinery end to end:
 :class:`~repro.segment.windows.WindowedScorer`
     Hashes each n-gram once against every language's stacked bit-vectors
     (:meth:`~repro.api.registry.Backend.ngram_hits`) and derives per-language
-    hit counts for arbitrarily many sliding windows from one cumulative sum —
-    O(doc) regardless of window count or overlap.
+    hit counts for arbitrarily many sliding windows from one reduction of
+    the hits between the window edges — O(doc) regardless of window count or
+    overlap.
 :mod:`repro.segment.smoothing`
     Turns noisy per-window winners into stable runs: exact Viterbi decoding
     of a switch-penalised HMM, or a cheaper hysteresis confirmation counter.

@@ -3,7 +3,7 @@
 Pipeline for one document (:meth:`Segmenter.segment`):
 
 1. extract packed n-grams once (the identifier's configured pipeline);
-2. score sliding windows via the cumulative-sum scorer
+2. score sliding windows from hit sums at the window edges
    (:class:`~repro.segment.windows.WindowedScorer` — O(doc) however many
    windows overlap);
 3. smooth the per-window winners into stable label runs
@@ -163,22 +163,29 @@ class Segmenter:
         ranges; n-gram ``i`` begins at character ``i * subsample_stride``.
         Spans tile the document: the first starts at 0, each run boundary cuts
         at the first n-gram of the new run, and the last span ends at the
-        document length.  Every run's per-language counts come from one
-        gather of ``scores.cumulative`` at the cuts, and the spans are built
-        from lists, so the NumPy calls do not grow with the number of runs.
+        document length.  The run boundaries are found in the label list.
+        Every cut is a window start, and so one of ``scores.edges``: one
+        gather of the edge sums ``scores.cumulative`` gives every run's
+        per-language counts, and the spans are built from lists, so the
+        NumPy calls do not grow with the number of runs.
         """
-        boundaries = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-        cuts = scores.starts[boundaries]
-        edges = np.concatenate(([0], cuts, [scores.n_ngrams]))
-        run_counts = np.diff(scores.cumulative[:, edges], axis=1).T.tolist()
+        labels = labels.tolist()
+        # the first window of every run but the first
+        firsts = [w for w in range(1, len(labels)) if labels[w] != labels[w - 1]]
+        starts = scores.starts.tolist()
+        cuts = [starts[w] for w in firsts]
+        columns = scores.edges.searchsorted([0, *cuts, scores.n_ngrams])
+        sums = scores.cumulative[:, columns].T.tolist()
+        run_counts = [[b - a for a, b in zip(low, high)] for low, high in zip(sums, sums[1:])]
         if len(run_counts) == 1:
             # Degenerate document: label from the total counts so the single
             # span agrees with classify() bit for bit.
             counts = run_counts[0]
             run_labels = [counts.index(max(counts)) if counts else 0]
         else:
-            run_labels = labels[np.concatenate(([0], boundaries))].tolist()
-        char_edges = [0, *(cuts * self.extractor.subsample_stride).tolist(), text_length]
+            run_labels = [labels[0], *(labels[w] for w in firsts)]
+        stride = self.extractor.subsample_stride
+        char_edges = [0, *(cut * stride for cut in cuts), text_length]
         languages = scores.languages
         return [
             Span(start, end, languages[label], _margin_confidence(counts, label))

@@ -11,8 +11,10 @@ regardless of window count:
    path counts; at n <= 4 the ``bloom`` backend reads each n-gram's
    language word from its key table, otherwise it hashes each n-gram once
    and gathers each hash function's addresses for every language at once);
-2. a per-language cumulative sum over the n-gram axis turns any window's hit
-   count into two lookups: ``cum[end] - cum[start]``.
+2. the window starts and ends cut the n-gram axis into intervals at the
+   window *edges*; one reduction sums every interval's hits, and their
+   running sum at the edges turns any window's count into two lookups:
+   ``cumulative[edge of end] - cumulative[edge of start]``.
 
 The resulting ``(n_windows, n_languages)`` count matrix feeds the smoothing
 pass (:mod:`repro.segment.smoothing`).
@@ -40,10 +42,13 @@ class WindowScores:
         Per-window half-open n-gram ranges ``[starts[w], ends[w])``; windows
         advance by the scorer's stride, and the final window is clipped to the
         document's n-gram count.
+    edges:
+        The sorted distinct window starts and ends, 0 and the document's
+        n-gram count included.
     cumulative:
-        ``(n_languages, n_ngrams + 1)`` cumulative hit sums: the count of
-        language ``l`` over any n-gram range ``[a, b)`` is
-        ``cumulative[l, b] - cumulative[l, a]``.
+        ``(n_languages, edges.size)`` hit sums up to each edge: the count of
+        language ``l`` over the n-grams ``[edges[i], edges[j])`` is
+        ``cumulative[l, j] - cumulative[l, i]``.
     languages:
         Language order of the count columns (the backend's training order).
     """
@@ -51,6 +56,7 @@ class WindowScores:
     counts: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
+    edges: np.ndarray
     cumulative: np.ndarray
     languages: list[str]
 
@@ -60,16 +66,12 @@ class WindowScores:
 
     @property
     def n_ngrams(self) -> int:
-        return int(self.cumulative.shape[1] - 1)
+        return int(self.edges[-1])
 
     @property
     def sizes(self) -> np.ndarray:
         """Per-window n-gram counts (the last window may be short)."""
         return self.ends - self.starts
-
-    def range_counts(self, start: int, end: int) -> np.ndarray:
-        """Per-language counts over the n-gram range ``[start, end)`` — O(languages)."""
-        return self.cumulative[:, end] - self.cumulative[:, start]
 
 
 class WindowedScorer:
@@ -86,7 +88,7 @@ class WindowedScorer:
     stride_ngrams:
         Distance between consecutive window starts.  A stride below the window
         length overlaps windows (finer boundaries at no extra hashing cost —
-        the cumulative sum already paid for every n-gram).
+        the edge sums already paid for every n-gram).
     """
 
     def __init__(self, backend, window_ngrams: int = 160, stride_ngrams: int | None = None):
@@ -109,17 +111,14 @@ class WindowedScorer:
         """Score every sliding window of a packed n-gram stream.
 
         Cost is one :meth:`~repro.api.registry.Backend.ngram_hits` pass plus
-        one cumulative sum — independent of how many windows overlap each
-        n-gram.  The hits are copied into the int64 result and summed in
-        place there: ``np.cumsum(hits, dtype=np.int64)`` would first cast the
-        whole hit matrix to a second int64 matrix of the same size.
+        one ``np.add.reduceat`` of the hit rows over the window edges —
+        independent of how many windows overlap each n-gram.  Consecutive
+        edges differ, so every interval it sums is non-empty; the running
+        sum is then taken over the edges only, not over every n-gram.
         """
         packed = np.asarray(packed, dtype=np.uint64)
         hits = self.backend.ngram_hits(packed)
         n_languages, n_ngrams = hits.shape
-        cumulative = np.zeros((n_languages, n_ngrams + 1), dtype=np.int64)
-        cumulative[:, 1:] = hits
-        np.cumsum(cumulative[:, 1:], axis=1, out=cumulative[:, 1:])
         if n_ngrams == 0:
             starts = np.empty(0, dtype=np.int64)
         else:
@@ -133,11 +132,24 @@ class WindowedScorer:
             if tail_start > starts[-1]:
                 starts = np.append(starts, tail_start)
         ends = np.minimum(starts + self.window_ngrams, n_ngrams)
-        counts = (cumulative[:, ends] - cumulative[:, starts]).T
+        bounds = np.concatenate((starts, ends))
+        # the sorted distinct bounds (a sort and a mask: np.unique costs twice
+        # as much on these few values); starts[0] is 0 and ends[-1] is n, so
+        # both are edges, and an empty document has the one edge 0
+        edges = np.sort(bounds) if n_ngrams else np.zeros(1, dtype=np.int64)
+        distinct = np.ones(edges.size, dtype=bool)
+        np.not_equal(edges[1:], edges[:-1], out=distinct[1:])
+        edges = edges[distinct]
+        cumulative = np.zeros((n_languages, edges.size), dtype=np.int64)
+        sums = np.add.reduceat(hits, edges[:-1], axis=1, dtype=np.int64)
+        sums.cumsum(axis=1, out=cumulative[:, 1:])
+        at_bounds = cumulative[:, edges.searchsorted(bounds)]
+        counts = (at_bounds[:, starts.size :] - at_bounds[:, : starts.size]).T
         return WindowScores(
             counts=counts,
             starts=starts,
             ends=ends,
+            edges=edges,
             cumulative=cumulative,
             languages=list(self.backend.languages),
         )

@@ -17,6 +17,7 @@ from repro.baselines.mguesser import (
     RankedProfile,
     character_ngrams,
 )
+from repro.core.profile import LanguageProfile
 
 
 class TestCharacterNgrams:
@@ -122,6 +123,31 @@ class TestHailFunctionalModel:
             member = profile.contains_many(packed)
             assert counts[language] >= int(member.sum())
             assert ((bitmaps[member] >> np.uint64(index)) & np.uint64(1)).all()
+
+    @pytest.mark.parametrize(
+        "languages, dtype", [(3, np.uint8), (10, np.uint16), (64, np.uint64)]
+    )
+    def test_table_words_fit_the_language_count(self, languages, dtype):
+        # 2^20 buckets: 1 MiB of words up to 8 languages, 2 MiB up to 16, 8 MiB at 64
+        rng = np.random.default_rng(languages)
+        profiles = {}
+        for i in range(languages):
+            ngrams = np.unique(rng.integers(0, 1 << 20, 400, dtype=np.uint64))
+            profiles[f"l{i}"] = LanguageProfile(f"l{i}", ngrams, np.ones(ngrams.size))
+        hail = HailClassifier(table_bits=20).fit_profiles(profiles)
+        assert hail._table.dtype == dtype
+        assert hail._table.nbytes == (1 << 20) * np.dtype(dtype).itemsize
+        # the same bitmaps as one uint64 word per bucket, value for value
+        reference = np.zeros(1 << 20, dtype=np.uint64)
+        for index, profile in enumerate(profiles.values()):
+            buckets = hail.index_hash.hash_array(profile.ngrams)
+            np.bitwise_or.at(reference, buckets, np.uint64(1 << index))
+        np.testing.assert_array_equal(hail._table.astype(np.uint64), reference)
+        packed = rng.integers(0, 1 << 20, 1000, dtype=np.uint64)
+        assert hail.lookup(packed).dtype == dtype
+        np.testing.assert_array_equal(
+            hail.lookup(packed), reference[hail.index_hash.hash_array(packed)]
+        )
 
     def test_small_table_fills_up(self, profiles):
         small = HailClassifier(table_bits=12)

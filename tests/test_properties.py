@@ -279,6 +279,55 @@ def test_segment_sums_matches_a_python_loop(ranges, extra, dtype, seed, rows):
         assert row_sums.tolist() == expected
 
 
+# -- language words ----------------------------------------------------------------
+
+
+def _unpack_words_by_row(words: np.ndarray, languages: int) -> np.ndarray:
+    """Reference unpack: row ``j`` is ``words & (1 << j) != 0``, one row at a time."""
+    hits = np.empty((languages, words.size), dtype=bool)
+    scratch = np.empty_like(words)
+    for row in range(languages):
+        np.bitwise_and(words, words.dtype.type(1 << row), out=scratch)
+        np.not_equal(scratch, 0, out=hits[row])
+    return hits
+
+
+@st.composite
+def language_words(draw):
+    """``(words, languages)``: words of one unsigned type holding ``languages`` bits.
+
+    Random words masked to the language bits, or all zero; native or
+    byte-swapped (the same values stored in the other byte order).
+    """
+    dtype = np.dtype(draw(st.sampled_from([np.uint8, np.uint16, np.uint32, np.uint64])))
+    languages = draw(st.integers(min_value=1, max_value=dtype.itemsize * 8))
+    size = draw(st.integers(min_value=0, max_value=300))
+    drawn = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, 2**64 - 1, size, dtype=np.uint64, endpoint=True
+    )
+    mask = np.uint64(0) if draw(st.booleans()) else np.uint64((1 << languages) - 1)
+    words = (drawn & mask).astype(dtype)
+    if draw(st.booleans()):
+        words = words.astype(dtype.newbyteorder())
+    return words, languages
+
+
+@given(language_words())
+@example((np.zeros(0, dtype=np.uint64), 64))  # no words
+@example((np.full(3, 2**64 - 1, dtype=np.uint64), 64))  # every bit of the widest word
+@example((np.arange(256, dtype=np.uint8), 8))
+@example(((np.arange(256, dtype=np.uint16) << np.uint16(8)).astype(">u2"), 16))  # big-endian
+@settings(max_examples=150, deadline=None)
+def test_unpack_words_matches_the_row_at_a_time_reference(case):
+    from repro.api.backends import _MembershipBackend
+
+    words, languages = case
+    rows = _MembershipBackend._unpack_words(words, languages)
+    assert rows.shape == (languages, words.size)
+    assert rows.dtype == np.bool_
+    np.testing.assert_array_equal(rows, _unpack_words_by_row(words, languages))
+
+
 # -- counter lanes -----------------------------------------------------------------
 
 
@@ -319,7 +368,7 @@ def test_lane_counts_equal_segment_sums_over_unpacked_rows(languages, ranges, se
     or more n-grams overflows its counters.  Batches of more than 131,072
     n-grams are counted in blocks.
     """
-    from repro.api.backends import _lane_counts, _MembershipBackend
+    from repro.api.backends import _lane_counts
 
     starts, position = [], 0
     for gap, length in ranges:
@@ -337,7 +386,7 @@ def test_lane_counts_equal_segment_sums_over_unpacked_rows(languages, ranges, se
         for start, length in zip(starts.tolist(), lengths.tolist()):
             words[start : start + length] = (drawn[start : start + length] & top).astype(dtype)
     counts = _lane_counts(words, starts, lengths, languages)
-    rows = _MembershipBackend._unpack_words(words, languages)
+    rows = _unpack_words_by_row(words, languages)
     expected = [
         rows[:, start : start + length].sum(axis=1).tolist()
         for start, length in zip(starts.tolist(), lengths.tolist())
@@ -497,7 +546,7 @@ class _SyntheticHitsBackend:
     """Deterministic stand-in backend for :class:`repro.segment.windows.WindowedScorer`.
 
     ``ngram_hits`` is a pure function of the packed values — per-(language,
-    n-gram) scores derived arithmetically — so the cumulative-sum window counts
+    n-gram) scores derived arithmetically — so the edge-sum window counts
     can be checked against a naive per-window recount without training anything.
     ``magnitude`` scales the scores up to the int32 range to exercise the
     dtype/overflow edge: on large documents, summing such scores in anything
@@ -569,7 +618,7 @@ def test_windowed_scorer_matches_naive_recount(window, stride, n_ngrams, n_langu
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=10, deadline=None)
 def test_windowed_scorer_no_overflow_on_large_documents(seed):
-    """int32-range per-n-gram scores over a long document: the cumulative sums
+    """int32-range per-n-gram scores over a long document: the edge sums
     leave int32 territory almost immediately, so any internal narrowing would
     show up as a mismatch against the int64 naive recount."""
     from repro.segment.windows import WindowedScorer
@@ -587,10 +636,8 @@ def test_windowed_scorer_no_overflow_on_large_documents(seed):
     np.testing.assert_array_equal(
         scores.counts, _naive_window_recount(hits, scores.starts, scores.ends)
     )
-    # range_counts is the same cumulative structure exposed directly
-    np.testing.assert_array_equal(
-        scores.range_counts(0, packed.size), hits.sum(axis=1, dtype=np.int64)
-    )
+    # the edge sums run to the whole document's totals
+    np.testing.assert_array_equal(scores.cumulative[:, -1], hits.sum(axis=1, dtype=np.int64))
 
 
 def test_windowed_scorer_matches_naive_recount_on_real_backend(profiles):
@@ -669,8 +716,8 @@ def test_viterbi_labels_match_the_numpy_reference(counts, switch_penalty):
     np.testing.assert_array_equal(labels, _numpy_viterbi(counts, switch_penalty))
 
 
-def _per_run_spans(labels, scores, text_length: int, stride: int):
-    """Reference merge: one ``range_counts`` and one ``np.delete`` per run."""
+def _per_run_spans(labels, scores, hits, text_length: int, stride: int):
+    """Reference merge: one sum of the hit rows and one ``np.delete`` per run."""
     from repro.core.classifier import normalized_separation
     from repro.segment.types import Span
 
@@ -682,7 +729,7 @@ def _per_run_spans(labels, scores, text_length: int, stride: int):
     for index, (first, last) in enumerate(zip(run_starts, run_ends)):
         owned_start = int(scores.starts[first])
         owned_end = scores.n_ngrams if last == labels.size else int(scores.starts[last])
-        counts = scores.range_counts(owned_start, owned_end)
+        counts = hits[:, owned_start:owned_end].sum(axis=1, dtype=np.int64)
         label = int(np.argmax(counts)) if run_starts.size == 1 else int(labels[first])
         char_end = (
             text_length if index == run_starts.size - 1 else int(scores.starts[last]) * stride
@@ -729,6 +776,7 @@ def test_merge_runs_matches_a_per_run_loop(
     def key(spans):
         return [(s.start, s.end, s.language, repr(s.confidence)) for s in spans]
 
+    hits = identifier.backend.ngram_hits(np.asarray(keys, dtype=np.uint64))
     assert key(segmenter._merge_runs(labels, scores, text_length)) == key(
-        _per_run_spans(labels, scores, text_length, stride)
+        _per_run_spans(labels, scores, hits, text_length, stride)
     )

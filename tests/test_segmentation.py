@@ -1,6 +1,6 @@
 """Tests for the mixed-language segmentation subsystem (``repro.segment``).
 
-Covers the windowed cumulative-sum scorer against naive per-window recomputes,
+Covers the windowed edge-sum scorer against naive per-window recomputes,
 the per-n-gram hit primitive across backends, both smoothing passes, span
 merging / degenerate-document guarantees, the facade + service surfaces under
 both executors, and the result wire forms.
@@ -136,13 +136,6 @@ class TestWindowedScorer:
         scores = WindowedScorer(identifier.backend, 100).score(np.empty(0, dtype=np.uint64))
         assert scores.n_windows == 0
 
-    def test_range_counts(self, identifier, mixed_doc):
-        packed = identifier.extractor.extract(mixed_doc.text)
-        scores = WindowedScorer(identifier.backend, 100).score(packed)
-        np.testing.assert_array_equal(
-            scores.range_counts(10, 200), _doc_counts(identifier.backend, packed[10:200])
-        )
-
     def test_score_holds_one_int64_matrix(self):
         class BoolHits:
             languages = [f"l{i}" for i in range(10)]
@@ -158,9 +151,12 @@ class TestWindowedScorer:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        n_languages, n_ngrams = BoolHits.hits.shape
+        assert scores.cumulative.shape == (n_languages, scores.edges.size)
         np.testing.assert_array_equal(scores.cumulative[:, -1], BoolHits.hits.sum(axis=1))
-        # the cumulative sums themselves, not a cast copy of the hits beside them
-        assert peak < 1.5 * scores.cumulative.nbytes
+        # no more than one int64 matrix of the hits' size: the cast inside
+        # the edge reduction, not a second per-n-gram matrix beside it
+        assert peak < 1.5 * 8 * n_languages * (n_ngrams + 1)
 
     @pytest.mark.parametrize(
         "kwargs",

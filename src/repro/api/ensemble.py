@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.api.config import ClassifierConfig, EnsembleConfig
 from repro.api.registry import Backend, create_backend, register_backend
-from repro.core.classifier import ClassificationResult, undetermined_result
 from repro.core.ngram import NGramExtractor
 from repro.core.profile import LanguageProfile
 
@@ -78,6 +77,11 @@ ABSTAIN_TOO_SHORT = "too_short"
 ABSTAIN_LOW_ALPHA = "low_alpha_rate"
 ABSTAIN_TIE = "tie"
 ABSTAIN_NO_VOTES = "no_votes"
+
+#: a document's outcome, in order of precedence (see
+#: :meth:`EnsembleBackend.decide_batch`), indexes its abstain reason
+_EMPTY, _TOO_SHORT, _LOW_ALPHA, _NO_VOTES, _TIE, _LABELLED = range(6)
+_REASONS = (None, ABSTAIN_TOO_SHORT, ABSTAIN_LOW_ALPHA, ABSTAIN_NO_VOTES, ABSTAIN_TIE, None)
 
 
 def load_priors(path) -> dict:
@@ -195,25 +199,6 @@ class EnsembleBackend(Backend):
         """Sources the installed priors artifact covers (empty without priors)."""
         return sorted(self._priors) if self._priors else []
 
-    def _prior_row(self, source: str | None, languages: Sequence[str]) -> np.ndarray | None:
-        """Floor-smoothed, renormalised prior row for one source (or ``None``)."""
-        if self._priors is None or source is None:
-            return None
-        mix = self._priors.get(source)
-        if mix is None:
-            if source not in self._warned_sources:
-                self._warned_sources.add(source)
-                warnings.warn(
-                    f"priors artifact has no entry for source {source!r}; "
-                    "falling back to uniform priors for it",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-            return None
-        row = np.asarray([mix.get(lang, 0.0) for lang in languages], dtype=np.float64)
-        row += PRIOR_FLOOR
-        return row / row.sum()
-
     # ------------------------------------------------------------ voting
 
     def _vote_batch(
@@ -253,122 +238,95 @@ class EnsembleBackend(Backend):
             scores[rows, top_idx] += weight
             breakdown[name] = (top_idx, raw, weight)
         if self._priors is not None and sources is not None:
-            for row, source in enumerate(sources):
-                prior = self._prior_row(source, languages)
-                if prior is not None:
-                    scores[row] *= prior
+            # one floor-smoothed, renormalised row per distinct source; ones
+            # for untagged documents and the sources the artifact lacks
+            prior = {None: np.ones(n_langs)}
+            for source in dict.fromkeys(sources):
+                mix = self._priors.get(source)
+                if mix is not None:
+                    row = np.asarray([mix.get(lang, 0.0) for lang in languages]) + PRIOR_FLOOR
+                    prior[source] = row / row.sum()
+                elif source is not None and source not in self._warned_sources:
+                    self._warned_sources.add(source)
+                    warnings.warn(
+                        f"priors artifact has no entry for source {source!r}; "
+                        "falling back to uniform priors for it",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+            scores *= np.array([prior.get(source, prior[None]) for source in sources])
         return scores, breakdown
 
-    def _alpha_rate(self, text) -> float | None:
-        """Unicode-letter fraction of a document (``None`` when inapplicable)."""
-        if not isinstance(text, str):
-            return None  # byte streams have no defined letter classes
-        if not text:
-            return 0.0
-        from repro.analytics import count_letters
+    # ------------------------------------------------------------ Backend contract
 
-        return count_letters(text) / len(text)
-
-    def classify_batch_results(
+    def decide_batch(
         self,
         packed: np.ndarray,
         starts: np.ndarray,
         lengths: np.ndarray,
-        *,
-        texts=None,
-        sources=None,
-    ) -> list[ClassificationResult]:
-        """The rich batch path: gates → calibrated votes → priors → abstention.
+        texts: Sequence[str | bytes],
+        sources: Sequence[str | None],
+    ) -> tuple[np.ndarray, np.ndarray, tuple[list, list, list]]:
+        """Gates, calibrated votes, priors and abstention for the whole batch.
 
-        Takes the batch stream and document ranges that
-        :meth:`~repro.api.registry.Backend.match_counts_batch` takes, and
-        hands them to every member as they are.
+        A document's outcome is the first of these that holds: no n-gram at
+        all (``und`` with no reason), fewer than ``min_ngrams`` n-grams, too
+        low an alphabetical rate, no member vote, the top two vote scores
+        within ``tie_margin``, and otherwise the top language.  Only a label
+        and a tie keep the fixed-point vote scores as counts, and the two
+        quality gates drop the member votes.  A label's calibrated confidence
+        is its share of the vote.
         """
         self._check_trained()
-        lengths = np.asarray(lengths, dtype=np.int64)
-        n_docs = lengths.size
-        languages = self.languages
-        if isinstance(sources, (str, bytes)) or sources is None:
-            sources = [sources] * n_docs
         scores, breakdown = self._vote_batch(packed, starts, lengths, sources)
+        n_docs, n_langs = scores.shape
         policy = self.ensemble_config
-        results: list[ClassificationResult] = []
-        for row in range(n_docs):
-            ngram_count = int(lengths[row])
-            member_votes = {
-                name: {
-                    "language": languages[int(top_idx[row])] if weight[row] > 0 else None,
-                    "raw_confidence": float(raw[row]),
-                    "weight": float(weight[row]),
-                }
-                for name, (top_idx, raw, weight) in breakdown.items()
-            }
-            if ngram_count < policy.min_ngrams or ngram_count == 0:
-                results.append(
-                    undetermined_result(
-                        languages,
-                        ngram_count=ngram_count,
-                        abstain_reason=None if ngram_count == 0 else ABSTAIN_TOO_SHORT,
-                    )
-                )
-                continue
-            if policy.min_alpha_rate > 0.0 and texts is not None:
-                rate = self._alpha_rate(texts[row])
-                if rate is not None and rate < policy.min_alpha_rate:
-                    results.append(
-                        undetermined_result(
-                            languages,
-                            ngram_count=ngram_count,
-                            abstain_reason=ABSTAIN_LOW_ALPHA,
-                        )
-                    )
-                    continue
-            results.append(
-                self._result_from_scores(
-                    scores[row], ngram_count, member_votes=member_votes
-                )
-            )
-        return results
+        total = scores.sum(axis=1)
+        if n_langs > 1:
+            # the runner-up lands at n_langs - 2, the top score after it
+            runner, top = np.partition(scores, n_langs - 2, axis=1)[:, -2:].T
+            outcome = np.where(top - runner <= policy.tie_margin, _TIE, _LABELLED)
+        else:
+            top, outcome = scores[:, 0], np.full(n_docs, _LABELLED)
+        # later outcomes take precedence; weights and priors are never
+        # negative, so a document with no vote scores, and counts, zero
+        outcome[total <= 0.0] = _NO_VOTES
+        counts = np.rint(scores * ENSEMBLE_SCORE_SCALE).astype(np.int64)
+        if policy.min_alpha_rate > 0.0 or policy.min_ngrams > 1:
+            if policy.min_alpha_rate > 0.0:
+                from repro.analytics import count_letters
 
-    def _result_from_scores(
-        self,
-        score_row: np.ndarray,
-        ngram_count: int,
-        member_votes: dict | None = None,
-    ) -> ClassificationResult:
+                # the Unicode-letter fraction of a str; bytes have no letters
+                outcome[[
+                    isinstance(text, str) and text != ""
+                    and count_letters(text) / len(text) < policy.min_alpha_rate
+                    for text in texts
+                ]] = _LOW_ALPHA
+            outcome[lengths < policy.min_ngrams] = _TOO_SHORT
+            counts[outcome < _NO_VOTES] = 0
+        outcome[lengths == 0] = _EMPTY
+        winners = scores.argmax(axis=1)
+        winners[outcome != _LABELLED] = -1
+        codes = outcome.tolist()
+        confidence = [
+            top_score / total_score if code == _LABELLED else None
+            for top_score, total_score, code in zip(top.tolist(), total.tolist(), codes)
+        ]
+        # a member whose counters are all zero for a document cast no vote there
         languages = self.languages
-        total = float(score_row.sum())
-        fixed_point = {
-            lang: int(round(score * ENSEMBLE_SCORE_SCALE))
-            for lang, score in zip(languages, score_row)
-        }
-        if total <= 0.0:
-            result = undetermined_result(
-                languages, ngram_count=ngram_count, abstain_reason=ABSTAIN_NO_VOTES
-            )
-            result.member_votes = member_votes
-            return result
-        order = np.argsort(score_row)
-        best = int(order[-1])
-        runner = float(score_row[order[-2]]) if score_row.size > 1 else 0.0
-        top = float(score_row[best])
-        if score_row.size > 1 and top - runner <= self.ensemble_config.tie_margin:
-            result = undetermined_result(
-                languages, ngram_count=ngram_count, abstain_reason=ABSTAIN_TIE
-            )
-            result.match_counts = fixed_point
-            result.member_votes = member_votes
-            return result
-        return ClassificationResult(
-            language=languages[best],
-            match_counts=fixed_point,
-            ngram_count=ngram_count,
-            calibrated_confidence=top / total,
-            abstain_reason=None,
-            member_votes=member_votes,
-        )
-
-    # ------------------------------------------------------------ Backend contract
+        member_votes = [
+            [
+                {"language": languages[vote] if weight > 0.0 else None,
+                 "raw_confidence": raw, "weight": weight}
+                for vote, raw, weight in zip(top_idx.tolist(), raws.tolist(), weights.tolist())
+            ]
+            for top_idx, raws, weights in breakdown.values()
+        ]
+        votes = [
+            None if code < _NO_VOTES else dict(zip(breakdown, doc_votes))
+            for code, doc_votes in zip(codes, zip(*member_votes))
+        ]
+        return counts, winners, (confidence, [_REASONS[code] for code in codes], votes)
 
     def match_counts_batch(
         self, packed: np.ndarray, starts: np.ndarray, lengths: np.ndarray

@@ -15,13 +15,16 @@ streaming, and model persistence look identical whichever engine runs under it::
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from repro.api import backends as _backends  # noqa: F401 - registers the built-in backends
 from repro.api import ensemble as _ensemble  # noqa: F401 - registers the ensemble backend
 from repro.api.config import DEFAULT_STREAM_BATCH_SIZE, ClassifierConfig
 from repro.api.registry import Backend, create_backend
-from repro.core.classifier import ClassificationResult, undetermined_result
+from repro.core.classifier import UNDETERMINED_LANGUAGE, ClassificationResult
 from repro.core.ngram import NGramExtractor
 from repro.core.profile import LanguageProfile, build_profiles
 
@@ -100,25 +103,27 @@ class LanguageIdentifier:
     # ------------------------------------------------------------ classification
 
     def _result_from_counts(
-        self, languages: list[str], counts: list[int], ngram_count: int, winner: int
-    ) -> ClassificationResult:
-        """One document's result from its per-language counts (plain ints).
+        self, counts: np.ndarray, lengths: np.ndarray, winners: np.ndarray, extras
+    ) -> list[ClassificationResult]:
+        """Every result of a batch, from :meth:`Backend.decide_batch`'s columns.
 
-        ``languages`` is :attr:`languages`, which :meth:`classify_batch` reads
-        once per batch.  ``winner`` is the index of the first language with
-        the highest count, which :meth:`classify_batch` takes from one
-        ``argmax`` over the batch: the tie rule of the hardware's priority
-        encoder.
+        Each column is read with one ``tolist()``.  A winner of ``-1``, or a
+        document with no n-gram at all, reads ``und``; ``extras`` are the
+        ensemble's calibrated confidences, abstain reasons and member votes,
+        ``None`` for every other backend.
         """
-        if ngram_count == 0:
-            # no n-gram evidence at all (empty or shorter than n): the explicit
-            # zero-confidence "und" result
-            return undetermined_result(languages)
-        return ClassificationResult(
-            language=languages[winner],
-            match_counts=dict(zip(languages, counts)),
-            ngram_count=ngram_count,
-        )
+        languages = self.languages
+        names = [*languages, UNDETERMINED_LANGUAGE]  # a winner of -1 names "und"
+        return [
+            ClassificationResult(
+                names[winner] if ngram_count else UNDETERMINED_LANGUAGE,
+                dict(zip(languages, row)), ngram_count, confidence, reason, votes,
+            )
+            for row, ngram_count, winner, confidence, reason, votes in zip(
+                counts.tolist(), lengths.tolist(), winners.tolist(),
+                *(extras or (repeat(None),) * 3),
+            )
+        ]
 
     def classify(self, text: str | bytes, source: str | None = None) -> ClassificationResult:
         """Classify one document: :meth:`classify_batch` on a batch of one.
@@ -138,11 +143,12 @@ class LanguageIdentifier:
 
         :meth:`~repro.core.ngram.NGramExtractor.extract_batch` reads the
         batch as one byte stream and hands its packed n-grams, with each
-        document's range of them, to the backend's batch kernel.  One
-        ``argmax`` over the kernel's counts picks every document's winner, and
-        each result is built here by :meth:`_result_from_counts` from one
-        ``tolist()`` of the counts and the winners, unless the backend builds
-        richer ones itself (the ensemble's votes).
+        document's range of them, to the backend's
+        :meth:`~repro.api.registry.Backend.decide_batch`: every backend's
+        counts and winners (the first maximum of each row; the ensemble's
+        gated, prior-weighted votes), with the ensemble's extra columns.
+        :meth:`_result_from_counts` builds every result from them, for every
+        backend.
 
         ``sources`` is one source tag for the whole batch, or one per document
         (``None`` gaps allowed); only prior-aware backends consume it.
@@ -151,24 +157,15 @@ class LanguageIdentifier:
         texts = list(texts)
         if not texts:
             return []
-        if isinstance(sources, str) or sources is None:
+        if isinstance(sources, (str, bytes)) or sources is None:
             sources = [sources] * len(texts)
         elif len(sources) != len(texts):
             raise ValueError("sources must align with texts (one tag per document)")
         packed, starts, lengths = self.extractor.extract_batch(texts)
-        rich = self._backend.classify_batch_results(
-            packed, starts, lengths, texts=texts, sources=sources
+        counts, winners, extras = self._backend.decide_batch(
+            packed, starts, lengths, texts, sources
         )
-        if rich is not None:
-            return rich
-        counts = self._backend.match_counts_batch(packed, starts, lengths)
-        languages = self.languages
-        return [
-            self._result_from_counts(languages, row, ngram_count, winner)
-            for row, ngram_count, winner in zip(
-                counts.tolist(), lengths.tolist(), counts.argmax(axis=1).tolist()
-            )
-        ]
+        return self._result_from_counts(counts, lengths, winners, extras)
 
     def classify_stream(
         self,

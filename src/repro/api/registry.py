@@ -5,7 +5,7 @@ the exact-lookup reference, the cycle-approximate hardware simulator, and the
 HAIL / Mguesser baselines — answers the same question: *given a stream of packed
 n-grams, how many of them does each language's profile claim?*  The
 :class:`Backend` base class pins that contract down (``fit_profiles`` /
-``ngram_hits`` / ``match_counts_batch`` / ``describe``), and the registry maps
+``ngram_hits`` / ``match_counts_batch`` / ``decide_batch`` / ``describe``), and the registry maps
 short names onto implementations so callers select an engine with a string
 instead of importing five different constructors.
 
@@ -23,7 +23,7 @@ deterministic for a given configuration, profiles and
 from __future__ import annotations
 
 import abc
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ class Backend(abc.ABC):
     one batch kernel, whose counts are the sums of :meth:`ngram_hits`' scores;
     only ``hw-sim`` and ``ensemble`` keep a batch kernel of their own.  A single
     document is a batch of one: there is no separate per-document kernel.
+    Every backend but the ensemble inherits :meth:`decide_batch`.
     """
 
     #: registry name; filled in by :func:`register_backend`
@@ -92,8 +93,9 @@ class Backend(abc.ABC):
             Each document's range of ``packed``: the index of its first
             n-gram and its n-gram count.  The ranges are in order and do not
             overlap; only they are counted, never the gaps between them.
-            Zero-length documents are allowed.  A batch packed back to back
-            passes ``starts = cumsum(lengths) - lengths``.
+            Zero-length documents are allowed, and count zero.  A batch
+            packed back to back passes ``starts = cumsum(lengths) -
+            lengths``.
 
         Returns
         -------
@@ -104,32 +106,25 @@ class Backend(abc.ABC):
             shares the counter semantics of the hardware.
         """
 
-    def classify_batch_results(
+    def decide_batch(
         self,
         packed: np.ndarray,
         starts: np.ndarray,
         lengths: np.ndarray,
-        *,
-        texts=None,
-        sources=None,
-    ):
-        """Optional rich batch path: full per-document results, or ``None``.
+        texts: Sequence[str | bytes],
+        sources: Sequence[str | None],
+    ) -> tuple[np.ndarray, np.ndarray, tuple[list, list, list] | None]:
+        """Each document's counts and language, for the facade's results.
 
-        ``packed``, ``starts`` and ``lengths`` are the batch stream and
-        document ranges that :meth:`match_counts_batch` takes.
-
-        Backends whose output is more than an argmax over
-        :meth:`match_counts_batch` — the ensemble's calibrated votes, priors
-        and abstention — override this to build the
-        :class:`~repro.core.classifier.ClassificationResult` list themselves.
-        ``texts`` (the raw documents, for text-level quality gates) and
-        ``sources`` (one source tag per document, for per-source priors) ride
-        along when the caller has them; either may be ``None``.
-
-        Returning ``None`` (the default) tells the facade to take the ordinary
-        counts-argmax path.
+        Takes :meth:`match_counts_batch`'s arguments plus the raw ``texts``
+        and one source tag (or ``None``) per document.  Returns the counts,
+        each document's language index (``-1`` for ``und``), and ``None`` or
+        the ensemble's ``(calibrated_confidence, abstain_reason,
+        member_votes)`` columns.  The default is the first maximum of each
+        row, the priority encoder's tie rule.
         """
-        return None
+        counts = self.match_counts_batch(packed, starts, lengths)
+        return counts, counts.argmax(axis=1), None
 
     @abc.abstractmethod
     def ngram_hits(self, packed: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ from repro.core.bloom import BloomFilter, ParallelBloomFilter
 from repro.core.classifier import (
     ClassificationResult,
     UNDETERMINED_LANGUAGE,
-    undetermined_result,
 )
 from repro.core.fpr import (
     expected_matches,
@@ -65,7 +64,6 @@ __all__ = [
     "ParallelBloomFilter",
     "ClassificationResult",
     "UNDETERMINED_LANGUAGE",
-    "undetermined_result",
     "expected_matches",
     "false_positive_rate",
     "false_positive_rate_classic",

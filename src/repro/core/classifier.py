@@ -10,18 +10,16 @@ Parallel Bloom Filters (Section 3):
 
 The membership engines live behind :class:`repro.api.identifier.LanguageIdentifier`
 (see :mod:`repro.api.backends`); this module holds the result type they all
-produce, the shared confidence definition and the zero-evidence ``und`` result.
+produce, the shared confidence definition and the zero-evidence ``und`` label.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 __all__ = [
     "ClassificationResult",
     "normalized_separation",
-    "undetermined_result",
     "UNDETERMINED_LANGUAGE",
 ]
 
@@ -29,29 +27,6 @@ __all__ = [
 #: document yields no n-grams at all (empty, or shorter than ``n``), so callers
 #: can tell "no evidence" apart from "first language won a genuine tie"
 UNDETERMINED_LANGUAGE = "und"
-
-
-def undetermined_result(
-    languages: Iterable[str],
-    *,
-    ngram_count: int = 0,
-    abstain_reason: str | None = None,
-) -> "ClassificationResult":
-    """The canonical zero-evidence result: ``und`` label, all-zero counts.
-
-    Shared by every classification surface (raw classifiers, the
-    :class:`~repro.api.identifier.LanguageIdentifier` facade, the segmenter's
-    too-short path and the ensemble backend's abstention) so abstention logic
-    can rely on one representation of "this document carried no usable
-    evidence".  The ensemble passes ``ngram_count``/``abstain_reason`` to say
-    *why* it declined to label a document that did carry n-grams.
-    """
-    return ClassificationResult(
-        language=UNDETERMINED_LANGUAGE,
-        match_counts={language: 0 for language in languages},
-        ngram_count=ngram_count,
-        abstain_reason=abstain_reason,
-    )
 
 
 def normalized_separation(top: int, rival: int) -> float:
@@ -91,11 +66,13 @@ class ClassificationResult:
         else — :attr:`confidence` stays the raw separation score.
     abstain_reason:
         Why the ensemble declined to label this document (``"too_short"``,
-        ``"low_alpha_rate"``, ``"tie"``); ``None`` for ordinary predictions
-        and for the plain zero-evidence ``und``.
+        ``"low_alpha_rate"``, ``"no_votes"``, ``"tie"``); ``None`` for
+        ordinary predictions and for the plain zero-evidence ``und``.
     member_votes:
-        Per-member vote breakdown ``{member: {"language": ..., "weight": ...}}``
-        from the ensemble backend; ``None`` for single-engine results.
+        Per-member vote breakdown ``{member: {"language": ...,
+        "raw_confidence": ..., "weight": ...}}`` from the ensemble backend
+        (``language`` is ``None`` for a member that cast no vote); ``None``
+        for single-engine results and for documents a quality gate stopped.
     """
 
     language: str

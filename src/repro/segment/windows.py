@@ -12,7 +12,8 @@ regardless of window count:
    language word from its key table, otherwise it hashes each n-gram once
    and gathers each hash function's addresses for every language at once);
 2. the window starts and ends cut the n-gram axis into intervals at the
-   window *edges*; one reduction sums every interval's hits, and their
+   window *edges*; one reduction sums every interval's hits (one per
+   :data:`EDGE_BLOCK_NGRAMS` n-grams of a long document), and their
    running sum at the edges turns any window's count into two lookups:
    ``cumulative[edge of end] - cumulative[edge of start]``.
 
@@ -26,7 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["WindowScores", "WindowedScorer"]
+__all__ = ["WindowScores", "WindowedScorer", "EDGE_BLOCK_NGRAMS"]
+
+#: the most n-grams one window-edge reduction reads: it casts what it reads
+#: to ``int64``, so this bounds that copy to 0.5 MB per language
+EDGE_BLOCK_NGRAMS = 1 << 16
 
 
 @dataclass
@@ -74,6 +79,26 @@ class WindowScores:
         return self.ends - self.starts
 
 
+def _edge_sums(hits: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``int64`` hit sums of the intervals between consecutive ``edges``.
+
+    ``np.add.reduceat`` first casts the hit columns it reads to ``int64``, so
+    a long document is read in blocks of whole intervals that span at most
+    :data:`EDGE_BLOCK_NGRAMS` n-grams (a longer interval alone).
+    """
+    if edges[-1] <= EDGE_BLOCK_NGRAMS:
+        return np.add.reduceat(hits, edges[:-1], axis=1, dtype=np.int64)
+    sums = np.empty((hits.shape[0], edges.size - 1), dtype=np.int64)
+    first = 0
+    while first < sums.shape[1]:
+        last = max(first + 1, edges.searchsorted(edges[first] + EDGE_BLOCK_NGRAMS, "right") - 1)
+        offsets = edges[first:last] - edges[first]
+        block = hits[:, edges[first] : edges[last]]
+        sums[:, first:last] = np.add.reduceat(block, offsets, axis=1, dtype=np.int64)
+        first = last
+    return sums
+
+
 class WindowedScorer:
     """Scores sliding windows of a packed n-gram stream against every language.
 
@@ -111,7 +136,8 @@ class WindowedScorer:
         """Score every sliding window of a packed n-gram stream.
 
         Cost is one :meth:`~repro.api.registry.Backend.ngram_hits` pass plus
-        one ``np.add.reduceat`` of the hit rows over the window edges —
+        one ``np.add.reduceat`` of the hit rows over the window edges (one
+        per :data:`EDGE_BLOCK_NGRAMS` n-grams of a longer document) —
         independent of how many windows overlap each n-gram.  Consecutive
         edges differ, so every interval it sums is non-empty; the running
         sum is then taken over the edges only, not over every n-gram.
@@ -141,8 +167,7 @@ class WindowedScorer:
         np.not_equal(edges[1:], edges[:-1], out=distinct[1:])
         edges = edges[distinct]
         cumulative = np.zeros((n_languages, edges.size), dtype=np.int64)
-        sums = np.add.reduceat(hits, edges[:-1], axis=1, dtype=np.int64)
-        sums.cumsum(axis=1, out=cumulative[:, 1:])
+        _edge_sums(hits, edges).cumsum(axis=1, out=cumulative[:, 1:])
         at_bounds = cumulative[:, edges.searchsorted(bounds)]
         counts = (at_bounds[:, starts.size :] - at_bounds[:, : starts.size]).T
         return WindowScores(

@@ -19,6 +19,7 @@ from repro.api import (
     get_backend,
     register_backend,
 )
+from repro.api import registry
 from repro.api.registry import Backend
 from repro.corpus.corpus import build_jrc_acquis_like
 
@@ -176,6 +177,37 @@ class TestLanguageIdentifier:
         assert [r.match_counts for r in streamed] == [r.match_counts for r in singles]
         assert [r.language for r in batch] == [r.language for r in singles]
         assert [r.ngram_count for r in batch] == [r.ngram_count for r in singles]
+
+    def test_a_counting_kernel_is_all_a_backend_needs(self, train_corpus, monkeypatch):
+        """A third-party backend that only counts inherits ``decide_batch``:
+        the first maximum wins, and a document with no n-gram reads ``und``."""
+
+        class CountsOnly(Backend):
+            name = "counts-only"
+
+            def fit_profiles(self, profiles):
+                self.profiles = dict(profiles)
+
+            def ngram_hits(self, packed):
+                hits = np.ones((len(self.languages), packed.size), dtype=np.int64)
+                hits[0] = 0  # every language but the first claims every n-gram
+                return hits
+
+            def match_counts_batch(self, packed, starts, lengths):
+                return np.outer(lengths, [0] + [1] * (len(self.languages) - 1))
+
+        monkeypatch.setitem(registry._REGISTRY, CountsOnly.name, CountsOnly)
+        identifier = LanguageIdentifier(backend=CountsOnly.name).train(train_corpus)
+        first, second, third = identifier.languages
+        results = identifier.classify_batch(["some text here", "", "ab", b"more text"])
+        assert [r.language for r in results] == [second, "und", "und", second]
+        assert [r.ngram_count for r in results] == [11, 0, 0, 6]
+        assert results[0].match_counts == {first: 0, second: 11, third: 11}
+        assert results[1].match_counts == dict.fromkeys(identifier.languages, 0)
+        assert all(
+            (r.calibrated_confidence, r.abstain_reason, r.member_votes) == (None, None, None)
+            for r in results
+        )
 
     def test_classify_batch_empty(self, train_corpus):
         assert _identifier("bloom", train_corpus).classify_batch([]) == []

@@ -10,11 +10,7 @@ import pytest
 
 from repro.analysis.sweep import _measured_fpr
 from repro.api import LanguageIdentifier
-from repro.core.classifier import (
-    UNDETERMINED_LANGUAGE,
-    ClassificationResult,
-    undetermined_result,
-)
+from repro.core.classifier import UNDETERMINED_LANGUAGE, ClassificationResult
 from repro.core.ngram import ngrams_from_text
 
 
@@ -106,11 +102,15 @@ class TestClassification:
         batch = trained.classify_batch(["", "a document long enough to label", "xy"])
         assert [r.language == UNDETERMINED_LANGUAGE for r in batch] == [True, False, True]
 
-    def test_undetermined_result_helper(self):
-        result = undetermined_result(["en", "fr"])
+    def test_undetermined_result_helper(self, trained):
+        # the zero-evidence result: "und", every language's counter at zero
+        result = trained.classify("")
         assert result.language == UNDETERMINED_LANGUAGE
-        assert result.match_counts == {"en": 0, "fr": 0}
-        assert result.scores == {"en": 0.0, "fr": 0.0}
+        assert list(result.match_counts.items()) == [(lang, 0) for lang in trained.languages]
+        assert result.scores == {lang: 0.0 for lang in trained.languages}
+        assert result.calibrated_confidence is None
+        assert result.abstain_reason is None
+        assert result.member_votes is None
 
     def test_all_zero_counts_with_evidence_ties_to_first_language(self, trained, monkeypatch):
         # evidence exists (ngrams > 0) but nothing matches any profile: the

@@ -180,11 +180,40 @@ class TestVotingAndAbstention:
         assert as_bytes.abstain_reason != "low_alpha_rate"
 
     def test_batch_matches_single_document_path(self, calibrated_identifier, corpus):
+        gated = make_identifier(corpus, min_ngrams=12, min_alpha_rate=0.5, tie_margin=0.2)
+        gated.backend.fit_calibrators(
+            [doc.text[:15] for doc in corpus], [doc.language for doc in corpus]
+        )
+        gated.backend.set_priors(
+            priors_payload({"wire": {"en": 0.8, "fr": 0.2}, "web": {"es": 1.0}})
+        )
         texts = [doc.text for doc in corpus.documents[:6]]
-        batch = calibrated_identifier.classify_batch(texts)
-        singles = [calibrated_identifier.classify(text) for text in texts]
-        assert [r.language for r in batch] == [r.language for r in singles]
-        assert [r.match_counts for r in batch] == [r.match_counts for r in singles]
+        texts += [doc.text[:40] for doc in corpus.documents[::5]]
+        texts += [
+            "", "olá", "too short", "word 12345 6789 01234 5678 90123",
+            "щидфл мывап ղոււթ երկիր", corpus.documents[1].text.encode("utf-8"),
+        ]
+        sources = [("wire", None, "web", "fax")[i % 4] for i in range(len(texts))]
+
+        def fields(result):
+            return (
+                result.language,
+                result.match_counts,
+                result.ngram_count,
+                result.calibrated_confidence,
+                result.abstain_reason,
+                result.member_votes,
+            )
+
+        reasons = set()
+        for ensemble in (calibrated_identifier, gated):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the unknown source
+                batch = ensemble.classify_batch(texts, sources)
+                singles = [ensemble.classify(t, s) for t, s in zip(texts, sources)]
+            assert [fields(r) for r in batch] == [fields(r) for r in singles]
+            reasons |= {r.abstain_reason for r in batch}
+        assert {"too_short", "low_alpha_rate", "tie", "no_votes", None} <= reasons
 
 
 # ------------------------------------------------------------------- priors

@@ -30,6 +30,7 @@ from repro.segment import (
     viterbi_labels,
     window_emissions,
 )
+from repro.segment.windows import EDGE_BLOCK_NGRAMS
 
 LANGS = ("en", "fr", "fi", "es")
 
@@ -157,6 +158,38 @@ class TestWindowedScorer:
         # no more than one int64 matrix of the hits' size: the cast inside
         # the edge reduction, not a second per-n-gram matrix beside it
         assert peak < 1.5 * 8 * n_languages * (n_ngrams + 1)
+
+    def test_edge_sums_are_taken_in_bounded_blocks(self):
+        class ByteHits:
+            languages = [f"l{i}" for i in range(10)]
+            hits = (np.random.default_rng(5).random((10, 4 * EDGE_BLOCK_NGRAMS + 321)) < 0.3)
+            hits = hits.astype(np.uint8)
+
+            def ngram_hits(self, packed):
+                return self.hits[:, : packed.size]
+
+        n_languages, n_ngrams = ByteHits.hits.shape
+        packed = np.arange(n_ngrams, dtype=np.uint64)
+        # window above a block: every interval is a block of its own
+        for window, stride in ((1000, 1000), (7, 3), (160, 40), (100_000, 70_000)):
+            scorer = WindowedScorer(ByteHits(), window_ngrams=window, stride_ngrams=stride)
+            tracemalloc.start()
+            try:
+                scores = scorer.score(packed)
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            edges = scores.edges
+            sums = np.add.reduceat(ByteHits.hits, edges[:-1], axis=1, dtype=np.int64)
+            np.testing.assert_array_equal(scores.cumulative[:, 0], 0)
+            np.testing.assert_array_equal(scores.cumulative[:, 1:], sums.cumsum(axis=1))
+            at_bounds = scores.cumulative[:, edges.searchsorted(scores.ends)]
+            at_starts = scores.cumulative[:, edges.searchsorted(scores.starts)]
+            np.testing.assert_array_equal(scores.counts, (at_bounds - at_starts).T)
+            if window == 1000:
+                # one int64 copy of the whole hit matrix would be 21 MB; a
+                # block's is a fifth of it
+                assert peak < 0.5 * 8 * n_languages * n_ngrams
 
     @pytest.mark.parametrize(
         "kwargs",

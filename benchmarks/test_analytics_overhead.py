@@ -48,7 +48,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analytics import AnalyticsAggregator, AnalyticsConfig
+from repro.analytics import AnalyticsAggregator, AnalyticsConfig, AnalyticsHook
 from repro.core.classifier import ClassificationResult
 from repro.serve import ClassificationService, ServeConfig
 
@@ -73,8 +73,10 @@ POLICIES = (
 )
 
 
-def _serve_config(analytics: bool, sample_every: int) -> ServeConfig:
-    return ServeConfig(
+def _service(identifier, analytics: bool, sample_every: int) -> ClassificationService:
+    """One service per policy; full scan needs a hook built for it (the
+    service's own hook scans every 8th document per source)."""
+    config = ServeConfig(
         max_batch=256,
         max_delay_ms=5.0,
         replicas=1,
@@ -83,8 +85,11 @@ def _serve_config(analytics: bool, sample_every: int) -> ServeConfig:
         trace_sample_rate=0.0,
         trace_slow_ms=float("inf"),
         analytics=analytics,
-        analytics_quality_sample_every=sample_every,
     )
+    hook = None
+    if analytics and sample_every != 8:
+        hook = AnalyticsHook(quality_sample_every=sample_every)
+    return ClassificationService(identifier, config, analytics=hook)
 
 
 def _build_identifier_and_mix():
@@ -153,9 +158,7 @@ def _run_rounds(identifier, texts):
         measured = {label: {} for label, _on, _every in POLICIES}
         try:
             for label, analytics_on, sample_every in POLICIES:
-                service = ClassificationService(
-                    identifier, _serve_config(analytics_on, sample_every)
-                )
+                service = _service(identifier, analytics_on, sample_every)
                 await service.start()
                 services[label] = service
                 # prime the batcher / executor / cache-miss paths out-of-band
@@ -238,7 +241,7 @@ def test_hook_records_every_request_per_source(bench_train, bench_test):
     async def main():
         gauges = {}
         for label, analytics_on, sample_every in POLICIES:
-            service = ClassificationService(identifier, _serve_config(analytics_on, sample_every))
+            service = _service(identifier, analytics_on, sample_every)
             async with service:
                 for wave, source in zip(waves, SOURCES):
                     await service.classify_many(wave, source=source)

@@ -5,17 +5,17 @@ the *service* behaving", this subsystem answers "what does the *traffic* look
 like, and is the model quietly degrading on it".  Modelled on the per-source
 newspaper/collection statistics workload of the impresso language-id pipeline
 (PAPERS.md), scaled to the firehose by the same discipline as the rest of the
-serving tier: constant memory, exact mergeability, O(1) hot-path cost.
+serving tier: constant memory, exact integer counters, O(1) hot-path cost.
 
 :class:`~repro.analytics.stats.SourceStats`
     Per-source language counters, confidence histogram, document-length and
     alphabetical-rate quality summaries, ``und``/abstain and cache-hit rates —
-    all-integer accumulators so merging is associative, commutative and
-    bit-identical to a single pass.
+    all-integer accumulators, so the all-time totals built by merging pruned
+    windows into the archive are exact.
 :class:`~repro.analytics.aggregator.AnalyticsAggregator`
-    ``update / merge / snapshot`` over per-source totals plus a bounded ring
-    of time-bucketed windows; shards processed in parallel (e.g. across the
-    process replica pool) collapse into exactly the sequential answer.
+    ``update / snapshot`` over a bounded ring of time-bucketed windows plus
+    the archive of pruned ones: each document is folded once, into its
+    window.
 :mod:`~repro.analytics.drift`
     Jensen–Shannon / PSI language-mix drift plus mean-confidence drift of the
     newest window against a baseline window, with configurable alarms.

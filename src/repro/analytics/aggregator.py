@@ -1,7 +1,7 @@
-"""The mergeable streaming aggregation layer over classify outputs.
+"""The streaming aggregation layer over classify outputs.
 
 :class:`AnalyticsAggregator` is the corpus-analytics workhorse: it folds each
-classification result into the per-source
+classification result, once, into the per-source
 :class:`~repro.analytics.stats.SourceStats` block of its **time-bucketed
 window** (a bounded ring), ages displaced windows into a per-source *archive*,
 and derives drift verdicts by comparing the newest window against a baseline
@@ -9,23 +9,17 @@ window (:mod:`repro.analytics.drift`).  All-time totals are a read-side
 derivation — archive plus live windows — so the hot path performs exactly one
 stat-block update per document.
 
-Three properties carry the whole design:
+Two properties carry the design:
 
 * **Constant memory.**  State is bounded by ``sources x (max_windows + 1)``
   stat blocks; a billion-document stream costs the same resident set as a
-  thousand-document one.
-* **Exact mergeability.**  ``merge`` is associative and commutative with
-  bit-identical snapshots (all-integer accumulators, see
-  :mod:`repro.analytics.stats`), so shards processed in parallel — e.g. one
-  aggregator per :class:`~repro.serve.process_pool.ProcessReplicaPool`
-  worker — collapse into exactly the single-pass answer.  Window pruning is
-  *confluent*: keeping the ``max_windows`` newest bucket indices commutes
-  with merging (a bucket pruned from a shard is provably outside the merged
-  top-N too), and a pruned window's documents are not lost — they age into
-  the archive, so all-time totals stay exact.
+  thousand-document one.  The ring keeps the ``max_windows`` newest bucket
+  indices seen; a document older than all of them opens its window, is
+  folded in, and the window is pruned at once.  A pruned window's documents
+  are not lost — they age into the archive, so all-time totals stay exact
+  (all-integer accumulators, see :mod:`repro.analytics.stats`).
 * **Deterministic derivation.**  Every float in a snapshot is one division
-  over merge-order-independent integers, so equal streams give equal
-  snapshots, sharded or not.
+  over exact integers, so equal streams give equal snapshots.
 
 The same type serves all three deployment layers: the ``repro analyze``
 batch CLI, the live :class:`~repro.analytics.hook.AnalyticsHook` behind
@@ -42,8 +36,8 @@ import numpy as np
 
 from repro.analytics.drift import DRIFT_METRICS, compare_windows
 from repro.analytics.stats import (
+    CONFIDENCE_BINS,
     CONFIDENCE_SCALE,
-    DEFAULT_CONFIDENCE_BINS,
     SourceStats,
     quantize_confidence,
 )
@@ -105,11 +99,8 @@ class AnalyticsConfig:
         (batch analysis) can feed any monotone scalar — ``repro analyze``
         uses the document index, making this "documents per window".
     max_windows:
-        Bound on retained window buckets (newest win; pruning is confluent
-        with merging).  Needs at least 2 so a baseline and a current window
-        can coexist.
-    confidence_bins:
-        Confidence-histogram resolution over [0, 1].
+        Bound on retained window buckets (the newest win).  Needs at least 2
+        so a baseline and a current window can coexist.
     drift_metric:
         ``"js"`` (Jensen–Shannon divergence, bounded [0, 1]) or ``"psi"``
         (population stability index, conventional alarm at 0.2+).
@@ -124,7 +115,6 @@ class AnalyticsConfig:
 
     window_seconds: float = 60.0
     max_windows: int = 32
-    confidence_bins: int = DEFAULT_CONFIDENCE_BINS
     drift_metric: str = "js"
     drift_threshold: float = 0.1
     confidence_drift_threshold: float = 0.1
@@ -135,8 +125,6 @@ class AnalyticsConfig:
             raise ValueError("window_seconds must be positive")
         if self.max_windows < 2:
             raise ValueError("max_windows must be at least 2 (baseline + current)")
-        if self.confidence_bins <= 0:
-            raise ValueError("confidence_bins must be positive")
         if self.drift_metric not in DRIFT_METRICS:
             raise ValueError(
                 f"unknown drift metric {self.drift_metric!r}; "
@@ -151,7 +139,7 @@ class AnalyticsConfig:
         return {
             "window_seconds": self.window_seconds,
             "max_windows": self.max_windows,
-            "confidence_bins": self.confidence_bins,
+            "confidence_bins": CONFIDENCE_BINS,
             "drift_metric": self.drift_metric,
             "drift_threshold": self.drift_threshold,
             "confidence_drift_threshold": self.confidence_drift_threshold,
@@ -163,8 +151,7 @@ class AnalyticsAggregator:
     """Per-source totals + a bounded ring of time-bucketed window stats.
 
     Not thread-safe on its own; the serving tier's
-    :class:`~repro.analytics.hook.AnalyticsHook` serialises access, and batch
-    shards each own a private instance until the final ``merge``.
+    :class:`~repro.analytics.hook.AnalyticsHook` serialises access.
     """
 
     def __init__(self, config: AnalyticsConfig | None = None):
@@ -176,7 +163,6 @@ class AnalyticsAggregator:
         self.windows: dict[int, dict[str, SourceStats]] = {}
         # hot-path copies of the (frozen) config fields ``update`` touches:
         # two attribute hops per document are measurable at serving rates
-        self._bins = self.config.confidence_bins
         self._window_seconds = self.config.window_seconds
         self._max_windows = self.config.max_windows
         # memo of the last (bucket, source) -> stats resolution: serving
@@ -188,15 +174,6 @@ class AnalyticsAggregator:
 
     # ------------------------------------------------------------ recording
 
-    def _stats(self, table: dict[str, SourceStats], source: str) -> SourceStats:
-        stats = table.get(source)
-        if stats is None:
-            stats = table[source] = SourceStats(self.config.confidence_bins)
-        return stats
-
-    def bucket_for(self, timestamp: float) -> int:
-        return int(timestamp // self.config.window_seconds)
-
     def update(
         self,
         result,
@@ -206,16 +183,14 @@ class AnalyticsAggregator:
         chars: int | None = None,
         cached: bool = False,
     ) -> None:
-        """Fold one classification result into totals and its time window.
+        """Fold one classification result into its time window.
 
         ``result`` is a :class:`~repro.core.classifier.ClassificationResult`
         (or anything with ``language`` / ``confidence`` / ``ngram_count``).
         Pass ``text`` to have the document scanned for quality metrics
         (length + alphabetical rate); pass only ``chars`` to skip the scan —
         the document still counts everywhere except the alphabetical-rate
-        ratio.  The quality decision is the *caller's* so that a sharded run
-        making the same per-document choice stays bit-identical to the
-        single-pass run.
+        ratio.
         """
         if source is None:
             source = DEFAULT_SOURCE
@@ -225,12 +200,9 @@ class AnalyticsAggregator:
         else:
             chars = int(chars) if chars is not None else 0
             alpha = None
-        language = result.language
-        und = language == UNDETERMINED_LANGUAGE
-        ngrams = result.ngram_count
-        # quantise and bin once, update exactly one stat block: this is the
-        # serving hot path, priced at a few dict lookups and integer adds.
-        # The top-two scan mirrors ClassificationResult.confidence +
+        # quantise once, update exactly one stat block: this is the serving
+        # hot path, priced at a few dict lookups and integer adds.  The
+        # top-two scan mirrors ClassificationResult.confidence +
         # quantize_confidence exactly (0-floored separation, rounded to
         # micro-units) without the property/function-call overhead.
         counts = getattr(result, "match_counts", None)
@@ -247,80 +219,44 @@ class AnalyticsAggregator:
             micro = round((top - runner) / top * CONFIDENCE_SCALE) if top > 0 else 0
         else:  # duck-typed result: fall back to its confidence attribute
             micro = quantize_confidence(result.confidence)
-        bins = self._bins
-        bin_index = min(micro * bins // CONFIDENCE_SCALE, bins - 1) if micro > 0 else 0
         bucket = int(timestamp // self._window_seconds)
         if bucket == self._last_bucket and source == self._last_source:
             stats = self._last_stats
         else:
             window = self.windows.get(bucket)
             if window is None:
-                if (
-                    len(self.windows) >= self._max_windows
-                    and bucket < min(self.windows)
-                ):
-                    # late arrival into already-pruned territory: the bucket
-                    # can never re-enter the newest-N set, so the document
-                    # goes straight to the archive (keeping the retained ring
-                    # exactly "the newest max_windows bucket indices ever
-                    # observed" — the invariant that makes pruning commute
-                    # with merging)
-                    window = self.archive
-                else:
-                    window = self.windows[bucket] = {}
-                    self._prune_windows()
+                window = self.windows[bucket] = {}
             stats = window.get(source)
             if stats is None:
-                stats = window[source] = SourceStats(bins)
+                stats = window[source] = SourceStats()
             self._last_bucket = bucket
             self._last_source = source
             self._last_stats = stats
-        stats.update_quantized(
-            language, micro, bin_index, chars, ngrams, und, cached, alpha
+        language = result.language
+        stats.update(
+            language,
+            micro,
+            chars,
+            result.ngram_count,
+            language == UNDETERMINED_LANGUAGE,
+            cached,
+            alpha,
         )
+        if len(self.windows) > self._max_windows:
+            self._prune_oldest_window()
 
-    def _prune_windows(self) -> None:
-        # keep the max_windows NEWEST bucket indices: a bucket b is displaced
-        # only when max_windows larger buckets exist, and those buckets exist
-        # in any merge superset too — so pruning commutes with merge.  The
-        # displaced window folds into the archive, not the void: all-time
+    def _prune_oldest_window(self) -> None:
+        # one update opens at most one window, so one goes: the oldest, which
+        # is the new one itself when its document is older than every
+        # retained window.  It folds into the archive, not the void: all-time
         # totals stay exact.
-        excess = len(self.windows) - self.config.max_windows
-        if excess > 0:
-            # stat blocks are about to move: drop the (bucket, source) memo
-            self._last_bucket = self._last_source = self._last_stats = None
-            for bucket in sorted(self.windows)[:excess]:
-                for source, stats in self.windows.pop(bucket).items():
-                    mine = self.archive.get(source)
-                    if mine is None:
-                        self.archive[source] = stats
-                    else:
-                        mine.merge(stats)
-
-    # ------------------------------------------------------------ merging
-
-    def merge(self, other: "AnalyticsAggregator") -> "AnalyticsAggregator":
-        """Fold another shard's partial stats in (in place), then re-prune.
-
-        Associative and commutative with bit-identical snapshots; both sides
-        must share one configuration (bucket widths and histogram resolutions
-        must line up for the sums to mean anything).
-        """
-        if other.config != self.config:
-            raise ValueError(
-                "cannot merge aggregators with different configurations: "
-                f"{self.config} vs {other.config}"
-            )
-        for source, stats in other.archive.items():
-            self._stats(self.archive, source).merge(stats)
-        for bucket, window in other.windows.items():
-            mine = self.windows.get(bucket)
-            if mine is None:
-                mine = self.windows[bucket] = {}
-            for source, stats in window.items():
-                self._stats(mine, source).merge(stats)
-        self._prune_windows()
-        return self
+        self._last_bucket = self._last_source = self._last_stats = None
+        for source, stats in self.windows.pop(min(self.windows)).items():
+            archived = self.archive.get(source)
+            if archived is None:
+                self.archive[source] = stats
+            else:
+                archived.merge(stats)
 
     # ------------------------------------------------------------ derived
 
@@ -353,7 +289,7 @@ class AnalyticsAggregator:
         return archived + live
 
     def _window_merged(self, bucket: int) -> SourceStats:
-        merged = SourceStats(self.config.confidence_bins)
+        merged = SourceStats()
         for stats in self.windows.get(bucket, {}).values():
             merged.merge(stats)
         return merged
@@ -394,7 +330,7 @@ class AnalyticsAggregator:
         }
         baseline_window = self.windows[baseline_bucket]
         current_window = self.windows[current_bucket]
-        empty = SourceStats(self.config.confidence_bins)
+        empty = SourceStats()
         verdicts = {}
         for source in sorted(set(baseline_window) | set(current_window)):
             verdicts[source] = compare_windows(
@@ -435,12 +371,7 @@ class AnalyticsAggregator:
         }
 
     def snapshot(self, include_windows: bool = True) -> dict:
-        """JSON-ready view: totals, window ring, drift verdicts.
-
-        Bit-identical across shardings of the same stream (given identical
-        per-document quality decisions), which is what lets tests compare
-        sharded and single-pass runs with plain ``==``.
-        """
+        """JSON-ready view: totals, window ring, drift verdicts."""
         ws = self.config.window_seconds
         payload = {
             "config": self.config.to_json(),

@@ -6,7 +6,7 @@ validation before cutover") needs a measurement, not a vibe: before
 the blue (live) model's traffic through the candidate and *diff the outcomes*.
 
 :class:`ShadowComparison` accumulates, with the same exact-integer discipline
-as :mod:`repro.analytics.stats` (so shadow shards merge bit-identically):
+as :mod:`repro.analytics.stats`:
 
 * **label disagreement** — total and per source, plus the top blue→green
   label flip pairs (the qualitative shape of the change);
@@ -27,12 +27,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.analytics.drift import jensen_shannon_divergence
-from repro.analytics.stats import (
-    CONFIDENCE_SCALE,
-    DEFAULT_CONFIDENCE_BINS,
-    SourceStats,
-    quantize_confidence,
-)
+from repro.analytics.stats import CONFIDENCE_SCALE, SourceStats, quantize_confidence
 
 __all__ = ["ShadowComparison"]
 
@@ -42,9 +37,9 @@ DEFAULT_MAX_CONFIDENCE_DROP = 0.05
 
 
 class ShadowComparison:
-    """Mergeable counters diffing two models over one mirrored traffic window."""
+    """Integer counters diffing two models over one mirrored traffic window."""
 
-    def __init__(self, confidence_bins: int = DEFAULT_CONFIDENCE_BINS):
+    def __init__(self):
         self.docs_total = 0
         self.disagreements_total = 0
         self.disagreements_by_source: Counter[str] = Counter()
@@ -52,9 +47,8 @@ class ShadowComparison:
         #: (blue_label, green_label) -> count, disagreeing documents only
         self.flips: Counter[tuple[str, str]] = Counter()
         self.confidence_delta_micro = 0
-        self.blue = SourceStats(confidence_bins)
-        self.green = SourceStats(confidence_bins)
-        self._bins = confidence_bins
+        self.blue = SourceStats()
+        self.green = SourceStats()
 
     # ------------------------------------------------------------ recording
 
@@ -68,16 +62,12 @@ class ShadowComparison:
             self.disagreements_total += 1
             self.disagreements_by_source[source] += 1
             self.flips[(blue_label, green_label)] += 1
-        self.confidence_delta_micro += quantize_confidence(
-            green_result.confidence
-        ) - quantize_confidence(blue_result.confidence)
+        blue_micro = quantize_confidence(blue_result.confidence)
+        green_micro = quantize_confidence(green_result.confidence)
+        self.confidence_delta_micro += green_micro - blue_micro
         chars = 0  # volume is tracked by the live path; the diff needs labels
-        self.blue.update(
-            blue_label, blue_result.confidence, chars, blue_result.ngram_count
-        )
-        self.green.update(
-            green_label, green_result.confidence, chars, green_result.ngram_count
-        )
+        self.blue.update(blue_label, blue_micro, chars, blue_result.ngram_count)
+        self.green.update(green_label, green_micro, chars, green_result.ngram_count)
 
     def update_batch(self, blue_results, green_results, sources=None) -> None:
         """Fold aligned result sequences in (``sources`` parallel or None)."""
@@ -91,18 +81,6 @@ class ShadowComparison:
         for index, (blue, green) in enumerate(zip(blue_results, green_results)):
             source = sources[index] if sources is not None else "_default"
             self.update(blue, green, source)
-
-    def merge(self, other: "ShadowComparison") -> "ShadowComparison":
-        """Fold another shard in (in place).  Associative, commutative, exact."""
-        self.docs_total += other.docs_total
-        self.disagreements_total += other.disagreements_total
-        self.disagreements_by_source.update(other.disagreements_by_source)
-        self.docs_by_source.update(other.docs_by_source)
-        self.flips.update(other.flips)
-        self.confidence_delta_micro += other.confidence_delta_micro
-        self.blue.merge(other.blue)
-        self.green.merge(other.green)
-        return self
 
     # ------------------------------------------------------------ derived
 

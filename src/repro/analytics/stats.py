@@ -1,14 +1,13 @@
-"""Constant-memory, exactly-mergeable per-source streaming statistics.
+"""Constant-memory per-source streaming statistics with integer counters.
 
 The unit of state is one :class:`SourceStats`: everything the analytics layer
 knows about one traffic source (a feed, a tenant, a newspaper title).  The
-design constraint — inherited from the parallel shard-and-merge requirement of
-the aggregation layer (:mod:`repro.analytics.aggregator`) — is that every
-accumulator must be **associatively and commutatively mergeable with
-bit-identical results**, so N shards processed on N workers and merged in any
-order produce *exactly* the snapshot a single sequential pass would.
-
-Floating-point addition is not associative, so no float is ever accumulated:
+aggregation layer (:mod:`repro.analytics.aggregator`) folds each document
+into the stat block of its time window, and when a window is pruned from its
+ring the block is merged into the source's archive; all-time totals are the
+archive merged with the live windows.  Those totals come out exact, whatever
+was pruned and in whatever order blocks were merged, because no float is
+ever accumulated:
 
 * counters (documents, bytes, n-grams, ``und``, cache hits, per-language
   labels, confidence-histogram bins) are Python ints — exact at any magnitude;
@@ -18,9 +17,7 @@ Floating-point addition is not associative, so no float is ever accumulated:
   as ints and divide only at :meth:`SourceStats.snapshot` time.
 
 Every derived float (mean confidence, language mix, rates) is therefore a
-single division over integers that are themselves merge-order-independent,
-which makes whole snapshots comparable with ``==`` across shardings — the
-property :mod:`tests.test_analytics_properties` checks with hypothesis.
+single division over exact integers.
 """
 
 from __future__ import annotations
@@ -28,8 +25,8 @@ from __future__ import annotations
 from collections import Counter
 
 __all__ = [
+    "CONFIDENCE_BINS",
     "CONFIDENCE_SCALE",
-    "DEFAULT_CONFIDENCE_BINS",
     "SourceStats",
     "quantize_confidence",
 ]
@@ -38,16 +35,15 @@ __all__ = [
 #: below the resolution of the raw separation score, and int sums are exact
 CONFIDENCE_SCALE = 1_000_000
 
-#: default confidence-histogram resolution over [0, 1]
-DEFAULT_CONFIDENCE_BINS = 10
+#: confidence-histogram resolution over [0, 1]
+CONFIDENCE_BINS = 10
 
 
 def quantize_confidence(confidence: float) -> int:
     """One confidence in [0, 1] as exact integer micro-units.
 
-    Quantisation happens once per document, *before* any accumulation, so the
-    value entering the (associative) integer sums is identical no matter which
-    shard observed the document.
+    Quantisation happens once per document, *before* any accumulation, so
+    every stat block a document reaches sums the same integer.
     """
     return round(float(confidence) * CONFIDENCE_SCALE)
 
@@ -100,9 +96,7 @@ class SourceStats:
         "quality_alpha_total",
     )
 
-    def __init__(self, confidence_bins: int = DEFAULT_CONFIDENCE_BINS):
-        if confidence_bins <= 0:
-            raise ValueError("confidence_bins must be positive")
+    def __init__(self):
         self.docs_total = 0
         self.bytes_total = 0
         self.ngrams_total = 0
@@ -110,7 +104,7 @@ class SourceStats:
         self.und_total = 0
         self.cached_total = 0
         self.confidence_sum_micro = 0
-        self.confidence_bins = [0] * confidence_bins
+        self.confidence_bins = [0] * CONFIDENCE_BINS
         self.length_min: int | None = None
         self.length_max: int | None = None
         self.quality_docs_total = 0
@@ -122,43 +116,21 @@ class SourceStats:
     def update(
         self,
         language: str,
-        confidence: float,
+        micro: int,
         chars: int,
         ngrams: int = 0,
-        *,
         und: bool = False,
         cached: bool = False,
         alpha_chars: int | None = None,
     ) -> None:
         """Fold one classified document in.
 
-        ``alpha_chars`` is the letter count of the document when the caller
-        scanned the text (quality sampling may skip the scan — pass ``None``
-        and the document simply doesn't enter the alphabetical-rate ratio).
-        """
-        micro = quantize_confidence(confidence)
-        bins = len(self.confidence_bins)
-        index = min(micro * bins // CONFIDENCE_SCALE, bins - 1) if micro > 0 else 0
-        self.update_quantized(
-            language, micro, index, int(chars), int(ngrams), und, cached, alpha_chars
-        )
-
-    def update_quantized(
-        self,
-        language: str,
-        micro: int,
-        bin_index: int,
-        chars: int,
-        ngrams: int,
-        und: bool,
-        cached: bool,
-        alpha_chars: int | None,
-    ) -> None:
-        """Hot-path entry: fold a document whose confidence is already quantised.
-
-        The aggregation layer quantises and bins once in the caller, so the
-        per-document cost here is pure integer accumulation — and the same
-        integers reach every stat block a document is folded into.
+        ``micro`` is the document's confidence already quantised
+        (:func:`quantize_confidence`); it is binned here.  ``alpha_chars`` is
+        the letter count of the document when the caller scanned the text
+        (quality sampling may skip the scan — pass ``None`` and the document
+        simply doesn't enter the alphabetical-rate ratio).  The serving hot
+        path calls this positionally, once per document.
         """
         self.docs_total += 1
         self.bytes_total += chars
@@ -169,7 +141,11 @@ class SourceStats:
         if cached:
             self.cached_total += 1
         self.confidence_sum_micro += micro
-        self.confidence_bins[bin_index] += 1
+        self.confidence_bins[
+            min(micro * CONFIDENCE_BINS // CONFIDENCE_SCALE, CONFIDENCE_BINS - 1)
+            if micro > 0
+            else 0
+        ] += 1
         if self.length_min is None or chars < self.length_min:
             self.length_min = chars
         if self.length_max is None or chars > self.length_max:
@@ -181,12 +157,6 @@ class SourceStats:
 
     def merge(self, other: "SourceStats") -> "SourceStats":
         """Fold ``other`` in (in place).  Associative, commutative, exact."""
-        if len(other.confidence_bins) != len(self.confidence_bins):
-            raise ValueError(
-                "cannot merge SourceStats with different confidence-histogram "
-                f"resolutions ({len(self.confidence_bins)} vs "
-                f"{len(other.confidence_bins)} bins)"
-            )
         self.docs_total += other.docs_total
         self.bytes_total += other.bytes_total
         self.ngrams_total += other.ngrams_total
@@ -208,8 +178,7 @@ class SourceStats:
         return self
 
     def copy(self) -> "SourceStats":
-        clone = SourceStats(len(self.confidence_bins))
-        return clone.merge(self)
+        return SourceStats().merge(self)
 
     # ------------------------------------------------------------ derived
 
@@ -247,8 +216,8 @@ class SourceStats:
         return min(self.languages, key=lambda lang: (-self.languages[lang], lang))
 
     def snapshot(self) -> dict:
-        """JSON-ready view; equal across shardings that saw the same stream."""
-        bins = len(self.confidence_bins)
+        """JSON-ready view of the counters and the rates derived from them."""
+        bins = CONFIDENCE_BINS
         return {
             "docs": self.docs_total,
             "bytes": self.bytes_total,

@@ -127,7 +127,7 @@ class _MembershipBackend(Backend):
     of ten 6-bit counters, and reduces each lane once per block of pieces of
     at most 63 n-grams: at ten languages, one gather and one reduction
     where unpacking and reducing one row per language took three calls per
-    language.  ``mguesser``'s ``int64`` weights and bloom's
+    language.  ``mguesser``'s ``int32`` weights and bloom's
     :meth:`~BloomBackend.probe` have no words; one
     :func:`~repro.core.ngram.segment_sums` call reduces their score rows.
     Either way the kernel reads the batch stream as it is, and only each
@@ -571,12 +571,14 @@ class MguesserBackend(_SortedTableBackend):
     ``1 / MGUESSER_SCORE_SCALE``.  An n-gram's score is its weight in each
     language (0 where the profile lacks it), read from the same sorted key
     table as ``exact``'s membership, and a document's score is the sum of
-    its n-grams' scores (with multiplicity).
+    its n-grams' scores (with multiplicity).  A weight is at most
+    ``MGUESSER_SCORE_SCALE``, so the table and the score rows are ``int32``;
+    every reduction of them sums in ``int64``.
     """
 
     def _scores(self, profile: LanguageProfile) -> np.ndarray:
         total = float(profile.counts.sum()) or 1.0
-        return np.round(profile.counts / total * MGUESSER_SCORE_SCALE).astype(np.int64)
+        return np.round(profile.counts / total * MGUESSER_SCORE_SCALE).astype(np.int32)
 
     def describe(self) -> dict:
         info = super().describe()

@@ -18,10 +18,10 @@ Subcommands
 ``analyze``
     Stream a corpus (JSONL files and/or source directories) through a saved
     model and report per-source language mix, confidence/quality summaries and
-    window-over-window drift (:mod:`repro.analytics`); ``--priors`` writes the
-    per-source language-priors artifact, ``--shards`` folds the stream through
-    N mergeable partial aggregators (bit-identical to a single pass), and
-    ``--fail-on-drift`` turns a drift alarm into a non-zero exit.
+    window-over-window drift (:mod:`repro.analytics`), folding each document
+    once as it is classified; ``--priors`` writes the per-source
+    language-priors artifact, and ``--fail-on-drift`` turns a drift alarm into
+    a non-zero exit.
 ``evaluate``
     Robustness evaluation matrix on a synthetic corpus: sweeps backend × noise
     scenario × document length through :mod:`repro.eval`, printing the accuracy
@@ -367,10 +367,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         confidence_drift_threshold=args.confidence_drift_threshold,
         min_window_docs=args.min_window_docs,
     )
-    # One aggregator per shard; documents round-robin across them and the
-    # partials merge at the end — by construction bit-identical to --shards 1
-    # (the merge algebra is exact, see repro.analytics).
-    shards = [AnalyticsAggregator(config) for _ in range(args.shards)]
+    aggregator = AnalyticsAggregator(config)
 
     # Results come back in submission order, so per-document metadata rides a
     # queue parallel to the lazy text stream (same pattern as 'classify'); the
@@ -433,16 +430,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             # no wall clock in the stream: the document index is the monotone
             # axis, making --window "documents per window"
             timestamp = float(index)
-        shards[index % args.shards].update(result, source, timestamp=timestamp, text=text)
+        aggregator.update(result, source, timestamp=timestamp, text=text)
         index += 1
     elapsed = time.perf_counter() - started
 
     if index == 0:
         print("error: no documents found in the given inputs", file=sys.stderr)
         return 2
-    aggregator = shards[0]
-    for shard in shards[1:]:
-        aggregator.merge(shard)
 
     snapshot = aggregator.snapshot()
     if args.priors:
@@ -453,10 +447,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         print(render_report(snapshot, top_languages=args.top_languages))
         rate = index / elapsed if elapsed > 0 else 0.0
-        sharding = f", {args.shards} shards merged" if args.shards > 1 else ""
         print(
             f"analyzed {index} documents from {len(aggregator.sources)} source(s) "
-            f"in {elapsed:.2f} s ({rate:,.0f} docs/s{sharding})"
+            f"in {elapsed:.2f} s ({rate:,.0f} docs/s)"
         )
     if args.fail_on_drift and snapshot["drift"]["alarm"]:
         print("drift alarm raised", file=sys.stderr)
@@ -947,8 +940,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="stream a corpus through a saved model and report per-source "
-        "language mix, quality and drift",
+        help="stream a corpus through a saved model, folding each document "
+        "once, and report per-source language mix, quality and drift",
     )
     analyze.add_argument("--model", required=True, help="model artifact written by 'train'")
     analyze.add_argument(
@@ -1002,11 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--min-window-docs", type=_positive_int, default=20,
         help="windows with fewer documents never alarm (noise guard)",
-    )
-    analyze.add_argument(
-        "--shards", type=_positive_int, default=1,
-        help="fold the stream through N mergeable partial aggregators "
-        "(result is bit-identical to --shards 1)",
     )
     analyze.add_argument(
         "--priors", default=None, metavar="PATH",

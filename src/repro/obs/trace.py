@@ -58,7 +58,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-__all__ = ["PIPELINE_STAGES", "TraceConfig", "TraceContext", "Tracer"]
+__all__ = ["PIPELINE_STAGES", "TRACE_RING_SIZE", "TraceConfig", "TraceContext", "Tracer"]
 
 #: every stage a fully-traced classify/segment request can record, in
 #: pipeline order (cache hits stop after ``cache_lookup``)
@@ -72,6 +72,10 @@ PIPELINE_STAGES = (
     "respond",
     "serialize",
 )
+
+
+#: bound on retained traces; the ring keeps the most recent
+TRACE_RING_SIZE = 256
 
 
 def new_request_id() -> str:
@@ -92,21 +96,18 @@ class TraceConfig:
     slow_threshold_ms:
         Requests whose end-to-end latency exceeds this are retained even when
         not sampled (slow exemplars).  ``float("inf")`` disables the rule.
-    ring_size:
-        Bound on retained traces; the ring keeps the most recent.
+
+    Retained traces live in a ring of :data:`TRACE_RING_SIZE`.
     """
 
     sample_rate: float = 0.01
     slow_threshold_ms: float = 250.0
-    ring_size: int = 256
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sample_rate <= 1.0:
             raise ValueError("sample_rate must be between 0 and 1")
         if self.slow_threshold_ms < 0:
             raise ValueError("slow_threshold_ms must be non-negative")
-        if self.ring_size <= 0:
-            raise ValueError("ring_size must be positive")
 
 
 class TraceContext:
@@ -250,7 +251,7 @@ class Tracer:
         self.config = config if config is not None else TraceConfig()
         self.logger = logger
         self._rng = rng if rng is not None else random.Random()
-        self._ring: deque[TraceContext] = deque(maxlen=self.config.ring_size)
+        self._ring: deque[TraceContext] = deque(maxlen=TRACE_RING_SIZE)
         self._lock = threading.Lock()
         self.traces_started = 0
         self.traces_retained = 0
@@ -316,7 +317,7 @@ class Tracer:
         return {
             "sample_rate": self.config.sample_rate,
             "slow_threshold_ms": self.config.slow_threshold_ms,
-            "ring_size": self.config.ring_size,
+            "ring_size": TRACE_RING_SIZE,
             "ring_occupancy": retained,
             "traces_started": self.traces_started,
             "traces_retained": self.traces_retained,

@@ -66,18 +66,13 @@ class LatencyHistogram:
     (:class:`ServiceMetrics`) serialise access under their lock.
     """
 
-    __slots__ = ("bounds", "counts", "sum", "count")
+    __slots__ = ("counts", "sum", "count")
 
-    def __init__(self, bounds=DEFAULT_LATENCY_BUCKETS):
-        bounds = tuple(float(b) for b in bounds)
-        if not bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if any(b <= 0 for b in bounds) or any(
-            right <= left for left, right in zip(bounds, bounds[1:])
-        ):
-            raise ValueError("bucket bounds must be positive and strictly increasing")
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)  # +1: the +Inf overflow bucket
+    #: bucket upper bounds, seconds (:data:`DEFAULT_LATENCY_BUCKETS`)
+    bounds = DEFAULT_LATENCY_BUCKETS
+
+    def __init__(self):
+        self.counts = [0] * (len(self.bounds) + 1)  # +1: the +Inf overflow bucket
         self.sum = 0.0
         self.count = 0
 
@@ -141,11 +136,9 @@ class ServiceMetrics:
     #: style while the Prometheus exposition uses spec ``quantile="0.5"``
     QUANTILES = (50.0, 95.0, 99.0)
 
-    def __init__(self, latency_buckets=DEFAULT_LATENCY_BUCKETS, clock=time.monotonic):
+    def __init__(self, clock=time.monotonic):
         self._lock = threading.RLock()
         self._clock = clock
-        self._latency_buckets = tuple(float(b) for b in latency_buckets)
-        LatencyHistogram(self._latency_buckets)  # validate once, up front
         self.started_at = clock()
         self.requests_total = 0
         self.segment_requests_total = 0
@@ -266,7 +259,7 @@ class ServiceMetrics:
     def _stage_locked(self, stage: str) -> LatencyHistogram:
         histogram = self._stages.get(stage)
         if histogram is None:
-            histogram = self._stages[stage] = LatencyHistogram(self._latency_buckets)
+            histogram = self._stages[stage] = LatencyHistogram()
         return histogram
 
     def observe_stage(self, stage: str, seconds: float) -> None:

@@ -95,13 +95,12 @@ class ServeConfig:
         per-source traffic-analytics plane (:mod:`repro.analytics`) behind
         ``GET /stats`` — measured overhead is gated ≤5%
         (``benchmarks/test_analytics_overhead.py``); ``repro serve --no-analytics``
-        turns it off.
+        turns it off.  The plane scans every 8th document per source for its
+        alphabetical-rate metric (the :class:`~repro.analytics.AnalyticsHook`
+        default); pass a pre-built hook to the service to scan another share.
     analytics_config:
         Optional :class:`~repro.analytics.AnalyticsConfig` overriding the
         window width / ring size / drift thresholds.
-    analytics_quality_sample_every:
-        Scan every K-th document per source for the alphabetical-rate quality
-        metric — the only analytics cost proportional to document length.
     """
 
     max_batch: int = 64
@@ -115,7 +114,6 @@ class ServeConfig:
     trace_slow_ms: float = 250.0
     analytics: bool = True
     analytics_config: AnalyticsConfig | None = None
-    analytics_quality_sample_every: int = 8
 
     def trace_config(self) -> TraceConfig:
         """The retention policy these knobs describe (validates them too)."""
@@ -145,8 +143,6 @@ class ServeConfig:
             raise ValueError("max_pending must be positive")
         if self.max_document_bytes <= 0:
             raise ValueError("max_document_bytes must be positive")
-        if self.analytics_quality_sample_every < 1:
-            raise ValueError("analytics_quality_sample_every must be at least 1")
         self.trace_config()  # delegate the tracing-knob validation
 
 
@@ -183,10 +179,11 @@ class ClassificationService:
         finished trace into :attr:`metrics`, whichever tracer it uses.
     analytics:
         Optional pre-built :class:`~repro.analytics.AnalyticsHook` (tests
-        inject one with a deterministic clock); by default one is constructed
-        from the config's ``analytics_*`` knobs when ``config.analytics`` is
-        on.  Every classification response — cache hits included — is folded
-        into its per-source stream stats, served by ``GET /stats``.
+        inject one with a deterministic clock, benchmarks one that scans
+        every document); by default one is constructed from
+        ``config.analytics_config`` when ``config.analytics`` is on.  Every
+        classification response — cache hits included — is folded into its
+        per-source stream stats, served by ``GET /stats``.
     """
 
     def __init__(
@@ -215,11 +212,7 @@ class ClassificationService:
         if analytics is not None:
             self.analytics: AnalyticsHook | None = analytics
         elif self.config.analytics:
-            self.analytics = AnalyticsHook(
-                self.config.analytics_config,
-                quality_sample_every=self.config.analytics_quality_sample_every,
-                logger=logger,
-            )
+            self.analytics = AnalyticsHook(self.config.analytics_config, logger=logger)
         else:
             self.analytics = None
         # pre-bound record method (or None): _submit_traced calls this once

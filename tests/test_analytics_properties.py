@@ -1,17 +1,20 @@
-"""Property-based tests (hypothesis) for the analytics merge algebra.
+"""Property-based tests (hypothesis) for the analytics fold.
 
-The whole point of :mod:`repro.analytics.stats` is that sharded aggregation is
-*exactly* — bit-identically — equal to a single sequential pass, for any
-stream, any sharding, and any merge order.  These properties drive randomly
-generated observation streams through random shardings and check snapshot
-equality with plain ``==``.
+The aggregator folds each document once, into the stat block of its time
+window, and moves pruned windows into a per-source archive.  All-time totals
+(archive merged with the live windows) must therefore equal a plain
+per-source fold of every document, however many windows were pruned and
+however late documents arrived; and ``SourceStats.merge``, which builds those
+totals, must equal sequential updates for any split of a stream.  These
+properties drive randomly generated observation streams through both and
+check snapshot equality with plain ``==``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analytics import AnalyticsAggregator, AnalyticsConfig
-from repro.analytics.stats import SourceStats
+from repro.analytics import AnalyticsAggregator, AnalyticsConfig, count_letters
+from repro.analytics.stats import SourceStats, quantize_confidence
 from repro.core.classifier import ClassificationResult
 
 LANGUAGES = ("en", "fr", "es", "und")
@@ -41,74 +44,35 @@ def make_result(language: str, confidence_milli: int) -> ClassificationResult:
     return ClassificationResult(language=language, match_counts=counts, ngram_count=top)
 
 
-def apply(aggregator: AnalyticsAggregator, obs) -> None:
-    source, language, conf, text, cached, timestamp, scan = obs
-    result = make_result(language, conf)
-    # the quality-scan decision is part of the observation, so every sharding
-    # makes the same per-document choice (as the hook and CLI do)
-    kwargs = {"text": text} if scan else {"chars": len(text)}
-    aggregator.update(
-        result, source, timestamp=float(timestamp), cached=cached, **kwargs
-    )
-
-
-def build(stream, config=None) -> AnalyticsAggregator:
-    aggregator = AnalyticsAggregator(config)
-    for obs in stream:
-        apply(aggregator, obs)
-    return aggregator
-
-
 CONFIG = AnalyticsConfig(window_seconds=50.0, max_windows=4, min_window_docs=1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(observations, st.integers(min_value=1, max_value=5))
-def test_sharded_merge_is_bit_identical_to_single_pass(stream, shards):
-    single = build(stream, CONFIG)
-    partials = [AnalyticsAggregator(CONFIG) for _ in range(shards)]
-    for index, obs in enumerate(stream):
-        apply(partials[index % shards], obs)
-    merged = partials[0]
-    for partial in partials[1:]:
-        merged.merge(partial)
-    assert merged.snapshot() == single.snapshot()
-
-
-@settings(max_examples=40, deadline=None)
-@given(observations, observations, observations)
-def test_merge_is_associative(a, b, c):
-    left = build(a, CONFIG).merge(build(b, CONFIG).merge(build(c, CONFIG)))
-    right = build(a, CONFIG).merge(build(b, CONFIG)).merge(build(c, CONFIG))
-    assert left.snapshot() == right.snapshot()
-
-
-@settings(max_examples=40, deadline=None)
-@given(observations, observations)
-def test_merge_is_commutative(a, b):
-    ab = build(a, CONFIG).merge(build(b, CONFIG))
-    ba = build(b, CONFIG).merge(build(a, CONFIG))
-    assert ab.snapshot() == ba.snapshot()
-
-
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(observations)
-def test_empty_shard_is_identity(stream):
-    merged = build(stream, CONFIG).merge(AnalyticsAggregator(CONFIG))
-    assert merged.snapshot() == build(stream, CONFIG).snapshot()
-    other_way = AnalyticsAggregator(CONFIG).merge(build(stream, CONFIG))
-    assert other_way.snapshot() == build(stream, CONFIG).snapshot()
-
-
-@settings(max_examples=40, deadline=None)
-@given(observations, observations)
-def test_disjoint_source_shards_union_cleanly(a, b):
-    """Shards that saw disjoint sources merge into the union, exactly."""
-    a = [("left-" + obs[0], *obs[1:]) for obs in a]
-    b = [("right-" + obs[0], *obs[1:]) for obs in b]
-    merged = build(a, CONFIG).merge(build(b, CONFIG))
-    assert set(merged.sources) == {obs[0] for obs in a} | {obs[0] for obs in b}
-    assert merged.snapshot() == build([*a, *b], CONFIG).snapshot()
+def test_all_time_totals_fold_every_document_whatever_was_pruned(stream):
+    aggregator = AnalyticsAggregator(CONFIG)
+    reference: dict[str, SourceStats] = {}
+    buckets = set()
+    for source, language, conf, text, cached, timestamp, scan in stream:
+        result = make_result(language, conf)
+        kwargs = {"text": text} if scan else {"chars": len(text)}
+        aggregator.update(result, source, timestamp=float(timestamp), cached=cached, **kwargs)
+        reference.setdefault(source, SourceStats()).update(
+            language,
+            quantize_confidence(result.confidence),
+            len(text),
+            result.ngram_count,
+            und=language == "und",
+            cached=cached,
+            alpha_chars=count_letters(text) if scan else None,
+        )
+        buckets.add(timestamp // 50)
+    assert sorted(aggregator.windows) == sorted(buckets)[-CONFIG.max_windows :]
+    assert aggregator.docs_total == len(stream)
+    totals = aggregator.sources
+    assert sorted(totals) == sorted(reference)
+    for source, stats in reference.items():
+        assert totals[source].snapshot() == stats.snapshot()
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,10 +91,10 @@ def test_source_stats_sharding_invariant(docs, shards):
     single = SourceStats()
     partials = [SourceStats() for _ in range(shards)]
     for index, (language, conf, chars) in enumerate(docs):
-        confidence = conf / 1000.0
-        single.update(language, confidence, chars, und=language == "und",
+        micro = quantize_confidence(conf / 1000.0)
+        single.update(language, micro, chars, und=language == "und",
                       alpha_chars=chars // 2)
-        partials[index % shards].update(language, confidence, chars,
+        partials[index % shards].update(language, micro, chars,
                                         und=language == "und",
                                         alpha_chars=chars // 2)
     merged = partials[0]

@@ -143,6 +143,33 @@ def test_mguesser_hits_equal_rounded_profile_weights(profiles):
         np.testing.assert_array_equal(hits[row], reference)
 
 
+def test_mguesser_counts_its_int32_weights_in_int64(profiles):
+    mguesser = LanguageIdentifier(backend="mguesser").train_profiles(profiles)
+    hits = mguesser.backend.ngram_hits(ALL_KEYS)
+    assert mguesser.backend._values.dtype == np.int32 and hits.dtype == np.int32
+    # the whole key space as documents of every size, an empty one included
+    lengths = np.random.default_rng(SEED).integers(0, 4000, size=400)
+    lengths[::50] = 0
+    lengths[-1] = ALL_KEYS.size - lengths[:-1].sum()
+    starts = np.cumsum(lengths) - lengths
+    reference = np.stack(
+        [hits[:, start : start + length].astype(np.int64).sum(axis=1)
+         for start, length in zip(starts, lengths)]
+    )
+    counts = mguesser.backend.match_counts_batch(ALL_KEYS, starts, lengths)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, reference)
+    # one n-gram of weight MGUESSER_SCORE_SCALE, 5000 times: past int32's range
+    key = np.asarray([7], dtype=np.uint64)
+    alone = LanguageIdentifier(backend="mguesser").train_profiles(
+        {"xx": LanguageProfile("xx", key, np.asarray([3], dtype=np.int64), n=4)}
+    )
+    packed = np.repeat(key, 5000)
+    assert alone.backend.match_counts_batch(packed, [0], [packed.size]).tolist() == [
+        [5000 * MGUESSER_SCORE_SCALE]
+    ]
+
+
 def test_hail_hits_equal_bucket_membership(profiles):
     hail = LanguageIdentifier(seed=SEED, backend="hail").train_profiles(profiles)
     hits = hail.backend.ngram_hits(ALL_KEYS)

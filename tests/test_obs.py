@@ -26,6 +26,7 @@ from repro.obs import (
     new_request_id,
 )
 from repro.serve import ClassificationService, ServeConfig, WorkerCrashedError
+from repro.obs.trace import TRACE_RING_SIZE
 from repro.serve.metrics import ServiceMetrics
 
 
@@ -135,8 +136,6 @@ class TestTracer:
             TraceConfig(sample_rate=1.5)
         with pytest.raises(ValueError):
             TraceConfig(slow_threshold_ms=-1)
-        with pytest.raises(ValueError):
-            TraceConfig(ring_size=0)
         TraceConfig(slow_threshold_ms=float("inf"))  # disables the slow rule
 
     def test_probabilistic_sampling_uses_the_rng(self):
@@ -173,17 +172,18 @@ class TestTracer:
         assert metrics.stage_histograms()["respond"]["count"] == 1
 
     def test_ring_is_bounded_and_newest_first(self):
-        tracer = Tracer(TraceConfig(sample_rate=1.0, ring_size=4))
-        contexts = [tracer.finish(tracer.begin("classify")) for _ in range(10)]
+        tracer = Tracer(TraceConfig(sample_rate=1.0))
+        total = TRACE_RING_SIZE + 10
+        contexts = [tracer.finish(tracer.begin("classify")) for _ in range(total)]
         exported = tracer.export()
-        assert len(exported) == 4  # bounded
-        expected = [ctx.trace_id for ctx in contexts[-4:]][::-1]
+        assert len(exported) == TRACE_RING_SIZE  # bounded
+        expected = [ctx.trace_id for ctx in contexts[-TRACE_RING_SIZE:]][::-1]
         assert [t["request_id"] for t in exported] == expected  # newest first
         assert [t["request_id"] for t in tracer.export(limit=2)] == expected[:2]
         describe = tracer.describe()
-        assert describe["ring_occupancy"] == 4
-        assert describe["traces_started"] == 10
-        assert describe["traces_retained"] == 10
+        assert describe["ring_size"] == describe["ring_occupancy"] == TRACE_RING_SIZE
+        assert describe["traces_started"] == total
+        assert describe["traces_retained"] == total
 
     def test_slowest_picks_the_worst_retained_trace(self):
         tracer = Tracer(TraceConfig(sample_rate=1.0))

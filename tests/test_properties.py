@@ -512,7 +512,7 @@ def test_sorted_key_table_matches_per_language_lookups(case):
 
     mguesser = LanguageIdentifier(n=n, backend="mguesser").train_profiles(profiles)
     scores = mguesser.backend.ngram_hits(packed)
-    assert scores.shape == (len(languages), packed.size) and scores.dtype == np.int64
+    assert scores.shape == (len(languages), packed.size) and scores.dtype == np.int32
     for row, (keys, counts) in enumerate(languages):
         total = sum(counts) or 1
         weights = {k: round(c / total * MGUESSER_SCORE_SCALE) for k, c in zip(keys, counts)}

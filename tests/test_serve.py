@@ -273,29 +273,26 @@ class TestServiceMetrics:
         assert metrics.responses_total == 108
         assert metrics.stage_histograms()["request"]["count"] == 108
 
-    def test_latency_bucket_validation(self):
-        with pytest.raises(ValueError):
-            ServiceMetrics(latency_buckets=())
-        with pytest.raises(ValueError):
-            ServiceMetrics(latency_buckets=(0.1, 0.05))  # not increasing
-        with pytest.raises(ValueError):
-            ServiceMetrics(latency_buckets=(-0.1, 0.05))  # non-positive bound
-
     def test_latency_histogram_percentiles(self):
-        from repro.serve.metrics import LatencyHistogram
+        from repro.serve.metrics import DEFAULT_LATENCY_BUCKETS, LatencyHistogram
 
-        histogram = LatencyHistogram((0.1, 0.2, 0.4))
+        histogram = LatencyHistogram()
         assert histogram.percentile(50) == 0.0  # empty
         for _ in range(10):
-            histogram.observe(0.15)  # (0.1, 0.2] bucket
+            histogram.observe(0.15)  # (0.1, 0.25] bucket
         # rank interpolates linearly across the observation's bucket
         assert histogram.percentile(0) == pytest.approx(0.1)
-        assert histogram.percentile(50) == pytest.approx(0.15)
-        assert histogram.percentile(100) == pytest.approx(0.2)
+        assert histogram.percentile(50) == pytest.approx(0.175)
+        assert histogram.percentile(100) == pytest.approx(0.25)
         histogram.observe(99.0)  # overflow clamps to the last finite bound
-        assert histogram.percentile(100) == pytest.approx(0.4)
+        assert histogram.percentile(100) == pytest.approx(10.0)
         snapshot = histogram.snapshot()
-        assert snapshot["buckets"] == {"0.1": 0, "0.2": 10, "0.4": 10, "+Inf": 11}
+        assert list(snapshot["buckets"]) == [
+            *(format(bound, "g") for bound in DEFAULT_LATENCY_BUCKETS), "+Inf"
+        ]
+        assert snapshot["buckets"]["0.1"] == 0
+        assert snapshot["buckets"]["0.25"] == snapshot["buckets"]["10"] == 10
+        assert snapshot["buckets"]["+Inf"] == 11
         assert snapshot["count"] == 11
         with pytest.raises(ValueError):
             histogram.percentile(101)

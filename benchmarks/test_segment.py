@@ -48,7 +48,7 @@ MIN_SPEEDUP = float(os.environ.get("BENCH_SEGMENT_MIN_SPEEDUP", "5.0"))
 #: predicted boundaries within this many characters of the truth count as hits
 BOUNDARY_TOLERANCE_CHARS = 120
 
-SEGMENTER_CONFIG = SegmenterConfig(window_ngrams=160, stride_ngrams=40, smoothing="viterbi")
+SEGMENTER_CONFIG = SegmenterConfig(window_ngrams=160, stride_ngrams=40)
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +255,6 @@ def test_windowed_scorer_beats_naive_per_window_loop(identifier, mixed_docs):
         "config": {
             "window_ngrams": SEGMENTER_CONFIG.window_ngrams,
             "stride_ngrams": SEGMENTER_CONFIG.stride_ngrams,
-            "smoothing": SEGMENTER_CONFIG.smoothing,
             "switch_penalty": SEGMENTER_CONFIG.switch_penalty,
             "languages": len(identifier.languages),
             "timing_documents": len(timing_docs),

@@ -36,8 +36,8 @@ The package is organised as a set of substrates plus the paper's core contributi
     software twin of the paper's asynchronous host driver.
 ``repro.segment``
     Mixed-language document segmentation: a windowed scorer that sums hits
-    between window edges on the vectorized Bloom hot path, plus
-    Viterbi/hysteresis smoothing, turning code-switched documents into
+    between window edges on the vectorized Bloom hot path, plus a Viterbi
+    decode over a switch-penalised HMM, turning code-switched documents into
     labelled ``Span`` runs (also served as ``POST /segment`` and
     ``repro segment``).
 ``repro.eval``

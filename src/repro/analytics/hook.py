@@ -13,7 +13,13 @@ deliberately doesn't have:
 * **alarm-edge logging** — when a drift verdict *transitions* into alarm the
   hook emits one structured ``drift_alarm`` line through the service's
   :class:`~repro.obs.logging.JsonLogger` (and one ``drift_clear`` on the way
-  back), rather than spamming every scrape.
+  back), rather than spamming every scrape;
+* **a bounded set of sources** — the ``source`` tag comes from the request,
+  so the hook keeps at most :data:`MAX_SOURCES` tags apart and folds any
+  later new tag, or one longer than :data:`MAX_SOURCE_LENGTH` characters,
+  into :data:`OVERFLOW_SOURCE`; ``/stats``, ``/metrics`` and the scan
+  cadence then hold a bounded set of sources however many tags clients send
+  (``repro analyze`` reads trusted files through the aggregator, uncapped).
 
 The service calls :meth:`record` once per classification response (cache
 hits included, so ``/stats`` reports the *effective* traffic mix);
@@ -33,6 +39,13 @@ from repro.analytics.aggregator import (
 )
 
 __all__ = ["AnalyticsHook"]
+
+#: distinct source tags one hook keeps apart (the untagged source included)
+MAX_SOURCES = 256
+#: longest source tag kept as given, in characters
+MAX_SOURCE_LENGTH = 128
+#: the source that every tag past either bound is folded into
+OVERFLOW_SOURCE = "_overflow"
 
 
 class AnalyticsHook:
@@ -70,6 +83,9 @@ class AnalyticsHook:
         self._update = self.aggregator.update  # pre-bound: record() is hot
         self._lock = threading.Lock()
         self._alarming = False
+        #: the source tags kept apart so far (at most MAX_SOURCES); untagged
+        #: traffic keeps its own source however many tags came first
+        self._sources = {DEFAULT_SOURCE}
         #: per-source document counters driving the quality-scan cadence (the
         #: aggregator's own totals are a read-side derivation, too costly to
         #: consult per request)
@@ -87,9 +103,15 @@ class AnalyticsHook:
         chars: int | None = None,
         cached: bool = False,
     ) -> None:
-        """Fold one served classification in (called per response)."""
+        """Fold one served classification in (called per response).
+
+        A ``source`` past :data:`MAX_SOURCES` distinct tags, or longer than
+        :data:`MAX_SOURCE_LENGTH`, is counted under :data:`OVERFLOW_SOURCE`.
+        """
         if source is None:
             source = DEFAULT_SOURCE
+        elif source not in self._sources:  # the set only grows: _admit re-checks
+            source = self._admit(source)
         scanned = None
         if text is not None and not isinstance(text, str):
             text, chars = None, len(text)  # bytes: count volume, skip the scan
@@ -104,6 +126,16 @@ class AnalyticsHook:
             # positional call into the pre-bound update: keyword marshalling
             # is measurable at this call rate
             self._update(result, source, self._clock(), scanned, chars, cached)
+
+    def _admit(self, source: str) -> str:
+        """``source`` if it is, or may become, one of the kept tags; else the overflow."""
+        with self._lock:
+            if source in self._sources:
+                return source
+            if len(self._sources) < MAX_SOURCES and len(source) <= MAX_SOURCE_LENGTH:
+                self._sources.add(source)
+                return source
+        return OVERFLOW_SOURCE
 
     # ------------------------------------------------------------ read side
 

@@ -68,6 +68,11 @@ PRIORS_SCHEMA = "repro.analytics.priors/v1"
 #: backend so every backend keeps the hardware's integer counter semantics
 ENSEMBLE_SCORE_SCALE = 1_000_000
 
+#: distinct source tags the priors lack that get a warning, one each (as many
+#: as the analytics hook keeps apart); later ones fall back to uniform priors
+#: silently, so tags a client chooses cannot grow the warning state unbounded
+MAX_WARNED_SOURCES = 256
+
 #: smoothing floor added to every prior entry before renormalising — a
 #: language a source has never sent is *dampened*, never hard-vetoed
 PRIOR_FLOOR = 1e-3
@@ -246,7 +251,11 @@ class EnsembleBackend(Backend):
                 if mix is not None:
                     row = np.asarray([mix.get(lang, 0.0) for lang in languages]) + PRIOR_FLOOR
                     prior[source] = row / row.sum()
-                elif source is not None and source not in self._warned_sources:
+                elif (
+                    source is not None
+                    and source not in self._warned_sources
+                    and len(self._warned_sources) < MAX_WARNED_SOURCES
+                ):
                     self._warned_sources.add(source)
                     warnings.warn(
                         f"priors artifact has no entry for source {source!r}; "

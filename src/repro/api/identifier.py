@@ -203,22 +203,19 @@ class LanguageIdentifier:
 
     # ------------------------------------------------------------ segmentation
 
-    def segment(self, text: str | bytes, **overrides):
+    def segment(self, text: str | bytes):
         """Segment a mixed-language document into single-language spans.
 
-        Runs the windowed edge-sum scorer + smoothing pipeline of
-        :mod:`repro.segment` against this identifier's backend and returns a
+        Runs the default :class:`~repro.segment.segmenter.Segmenter` of
+        :mod:`repro.segment` (windowed edge-sum scorer, Viterbi decode, run
+        merge) against this identifier's backend and returns a
         :class:`~repro.segment.types.SegmentationResult` whose spans tile the
-        document.  Keyword overrides configure the
-        :class:`~repro.segment.segmenter.SegmenterConfig` for this call, e.g.
-        ``identifier.segment(text, smoothing="hysteresis")``; the
-        default-configured segmenter is cached across calls.
+        document.  The segmenter is built on the first call and cached; other
+        settings go through ``Segmenter(identifier, SegmenterConfig(...))``.
         """
         from repro.segment import Segmenter
 
         self._check_trained()
-        if overrides:
-            return Segmenter(self, **overrides).segment(text)
         segmenter = getattr(self, "_default_segmenter", None)
         if segmenter is None:
             segmenter = self._default_segmenter = Segmenter(self)

@@ -44,6 +44,11 @@ Subcommands
     ``models publish`` stores a trained artifact as the next version,
     ``models list`` / ``models inspect`` read manifests, ``models gc``
     retires old versions.
+
+Every command exits 0 on success and 2 on bad input (an invalid setting, a
+missing or malformed input file, model artifact or registry version), which
+:func:`main` reports as one ``error:`` line on stderr; exit 1 is a verdict
+(``analyze --fail-on-drift``, ``evaluate --check-golden``).
 """
 
 from __future__ import annotations
@@ -306,21 +311,13 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 
     from repro.segment import Segmenter, SegmenterConfig, segmentation_to_json
 
+    config = SegmenterConfig(
+        window_ngrams=args.window,
+        stride_ngrams=args.stride,
+        switch_penalty=args.switch_penalty,
+    )
     identifier = LanguageIdentifier.load(Path(args.model), backend=args.backend)
-    try:
-        segmenter = Segmenter(
-            identifier,
-            SegmenterConfig(
-                window_ngrams=args.window,
-                stride_ngrams=args.stride,
-                smoothing=args.smoothing,
-                switch_penalty=args.switch_penalty,
-                min_run_windows=args.min_run,
-            ),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    segmenter = Segmenter(identifier, config)
     stdin_text: str | None = None
     for file_name in args.files:
         if file_name == "-":
@@ -383,22 +380,29 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise SystemExit(f"error: {path}:{number}: invalid JSON: {exc}") from None
+                    raise ValueError(f"{path}:{number}: invalid JSON: {exc}") from None
+                if not isinstance(record, dict):
+                    raise ValueError(f"{path}:{number}: expected a JSON object")
                 text = record.get(args.text_field)
                 if not isinstance(text, str):
-                    raise SystemExit(
-                        f"error: {path}:{number}: field {args.text_field!r} "
-                        "missing or not a string"
+                    raise ValueError(
+                        f"{path}:{number}: field {args.text_field!r} missing or not a string"
                     )
                 source = record.get(args.source_field)
                 source = source if isinstance(source, str) and source else path.stem
                 timestamp = None
                 if args.timestamp_field is not None:
                     raw = record.get(args.timestamp_field)
-                    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-                        raise SystemExit(
-                            f"error: {path}:{number}: field "
-                            f"{args.timestamp_field!r} missing or not numeric"
+                    # json reads NaN and +-Infinity; NaN fails the comparison,
+                    # and so does an integer too large for a float
+                    if (
+                        not isinstance(raw, (int, float))
+                        or isinstance(raw, bool)
+                        or not abs(raw) <= sys.float_info.max
+                    ):
+                        raise ValueError(
+                            f"{path}:{number}: field "
+                            f"{args.timestamp_field!r} missing or not a finite number"
                         )
                     timestamp = float(raw)
                 yield text, source, timestamp
@@ -659,30 +663,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ClassificationService, ServeConfig, serve_http
 
     if (args.model is None) == (args.registry is None):
-        print("serve needs exactly one of --model or --registry", file=sys.stderr)
+        print("error: serve needs exactly one of --model or --registry", file=sys.stderr)
         return 2
 
-    try:
-        serve_config = ServeConfig(
-            max_batch=args.max_batch,
-            max_delay_ms=args.max_delay_ms,
-            replicas=args.replicas,
-            executor=args.executor,
-            cache_size=args.cache_size,
-            max_pending=args.max_pending,
-            trace_sample_rate=args.trace_sample_rate,
-            trace_slow_ms=args.trace_slow_ms,
-            analytics=not args.no_analytics,
-            analytics_config=AnalyticsConfig(
-                window_seconds=args.analytics_window,
-                max_windows=args.analytics_max_windows,
-                drift_metric=args.drift_metric,
-                drift_threshold=args.drift_threshold,
-            ),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    serve_config = ServeConfig(
+        max_batch=args.max_batch,
+        max_delay_ms=args.max_delay_ms,
+        replicas=args.replicas,
+        executor=args.executor,
+        cache_size=args.cache_size,
+        max_pending=args.max_pending,
+        trace_sample_rate=args.trace_sample_rate,
+        trace_slow_ms=args.trace_slow_ms,
+        analytics=not args.no_analytics,
+        analytics_config=AnalyticsConfig(
+            window_seconds=args.analytics_window,
+            max_windows=args.analytics_max_windows,
+            drift_metric=args.drift_metric,
+            drift_threshold=args.drift_threshold,
+        ),
+    )
     logger = None
     if args.log_json:
         from repro.obs import JsonLogger
@@ -745,45 +745,41 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_models(args: argparse.Namespace) -> int:
     import json
 
-    from repro.registry import ModelRegistry, RegistryError
+    from repro.registry import ModelRegistry
 
     registry = ModelRegistry(Path(args.registry))
-    try:
-        if args.models_command == "publish":
-            record = registry.publish(
-                Path(args.model),
-                parent=args.parent,
-                activate=not args.no_activate,
-            )
-            pointer = "LATEST -> " + record.name if not args.no_activate else "not activated"
+    if args.models_command == "publish":
+        record = registry.publish(
+            Path(args.model),
+            parent=args.parent,
+            activate=not args.no_activate,
+        )
+        pointer = "LATEST -> " + record.name if not args.no_activate else "not activated"
+        print(
+            f"published {record.name} ({len(record.languages)} languages, "
+            f"fingerprint {record.fingerprint[:12]}…, "
+            f"parent {record.parent or '-'}; {pointer})"
+        )
+    elif args.models_command == "list":
+        summary = registry.describe()
+        print(
+            f"registry {summary['root']}: {summary['versions']} version(s), "
+            f"latest={summary['latest'] or '-'}, "
+            f"{summary['total_bytes']:,} artifact bytes"
+        )
+        for record in registry.list():
+            marker = "*" if record.name == summary["latest"] else " "
             print(
-                f"published {record.name} ({len(record.languages)} languages, "
-                f"fingerprint {record.fingerprint[:12]}…, "
-                f"parent {record.parent or '-'}; {pointer})"
+                f" {marker} {record.name}  fingerprint={record.fingerprint[:12]}…  "
+                f"languages={len(record.languages)}  parent={record.parent or '-'}"
             )
-        elif args.models_command == "list":
-            summary = registry.describe()
-            print(
-                f"registry {summary['root']}: {summary['versions']} version(s), "
-                f"latest={summary['latest'] or '-'}, "
-                f"{summary['total_bytes']:,} artifact bytes"
-            )
-            for record in registry.list():
-                marker = "*" if record.name == summary["latest"] else " "
-                print(
-                    f" {marker} {record.name}  fingerprint={record.fingerprint[:12]}…  "
-                    f"languages={len(record.languages)}  parent={record.parent or '-'}"
-                )
-        elif args.models_command == "inspect":
-            record = registry.resolve(args.version)
-            print(json.dumps(record.to_json(), indent=2, sort_keys=True))
-        elif args.models_command == "gc":
-            removed = registry.gc(keep=args.keep, dry_run=args.dry_run)
-            verb = "would remove" if args.dry_run else "removed"
-            print(f"{verb} {len(removed)} version(s): {', '.join(removed) or '-'}")
-    except RegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    elif args.models_command == "inspect":
+        record = registry.resolve(args.version)
+        print(json.dumps(record.to_json(), indent=2, sort_keys=True))
+    elif args.models_command == "gc":
+        removed = registry.gc(keep=args.keep, dry_run=args.dry_run)
+        verb = "would remove" if args.dry_run else "removed"
+        print(f"{verb} {len(removed)} version(s): {', '.join(removed) or '-'}")
     return 0
 
 
@@ -921,16 +917,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="window start spacing in n-grams (default: window/4, overlapping)",
     )
     segment.add_argument(
-        "--smoothing", choices=("viterbi", "hysteresis", "none"), default="viterbi",
-        help="label smoothing: exact HMM decode, cheap confirmation counter, or raw argmax",
-    )
-    segment.add_argument(
         "--switch-penalty", type=float, default=0.35,
-        help="Viterbi cost of one language switch (normalized emission units)",
-    )
-    segment.add_argument(
-        "--min-run", type=_positive_int, default=2,
-        help="hysteresis confirmation length in windows",
+        help="Viterbi cost of one language switch (normalized emission units; "
+        "0 follows each window's winner, inf never switches)",
     )
     segment.add_argument(
         "--json", action="store_true", help="emit one JSON object per file"
@@ -1216,10 +1205,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point: bad input is one ``error:`` line and exit code 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        if not _is_bad_input(exc):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _is_bad_input(exc: Exception) -> bool:
+    # imported here: the registry pulls in the serving stack, which no other
+    # command needs at start-up
+    from repro.registry import RegistryError
+
+    return isinstance(exc, (OSError, ValueError, RegistryError))
 
 
 if __name__ == "__main__":  # pragma: no cover

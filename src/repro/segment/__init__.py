@@ -11,23 +11,26 @@ machinery end to end:
     hit counts for arbitrarily many sliding windows from one reduction of
     the hits between the window edges — O(doc) regardless of window count or
     overlap.
-:mod:`repro.segment.smoothing`
+:func:`~repro.segment.smoothing.viterbi_labels`
     Turns noisy per-window winners into stable runs: exact Viterbi decoding
-    of a switch-penalised HMM, or a cheaper hysteresis confirmation counter.
+    of a switch-penalised HMM, the one decoder.
 :class:`~repro.segment.segmenter.Segmenter`
-    The facade: extract → score → smooth → merge into contiguous
+    The facade: extract → score → decode → merge into contiguous
     :class:`~repro.segment.types.Span` runs with character offsets and
-    normalized confidences.
+    normalized confidences; its :class:`~repro.segment.segmenter.SegmenterConfig`
+    holds the window, the stride and the switch penalty.
 
-Surfaced as :meth:`repro.api.identifier.LanguageIdentifier.segment`, the
-``repro segment`` CLI command, and the serving stack's ``POST /segment``
-endpoint (micro-batched like ``/classify``, under both executors).
+Surfaced as :meth:`repro.api.identifier.LanguageIdentifier.segment` (the
+default settings), ``Segmenter(identifier, SegmenterConfig(...))`` (any
+other), the ``repro segment`` CLI command, and the serving stack's
+``POST /segment`` endpoint (micro-batched like ``/classify``, under both
+executors).
 """
 
 from __future__ import annotations
 
-from repro.segment.segmenter import SMOOTHING_MODES, Segmenter, SegmenterConfig
-from repro.segment.smoothing import hysteresis_labels, viterbi_labels, window_emissions
+from repro.segment.segmenter import Segmenter, SegmenterConfig
+from repro.segment.smoothing import viterbi_labels, window_emissions
 from repro.segment.types import (
     SegmentationResult,
     Span,
@@ -45,8 +48,6 @@ __all__ = [
     "WindowScores",
     "window_emissions",
     "viterbi_labels",
-    "hysteresis_labels",
-    "SMOOTHING_MODES",
     "SegmenterConfig",
     "Segmenter",
 ]

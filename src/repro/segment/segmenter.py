@@ -1,4 +1,4 @@
-"""The `Segmenter`: windowed scoring + smoothing + run merging, one call.
+"""The `Segmenter`: windowed scoring + Viterbi decoding + run merging, one call.
 
 Pipeline for one document (:meth:`Segmenter.segment`):
 
@@ -6,13 +6,13 @@ Pipeline for one document (:meth:`Segmenter.segment`):
 2. score sliding windows from hit sums at the window edges
    (:class:`~repro.segment.windows.WindowedScorer` — O(doc) however many
    windows overlap);
-3. smooth the per-window winners into stable label runs
-   (:mod:`repro.segment.smoothing`: Viterbi or hysteresis);
+3. decode the per-window counts into stable label runs
+   (:func:`~repro.segment.smoothing.viterbi_labels`, the only decoder);
 4. merge runs into :class:`~repro.segment.types.Span` objects with character
    offsets and per-span confidences.
 
 Degenerate documents stay consistent with ``classify``: a document whose
-smoothed labels never switch comes back as exactly one span whose language is
+decoded labels never switch comes back as exactly one span whose language is
 the argmax of the *total* per-language counts — for the membership backends
 that is precisely the label ``classify`` returns.
 """
@@ -21,22 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.classifier import UNDETERMINED_LANGUAGE, normalized_separation
-from repro.segment.smoothing import hysteresis_labels, viterbi_labels
+from repro.segment.smoothing import viterbi_labels
 from repro.segment.types import SegmentationResult, Span
 from repro.segment.windows import WindowedScorer
 
-__all__ = ["SMOOTHING_MODES", "SegmenterConfig", "Segmenter"]
-
-#: available smoothing passes: exact HMM decode, cheap hysteresis, or none
-SMOOTHING_MODES = ("viterbi", "hysteresis", "none")
+__all__ = ["SegmenterConfig", "Segmenter"]
 
 
 @dataclass(frozen=True)
 class SegmenterConfig:
-    """Tuning knobs of one :class:`Segmenter`.
+    """Settings of one :class:`Segmenter`.
 
     Attributes
     ----------
@@ -45,43 +40,23 @@ class SegmenterConfig:
     stride_ngrams:
         Window start spacing; ``None`` means ``window_ngrams // 4``
         (overlapping windows — finer boundaries at no extra hashing cost).
-    smoothing:
-        ``"viterbi"`` (exact HMM decode, the quality mode), ``"hysteresis"``
-        (cheap confirmation counter), or ``"none"`` (raw per-window argmax).
     switch_penalty:
         Viterbi cost of one language change, in units of one window's
-        normalized emission mass; ``inf`` never switches, NaN is rejected.
-    min_run_windows:
-        Hysteresis confirmation length: a challenger must win this many
-        consecutive windows to take over.
+        normalized emission mass; ``0`` follows the per-window argmax (where
+        no two languages tie), ``inf`` never switches, NaN is rejected.
     """
 
     window_ngrams: int = 160
     stride_ngrams: int | None = None
-    smoothing: str = "viterbi"
     switch_penalty: float = 0.35
-    min_run_windows: int = 2
 
     def __post_init__(self) -> None:
         if self.window_ngrams <= 0:
             raise ValueError("window_ngrams must be positive")
         if self.stride_ngrams is not None and self.stride_ngrams <= 0:
             raise ValueError("stride_ngrams must be positive")
-        if self.smoothing not in SMOOTHING_MODES:
-            raise ValueError(
-                f"unknown smoothing mode {self.smoothing!r}; "
-                f"choose from {list(SMOOTHING_MODES)}"
-            )
         if not self.switch_penalty >= 0:  # NaN too: it would never switch
             raise ValueError("switch_penalty must be non-negative")
-        if self.min_run_windows <= 0:
-            raise ValueError("min_run_windows must be positive")
-
-    def replace(self, **overrides) -> "SegmenterConfig":
-        """A copy with the given fields replaced (validation re-runs)."""
-        from dataclasses import replace
-
-        return replace(self, **overrides)
 
 
 class Segmenter:
@@ -95,15 +70,13 @@ class Segmenter:
         :meth:`~repro.api.registry.Backend.ngram_hits`); ``bloom`` and
         ``exact`` have fully vectorized hit paths.
     config:
-        The :class:`SegmenterConfig`; keyword overrides may be applied on top,
-        e.g. ``Segmenter(identifier, smoothing="hysteresis")``.
+        The :class:`SegmenterConfig` (``None``: the defaults, which
+        :meth:`~repro.api.identifier.LanguageIdentifier.segment` runs).
     """
 
-    def __init__(self, identifier, config: SegmenterConfig | None = None, **overrides):
+    def __init__(self, identifier, config: SegmenterConfig | None = None):
         if config is None:
-            config = SegmenterConfig(**overrides)
-        elif overrides:
-            config = config.replace(**overrides)
+            config = SegmenterConfig()
         if not identifier.is_trained:
             raise RuntimeError("identifier has not been trained; call train() first")
         # the extractor and backend, not the identifier: the identifier caches
@@ -137,7 +110,7 @@ class Segmenter:
                 ngram_count=int(packed.size),
                 window_count=0,
             )
-        labels = self._smooth(scores.counts)
+        labels = viterbi_labels(scores.counts, switch_penalty=self.config.switch_penalty)
         spans = self._merge_runs(labels, scores, text_length)
         return SegmentationResult(
             spans=spans,
@@ -148,14 +121,7 @@ class Segmenter:
 
     # ------------------------------------------------------------ internals
 
-    def _smooth(self, counts: np.ndarray) -> np.ndarray:
-        if self.config.smoothing == "viterbi":
-            return viterbi_labels(counts, switch_penalty=self.config.switch_penalty)
-        if self.config.smoothing == "hysteresis":
-            return hysteresis_labels(counts, min_run=self.config.min_run_windows)
-        return np.argmax(counts, axis=1).astype(np.int64)
-
-    def _merge_runs(self, labels: np.ndarray, scores, text_length: int) -> list[Span]:
+    def _merge_runs(self, labels, scores, text_length: int) -> list[Span]:
         """Merge consecutive same-label windows into character-offset spans.
 
         Window ``w`` owns the n-grams ``[starts[w], starts[w+1])`` (the last
@@ -197,6 +163,6 @@ class Segmenter:
 
 def _margin_confidence(counts: list[int], label: int) -> float:
     """Separation of ``label`` over its strongest rival (clamped at 0 when the
-    smoothing pass kept a label the raw counts would not pick)."""
+    decode kept a label the raw counts would not pick)."""
     rival = max(counts[:label] + counts[label + 1 :], default=0)
     return normalized_separation(counts[label], rival)

@@ -1,28 +1,23 @@
-"""Smoothing passes that turn noisy per-window winners into stable label runs.
+"""The Viterbi decode that turns noisy per-window winners into stable label runs.
 
 Raw per-window argmax flickers wherever two languages score close (boundary
-windows, shared boilerplate n-grams, Bloom false positives).  Two smoothers
-are provided, both consuming the ``(n_windows, n_languages)`` count matrix of
-:class:`~repro.segment.windows.WindowedScorer`:
-
-:func:`viterbi_labels`
-    Exact maximum-a-posteriori path of a simple HMM: states are languages,
-    emissions are the window's normalized per-language score shares, and every
-    language switch costs ``switch_penalty``.  A one-window blip is kept only
-    if its evidence outweighs two switches — the quality mode.  The decode
-    runs over plain Python floats: a window holds one value per language
-    (about ten), where a NumPy call costs more than the arithmetic it does.
-:func:`hysteresis_labels`
-    The cheap mode: follow the per-window argmax but only commit to a switch
-    after the challenger wins ``min_run`` consecutive windows (the run is then
-    relabelled from its first window, so boundaries do not lag).
+windows, shared boilerplate n-grams, Bloom false positives).
+:func:`viterbi_labels` consumes the ``(n_windows, n_languages)`` count matrix
+of :class:`~repro.segment.windows.WindowedScorer` and returns the exact
+maximum-a-posteriori path of a simple HMM: states are languages, emissions
+are the window's normalized per-language score shares, and every language
+switch costs ``switch_penalty``.  A one-window blip is kept only if its
+evidence outweighs two switches; a penalty of ``0`` follows the per-window
+argmax (where no two languages tie), and ``inf`` never switches.  The decode
+runs over plain Python floats: a window holds one value per language (about
+ten), where a NumPy call costs more than the arithmetic it does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["window_emissions", "viterbi_labels", "hysteresis_labels"]
+__all__ = ["window_emissions", "viterbi_labels"]
 
 
 def window_emissions(counts: np.ndarray) -> np.ndarray:
@@ -92,38 +87,3 @@ def viterbi_labels(counts: np.ndarray, switch_penalty: float = 0.35) -> np.ndarr
     labels.reverse()
     return np.asarray(labels, dtype=np.int64)
 
-
-def hysteresis_labels(counts: np.ndarray, min_run: int = 2) -> np.ndarray:
-    """Per-window argmax with a ``min_run``-window confirmation before switching.
-
-    Cheaper than Viterbi (no backward pass, no emission normalisation) and
-    good enough when segments are long relative to the window stride: a
-    challenger language must win ``min_run`` consecutive windows to take over,
-    at which point its whole winning run is relabelled so the boundary lands
-    where the challenge started.
-    """
-    if min_run <= 0:
-        raise ValueError("min_run must be positive")
-    counts = np.asarray(counts)
-    if counts.ndim != 2:
-        raise ValueError(f"counts must be (n_windows, n_languages); got {counts.shape}")
-    raw = np.argmax(counts, axis=1).astype(np.int64)
-    n_windows = raw.size
-    labels = np.empty(n_windows, dtype=np.int64)
-    if n_windows == 0:
-        return labels
-    current = int(raw[0])
-    challenge_start = -1
-    for w in range(n_windows):
-        winner = int(raw[w])
-        if winner == current:
-            challenge_start = -1
-        else:
-            if challenge_start < 0 or int(raw[w - 1]) != winner:
-                challenge_start = w
-            if w - challenge_start + 1 >= min_run:
-                current = winner
-                labels[challenge_start:w] = current
-                challenge_start = -1
-        labels[w] = current
-    return labels

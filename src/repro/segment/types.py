@@ -31,7 +31,7 @@ class Span:
         Normalized separation of the run's evidence, in ``[0, 1]``:
         ``(top - runner_up) / top`` over the per-language scores summed across
         the run's n-grams (0 when the run has no evidence, or when the
-        smoothing pass kept a label that the raw counts would not pick).
+        Viterbi decode kept a label that the raw counts would not pick).
     """
 
     start: int

@@ -17,8 +17,8 @@ regardless of window count:
    running sum at the edges turns any window's count into two lookups:
    ``cumulative[edge of end] - cumulative[edge of start]``.
 
-The resulting ``(n_windows, n_languages)`` count matrix feeds the smoothing
-pass (:mod:`repro.segment.smoothing`).
+The resulting ``(n_windows, n_languages)`` count matrix feeds the Viterbi
+decode (:func:`~repro.segment.smoothing.viterbi_labels`).
 """
 
 from __future__ import annotations

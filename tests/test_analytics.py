@@ -514,15 +514,17 @@ class TestAnalyzeCommand:
         # ts runs 0..330 over 60-second windows -> buckets 0..5 retained
         assert [w["bucket"] for w in snapshot["windows"]] == [0, 1, 2, 3, 4, 5]
 
-    def test_jsonl_input_rejects_bad_records(self, analyze_setup, tmp_path):
+    def test_jsonl_input_rejects_bad_records(self, analyze_setup, tmp_path, capsys):
+        # bad input exits 2, so that exit 1 means only --fail-on-drift's alarm
         model, _corpus_dir = analyze_setup
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"text": 42}\n')
-        with pytest.raises(SystemExit, match="missing or not a string"):
-            main(["analyze", "--model", str(model), str(bad)])
-        bad.write_text("not json\n")
-        with pytest.raises(SystemExit, match="invalid JSON"):
-            main(["analyze", "--model", str(model), str(bad)])
+        cases = (('{"text": 42}', "missing or not a string"), ("not json", "invalid JSON"))
+        for line, message in cases:
+            bad.write_text(line + "\n")
+            capsys.readouterr()
+            assert main(["analyze", "--model", str(model), str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}:1: ") and message in err
 
     def test_empty_input_is_an_error(self, analyze_setup, tmp_path, capsys):
         model, _corpus_dir = analyze_setup

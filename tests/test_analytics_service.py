@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from repro.analytics import AnalyticsConfig, AnalyticsHook
+from repro.analytics import DEFAULT_SOURCE, AnalyticsConfig, AnalyticsHook
+from repro.analytics.hook import MAX_SOURCE_LENGTH, MAX_SOURCES, OVERFLOW_SOURCE
 from repro.api import ClassifierConfig, LanguageIdentifier
 from repro.corpus.corpus import build_jrc_acquis_like
 from repro.registry import ModelRegistry, ModelSwitch
@@ -112,6 +113,23 @@ class TestAnalyticsHook:
         gauges = hook.gauges()
         assert gauges["records_total"] == 1
         assert gauges["sources"]["_default"]["docs"] == 1
+
+    def test_source_tags_past_the_bound_fold_into_one_overflow_source(self):
+        # tags come from request bodies: 20,000 distinct ones must not grow
+        # the hook's per-source state past the bound
+        hook = AnalyticsHook(clock=lambda: 0.0)
+        hook.record(make_result("en"), "x" * (MAX_SOURCE_LENGTH + 1), text="abcd")
+        tags = [f"tag-{index}" for index in range(20_000)]
+        for tag in tags:
+            hook.record(make_result("en"), tag, text="abcd")
+        hook.record(make_result("fr"), text="abcd")  # untagged keeps its own source
+        kept = {DEFAULT_SOURCE, *tags[: MAX_SOURCES - 1]}
+        snapshot = hook.snapshot()
+        assert set(snapshot["sources"]) == kept | {OVERFLOW_SOURCE}
+        assert set(hook.gauges()["sources"]) == kept | {OVERFLOW_SOURCE}
+        assert set(hook._doc_counts) == kept | {OVERFLOW_SOURCE}
+        assert snapshot["sources"][OVERFLOW_SOURCE]["docs"] == 1 + len(tags) - (MAX_SOURCES - 1)
+        assert snapshot["records_total"] == len(tags) + 2
 
     def test_text_gauges_exposition_format(self):
         hook = AnalyticsHook(clock=lambda: 0.0)

@@ -42,15 +42,6 @@ class TestParser:
             parsed = parser.parse_args(args)
             assert parsed.command == command
 
-    def test_segment_smoothing_choices(self):
-        parser = build_parser()
-        parsed = parser.parse_args(
-            ["segment", "--model", "m", "--smoothing", "hysteresis", "f.txt"]
-        )
-        assert parsed.smoothing == "hysteresis"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["segment", "--model", "m", "--smoothing", "nope", "f.txt"])
-
     def test_languages_strip_whitespace(self):
         parsed = build_parser().parse_args(["evaluate", "--languages", " en, fr "])
         assert parsed.languages == ["en", "fr"]
@@ -159,8 +150,7 @@ class TestEndToEndCLI:
         mixed_file.write_text(mixed.text, encoding="latin-1")
         capsys.readouterr()
         assert main(
-            ["segment", "--model", str(model_path), "--json",
-             "--smoothing", "hysteresis", str(mixed_file)]
+            ["segment", "--model", str(model_path), "--json", str(mixed_file)]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["file"] == str(mixed_file)
@@ -321,6 +311,85 @@ class TestEndToEndCLI:
         output = capsys.readouterr().out
         assert "Table 2" in output and "Table 3" in output
         assert "1.4 GB/s" in output or "GB/s" in output
+
+
+#: a corpus small enough that a command fails on its settings in well under a second
+SMALL_CORPUS = ["--languages", "en,fi", "--docs-per-language", "3", "--words-per-document", "60"]
+
+
+class TestBadInput:
+    """Bad input is one ``error:`` line on stderr and exit code 2, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("bad-input")
+        corpus_dir = root / "corpus"
+        assert main(
+            ["generate-corpus", "--languages", "en,fr", "--docs-per-language", "2",
+             "--words-per-document", "80", "--seed", "3", "--output", str(corpus_dir)]
+        ) == 0
+        assert main(
+            ["train", "--corpus", str(corpus_dir), "--output", str(root / "model.bin"),
+             "--profile-size", "300"]
+        ) == 0
+        (root / "bad.bin").write_bytes(b"not a model artifact")
+        (root / "registry").mkdir()
+        for name, line in {
+            "array.jsonl": "[1, 2]",
+            "nan.jsonl": '{"text": "a document", "ts": NaN}',
+            "inf.jsonl": '{"text": "a document", "ts": Infinity}',
+            "minus-inf.jsonl": '{"text": "a document", "ts": -Infinity}',
+        }.items():
+            (root / name).write_text(line + "\n", encoding="utf-8")
+        return root
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--model", "missing.bin", "corpus/en/en-00000.txt"],
+            ["classify", "--model", "bad.bin", "corpus/en/en-00000.txt"],
+            ["segment", "--model", "missing.bin", "corpus/en/en-00000.txt"],
+            ["segment", "--model", "bad.bin", "corpus/en/en-00000.txt"],
+            ["analyze", "--model", "missing.bin", "corpus"],
+            ["analyze", "--model", "bad.bin", "corpus"],
+            ["serve", "--model", "missing.bin", "--port", "0"],
+            ["serve", "--model", "bad.bin", "--port", "0"],
+            ["serve", "--port", "0"],
+            ["serve", "--registry", "registry", "--port", "0"],
+            ["models", "inspect", "--registry", "registry"],
+            ["classify", "--model", "model.bin", "missing.txt"],
+            ["segment", "--model", "model.bin", "missing.txt"],
+            ["analyze", "--model", "model.bin", "missing.jsonl"],
+            ["evaluate", *SMALL_CORPUS, "--train-fraction", "1.5"],
+            ["evaluate", *SMALL_CORPUS, "--scenarios", "typo:abc"],
+            ["sweep", *SMALL_CORPUS, "--train-fraction", "0"],
+            ["generate-corpus", "--languages", "xx", "--output", "out"],
+            ["analyze", "--model", "model.bin", "array.jsonl"],
+            ["analyze", "--model", "model.bin", "nan.jsonl", "--timestamp-field", "ts"],
+            ["analyze", "--model", "model.bin", "inf.jsonl", "--timestamp-field", "ts"],
+            ["analyze", "--model", "model.bin", "minus-inf.jsonl", "--timestamp-field", "ts"],
+        ],
+        ids=[
+            "classify-missing-model", "classify-malformed-model",
+            "segment-missing-model", "segment-malformed-model",
+            "analyze-missing-model", "analyze-malformed-model",
+            "serve-missing-model", "serve-malformed-model", "serve-no-model",
+            "serve-empty-registry", "models-empty-registry",
+            "classify-missing-input", "segment-missing-input", "analyze-missing-input",
+            "evaluate-train-fraction", "evaluate-scenario-level", "sweep-train-fraction",
+            "generate-corpus-language", "analyze-record-not-an-object",
+            "analyze-nan-timestamp", "analyze-infinite-timestamp",
+            "analyze-minus-infinite-timestamp",
+        ],
+    )
+    def test_reports_bad_input_in_one_line(self, argv, workdir, capsys, monkeypatch):
+        monkeypatch.chdir(workdir)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert "Traceback" not in err
 
 
 class TestBatchSizeFlag:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.api import ClassifierConfig, EnsembleConfig, LanguageIdentifier
-from repro.api.ensemble import PRIORS_SCHEMA, load_priors
+from repro.api.ensemble import MAX_WARNED_SOURCES, PRIORS_SCHEMA, load_priors
 from repro.api.persistence import model_fingerprint
 from repro.core.classifier import UNDETERMINED_LANGUAGE
 from repro.corpus.corpus import build_jrc_acquis_like
@@ -250,6 +250,22 @@ class TestPriors:
             warnings.simplefilter("error")
             second = tagged.classify(text, source="fax")  # warned once, not twice
         assert second.language == first.language
+
+    def test_unknown_source_warnings_stop_at_the_bound(self, corpus):
+        # tags come from request bodies: 20,000 distinct ones the priors lack
+        # must not grow the warning state (or stderr) past the bound
+        tagged = make_identifier(corpus)
+        tagged.backend.set_priors(priors_payload())
+        sources = [f"tag-{index}" for index in range(20_000)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = tagged.classify_batch(["un document court"] * len(sources), sources)
+        assert len(results) == len(sources)
+        assert len(caught) == MAX_WARNED_SOURCES
+        assert str(caught[-1].message).startswith(
+            f"priors artifact has no entry for source 'tag-{MAX_WARNED_SOURCES - 1}'"
+        )
+        assert len(tagged.backend._warned_sources) == MAX_WARNED_SOURCES
 
     def test_priors_weigh_but_never_veto(self, corpus):
         # every member votes for the document's true language; a prior that

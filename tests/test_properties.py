@@ -760,7 +760,7 @@ def test_merge_runs_matches_a_per_run_loop(
 ):
     from types import SimpleNamespace
 
-    from repro.segment.segmenter import Segmenter
+    from repro.segment.segmenter import Segmenter, SegmenterConfig
 
     window_stride = min(window_stride, window)
     identifier = SimpleNamespace(
@@ -768,7 +768,9 @@ def test_merge_runs_matches_a_per_run_loop(
         extractor=NGramExtractor(subsample_stride=stride),
         backend=_SyntheticHitsBackend(n_languages),
     )
-    segmenter = Segmenter(identifier, window_ngrams=window, stride_ngrams=window_stride)
+    segmenter = Segmenter(
+        identifier, SegmenterConfig(window_ngrams=window, stride_ngrams=window_stride)
+    )
     scores = segmenter.scorer.score(np.asarray(keys, dtype=np.uint64))
     labels = np.resize(np.asarray(pattern, dtype=np.int64) % n_languages, scores.n_windows)
     text_length = len(keys) * stride + 3

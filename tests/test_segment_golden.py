@@ -32,6 +32,7 @@ from repro.api import ClassifierConfig, LanguageIdentifier
 from repro.core.profile import build_profiles
 from repro.corpus.corpus import build_jrc_acquis_like
 from repro.corpus.generator import MixedDocumentGenerator
+from repro.segment import Segmenter, SegmenterConfig
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "segment_spans.json"
 
@@ -46,11 +47,10 @@ GOLDEN_BACKENDS = ("bloom", "exact", "hail", "mguesser")
 GOLDEN_STRIDE_2 = "bloom-stride2"
 GOLDEN_MIXED_SEED = 8
 GOLDEN_MIXED_DOCUMENTS = 6
-#: segmenter overrides per setting; 100/30 puts the tail window off the stride grid
+#: SegmenterConfig fields per setting ("viterbi" is the default segmenter that
+#: LanguageIdentifier.segment runs); 100/30 puts the tail window off the stride grid
 GOLDEN_SETTINGS = {
     "viterbi": {},
-    "hysteresis": {"smoothing": "hysteresis"},
-    "none": {"smoothing": "none"},
     "window100-stride30": {"window_ngrams": 100, "stride_ngrams": 30},
     "window7-stride3": {"window_ngrams": 7, "stride_ngrams": 3},
 }
@@ -104,10 +104,15 @@ def answers() -> dict[str, dict]:
     documents = _documents()
     out = {}
     for name, identifier in _identifiers().items():
-        for setting, overrides in GOLDEN_SETTINGS.items():
+        for setting, fields in GOLDEN_SETTINGS.items():
+            segment = (
+                Segmenter(identifier, SegmenterConfig(**fields)).segment
+                if fields
+                else identifier.segment
+            )
             for doc_name, text in documents.items():
                 for form, value in (("str", text), ("bytes", text.encode("utf-8"))):
-                    result = identifier.segment(value, **overrides)
+                    result = segment(value)
                     out[f"{name} {setting} {doc_name} {form}"] = _answer(result)
     return out
 

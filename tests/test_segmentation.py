@@ -1,7 +1,7 @@
 """Tests for the mixed-language segmentation subsystem (``repro.segment``).
 
 Covers the windowed edge-sum scorer against naive per-window recomputes,
-the per-n-gram hit primitive across backends, both smoothing passes, span
+the per-n-gram hit primitive across backends, the Viterbi decode, span
 merging / degenerate-document guarantees, the facade + service surfaces under
 both executors, and the result wire forms.
 """
@@ -25,7 +25,6 @@ from repro.segment import (
     SegmenterConfig,
     Span,
     WindowedScorer,
-    hysteresis_labels,
     segmentation_to_json,
     viterbi_labels,
     window_emissions,
@@ -250,25 +249,8 @@ class TestSmoothing:
             viterbi_labels(counts, switch_penalty=float("inf")), [1, 1, 1]
         )
 
-    def test_hysteresis_requires_confirmation(self):
-        counts = np.asarray(
-            [[9, 1], [9, 1], [1, 9], [9, 1], [1, 9], [1, 9], [1, 9]], dtype=np.int64
-        )
-        labels = hysteresis_labels(counts, min_run=2)
-        # the lone window-2 challenge fails; the window-4 run of three wins and
-        # is relabelled from its start
-        np.testing.assert_array_equal(labels, [0, 0, 0, 0, 1, 1, 1])
-
-    def test_hysteresis_min_run_one_is_argmax(self):
-        rng = np.random.default_rng(6)
-        counts = rng.integers(0, 50, size=(30, 4))
-        np.testing.assert_array_equal(
-            hysteresis_labels(counts, min_run=1), np.argmax(counts, axis=1)
-        )
-
     def test_empty_window_matrix(self):
         assert viterbi_labels(np.zeros((0, 3))).size == 0
-        assert hysteresis_labels(np.zeros((0, 3))).size == 0
 
 
 # --------------------------------------------------------------------- segmenter
@@ -284,9 +266,8 @@ class TestSegmenter:
             assert (span.start, span.end) == (0, len(text))
             assert span.language == identifier.classify(text).language
 
-    @pytest.mark.parametrize("smoothing", ["viterbi", "hysteresis", "none"])
-    def test_spans_tile_document(self, identifier, mixed_doc, smoothing):
-        result = identifier.segment(mixed_doc.text, smoothing=smoothing)
+    def test_spans_tile_document(self, identifier, mixed_doc):
+        result = identifier.segment(mixed_doc.text)
         assert result.spans[0].start == 0
         assert result.spans[-1].end == len(mixed_doc.text)
         for left, right in zip(result.spans, result.spans[1:]):
@@ -347,13 +328,19 @@ class TestSegmenter:
         with pytest.raises(RuntimeError):
             Segmenter(LanguageIdentifier(ClassifierConfig()))
 
-    def test_default_segmenter_cached_overrides_not(self, identifier):
+    def test_default_segmenter_cached_overrides_not(self, identifier, mixed_doc):
         identifier.segment("warm the cache up with this text")
         first = identifier._default_segmenter
         identifier.segment("and again with the same configuration")
         assert identifier._default_segmenter is first
-        identifier.segment("overridden call", window_ngrams=64)
+        # settings take a Segmenter of their own, never a per-call keyword
+        with pytest.raises(TypeError):
+            identifier.segment("overridden call", window_ngrams=64)
         assert identifier._default_segmenter is first
+        custom = Segmenter(identifier, SegmenterConfig(window_ngrams=64, stride_ngrams=16))
+        assert custom.segment(mixed_doc.text).window_count > identifier.segment(
+            mixed_doc.text
+        ).window_count
 
     def test_cached_segmenter_does_not_keep_identifier_alive(self, identifier, tmp_path):
         # a dropped identifier must release its mapped model file at once,
@@ -373,21 +360,13 @@ class TestSegmenter:
         [
             {"window_ngrams": 0},
             {"stride_ngrams": -1},
-            {"smoothing": "nope"},
             {"switch_penalty": -0.1},
-            {"min_run_windows": 0},
             {"switch_penalty": float("nan")},
         ],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             SegmenterConfig(**kwargs)
-
-    def test_config_replace_revalidates(self):
-        config = SegmenterConfig()
-        assert config.replace(smoothing="hysteresis").smoothing == "hysteresis"
-        with pytest.raises(ValueError):
-            config.replace(window_ngrams=-1)
 
 
 # --------------------------------------------------------------------- result types

@@ -23,10 +23,6 @@ serving tier: constant memory, exact integer counters, O(1) hot-path cost.
     The live serving integration behind ``GET /stats`` and the drift /
     language-mix gauges in ``GET /metrics`` (hot-path overhead gated ≤5%,
     ``benchmarks/test_analytics_overhead.py``).
-:class:`~repro.analytics.shadow.ShadowComparison`
-    Blue/green candidate validation: label-disagreement and confidence-delta
-    counters over mirrored traffic, surfaced as
-    :meth:`~repro.registry.switch.ModelSwitch.shadow_compare`.
 
 Batch entry point: ``repro analyze`` streams JSONL/text corpora through the
 vectorized classify path and emits the per-source report plus the
@@ -49,14 +45,12 @@ from repro.analytics.drift import (
 )
 from repro.analytics.hook import AnalyticsHook
 from repro.analytics.report import render_report, write_priors
-from repro.analytics.shadow import ShadowComparison
 from repro.analytics.stats import CONFIDENCE_SCALE, SourceStats, quantize_confidence
 
 __all__ = [
     "AnalyticsAggregator",
     "AnalyticsConfig",
     "AnalyticsHook",
-    "ShadowComparison",
     "SourceStats",
     "DEFAULT_SOURCE",
     "DRIFT_METRICS",

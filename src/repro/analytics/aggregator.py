@@ -21,10 +21,9 @@ Two properties carry the design:
 * **Deterministic derivation.**  Every float in a snapshot is one division
   over exact integers, so equal streams give equal snapshots.
 
-The same type serves all three deployment layers: the ``repro analyze``
-batch CLI, the live :class:`~repro.analytics.hook.AnalyticsHook` behind
-``GET /stats``, and the blue/green shadow comparison
-(:mod:`repro.analytics.shadow`).
+The same type serves both deployment layers: the ``repro analyze`` batch
+CLI and the live :class:`~repro.analytics.hook.AnalyticsHook` behind
+``GET /stats``.
 """
 
 from __future__ import annotations
@@ -190,7 +189,8 @@ class AnalyticsAggregator:
         Pass ``text`` to have the document scanned for quality metrics
         (length + alphabetical rate); pass only ``chars`` to skip the scan —
         the document still counts everywhere except the alphabetical-rate
-        ratio.
+        ratio.  ``timestamp`` picks the window; a NaN or infinite one raises
+        ``ValueError`` and counts nothing.
         """
         if source is None:
             source = DEFAULT_SOURCE
@@ -219,7 +219,10 @@ class AnalyticsAggregator:
             micro = round((top - runner) / top * CONFIDENCE_SCALE) if top > 0 else 0
         else:  # duck-typed result: fall back to its confidence attribute
             micro = quantize_confidence(result.confidence)
-        bucket = int(timestamp // self._window_seconds)
+        try:
+            bucket = int(timestamp // self._window_seconds)
+        except ValueError:  # NaN, and ±inf, whose floor division is NaN
+            raise ValueError(f"timestamp must be finite, got {timestamp!r}") from None
         if bucket == self._last_bucket and source == self._last_source:
             stats = self._last_stats
         else:

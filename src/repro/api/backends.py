@@ -108,6 +108,14 @@ SPREAD.flags.writeable = False
 #: one piece (1 MB per lane), however large the batch, while 64 long
 #: documents (~95 K n-grams) still count in one block
 LANE_BLOCK_NGRAMS = 1 << 17
+#: the masks :meth:`_MembershipBackend._unpack_words` tests the words
+#: against: entry ``j`` is ``1 << j``, the bit of language ``j``
+WORD_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+WORD_BITS.flags.writeable = False
+#: words per block of :meth:`_MembershipBackend._unpack_words`: the masked
+#: block is one word per language and n-gram (1.3 MB at ten ``uint16``
+#: languages), beside the rows' one byte per language and n-gram
+UNPACK_BLOCK_WORDS = 1 << 16
 
 
 class _MembershipBackend(Backend):
@@ -158,15 +166,19 @@ class _MembershipBackend(Backend):
     def _unpack_words(words: np.ndarray, languages: int) -> np.ndarray:
         """Boolean ``(languages, N)`` matrix whose row ``j`` is bit ``j`` of each word.
 
-        One ``np.unpackbits`` over the words' little-endian bytes gives each
-        word's low ``languages`` bits as an ``(N, languages)`` byte matrix,
-        returned transposed; no word-sized temporary is built.  The byte
-        order is normalised first (free on a little-endian host), so the
-        rows do not depend on it.
+        One mask-and-compare per block of at most :data:`UNPACK_BLOCK_WORDS`
+        words fills the rows: the block against ``1 << j`` for every language
+        ``j`` at once (:data:`WORD_BITS`, in the words' dtype).  The rows are
+        C-contiguous, so a reduction along the n-gram axis reads each
+        language in order, and the masked block bounds the temporary however
+        many words there are.
         """
-        little = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder("<"))
-        word_bytes = little.view(np.uint8).reshape(words.size, little.itemsize)
-        return np.unpackbits(word_bytes, axis=1, count=languages, bitorder="little").view(bool).T
+        bits = WORD_BITS[:languages, None].astype(words.dtype)
+        rows = np.empty((languages, words.size), dtype=bool)
+        for start in range(0, words.size, UNPACK_BLOCK_WORDS):
+            block = slice(start, start + UNPACK_BLOCK_WORDS)
+            np.not_equal(words[block] & bits, 0, out=rows[:, block])
+        return rows
 
 
 def _pack_rows(rows: np.ndarray) -> np.ndarray:

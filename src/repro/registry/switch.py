@@ -13,14 +13,6 @@ rolls the replicas one at a time.  The HTTP tier exposes it as
 
 from __future__ import annotations
 
-import asyncio
-from collections.abc import Sequence
-
-from repro.analytics.shadow import (
-    DEFAULT_MAX_CONFIDENCE_DROP,
-    DEFAULT_MAX_DISAGREEMENT_RATE,
-    ShadowComparison,
-)
 from repro.registry.store import ModelRegistry
 
 __all__ = ["ModelSwitch"]
@@ -42,15 +34,6 @@ class ModelSwitch:
         self.service = service
         self.registry = registry
 
-    @property
-    def current(self) -> dict:
-        """What the service is answering with right now (version may be None)."""
-        return {
-            "version": self.service.model_version,
-            "fingerprint": self.service.describe()["model_fingerprint"],
-            "registry": self.registry.describe(),
-        }
-
     async def swap_to(self, spec: "int | str" = "latest", activate: bool = True) -> dict:
         """Resolve ``spec``, load its artifact, and hot-swap the service onto it.
 
@@ -71,56 +54,4 @@ class ModelSwitch:
         if activate:
             self.registry.set_latest(record)
         report["manifest"] = record.to_json()
-        return report
-
-    async def shadow_compare(
-        self,
-        spec: "int | str",
-        texts: Sequence[str],
-        sources: Sequence[str] | None = None,
-        *,
-        max_disagreement_rate: float = DEFAULT_MAX_DISAGREEMENT_RATE,
-        max_confidence_drop: float = DEFAULT_MAX_CONFIDENCE_DROP,
-    ) -> dict:
-        """Validate a candidate version against the live model on mirrored traffic.
-
-        The candidate-validation-before-cutover step: ``spec`` is resolved and
-        loaded like :meth:`swap_to`, but the service is **not** touched —
-        instead both the live ("blue") identifier and the candidate ("green")
-        classify the same ``texts``, and a
-        :class:`~repro.analytics.shadow.ShadowComparison` turns the paired
-        results into label-disagreement and confidence-delta counters.
-        Returns the comparison report (``recommend_swap`` verdict included)
-        extended with both fingerprints and the candidate's manifest.
-
-        ``sources`` optionally attributes each text to a traffic source so
-        disagreement rates can be localised (``None`` pools everything under
-        the default source).  Both batch classifications run in the default
-        executor so the event loop stays responsive under large mirrors.
-        """
-        record = self.registry.resolve(spec)
-        candidate = self.registry.load(record.version)
-        blue = self.service.identifier
-        texts = list(texts)
-        loop = asyncio.get_running_loop()
-        blue_results = await loop.run_in_executor(None, blue.classify_batch, texts)
-        green_results = await loop.run_in_executor(None, candidate.classify_batch, texts)
-        comparison = ShadowComparison()
-        comparison.update_batch(blue_results, green_results, sources)
-        report = comparison.report(
-            max_disagreement_rate=max_disagreement_rate,
-            max_confidence_drop=max_confidence_drop,
-        )
-        report["blue"] = {
-            "version": self.service.model_version,
-            "fingerprint": self.service.describe()["model_fingerprint"],
-        }
-        report["green"] = {
-            "version": record.name,
-            "fingerprint": record.fingerprint,
-            "manifest": record.to_json(),
-        }
-        report["already_live"] = (
-            record.fingerprint == report["blue"]["fingerprint"]
-        )
         return report

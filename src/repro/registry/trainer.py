@@ -186,31 +186,6 @@ class StreamingTrainer:
         self._documents: dict[str, int] = {}
         self._bytes: dict[str, int] = {}
 
-    # ------------------------------------------------------------ seeding
-
-    @classmethod
-    def resume(
-        cls,
-        identifier,
-        capacity: int | None = None,
-        chunk_ngrams: int = DEFAULT_CHUNK_NGRAMS,
-    ) -> "StreamingTrainer":
-        """Seed a trainer from a trained identifier's profiles.
-
-        The published profiles only retain each language's top-``t`` table, so
-        a resumed trainer continues from that truncated view — counts below
-        the original cut-off are gone.  That is the registry's incremental
-        contract: a child version extends the parent's *profile*, it does not
-        replay the parent's corpus.
-        """
-        trainer = cls(identifier.config, capacity=capacity, chunk_ngrams=chunk_ngrams)
-        for language, profile in identifier.profiles.items():
-            accumulator = trainer._accumulator(language)
-            order = np.argsort(profile.ngrams)
-            accumulator.merge_counts(profile.ngrams[order], profile.counts[order])
-            accumulator.ngrams_total += int(profile.counts.sum())
-        return trainer
-
     # ------------------------------------------------------------ feeding
 
     def _accumulator(self, language: str) -> TopKAccumulator:

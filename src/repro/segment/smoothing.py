@@ -17,7 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["window_emissions", "viterbi_labels"]
+__all__ = ["window_emissions", "viterbi_labels", "DECODE_BLOCK_WINDOWS"]
+
+#: windows per block of the decode: the forward pass turns one block of
+#: emission rows into Python floats at a time, and keeps the steps of every
+#: block but the last as arrays, a quarter of the memory of lists of floats
+#: (one bloom ``segment()`` of a 1 MiB document at window/stride 7/3 decodes
+#: 349,523 windows)
+DECODE_BLOCK_WINDOWS = 1 << 12
 
 
 def window_emissions(counts: np.ndarray) -> np.ndarray:
@@ -41,10 +48,13 @@ def viterbi_labels(counts: np.ndarray, switch_penalty: float = 0.35) -> np.ndarr
     Dynamic program over ``score[w, l] = emission[w, l] + max(score[w-1, l],
     max_l' score[w-1, l'] - switch_penalty)`` — O(windows x languages).  Both
     passes run over Python floats, so a call makes the same few NumPy calls
-    however many windows the document has.  Python floats are IEEE doubles,
-    and each subtraction, comparison and addition is the one a float64 NumPy
-    decode does, in the same order, so the labels are bit-identical to it
-    (``tests/test_properties.py`` keeps that decode as the reference).  Ties
+    however many windows the document has, and a few more per block of
+    :data:`DECODE_BLOCK_WINDOWS` windows past the first.  Python floats are
+    IEEE doubles, and each subtraction, comparison and addition is the one a
+    float64 NumPy decode does, in the same order, so the labels are
+    bit-identical to it (``tests/test_properties.py`` keeps that decode as
+    the reference); a full block's steps go through ``int64`` / ``float64``
+    arrays and back, which is exact.  Ties
     prefer staying in the current language, and the backward pass prefers
     earlier (training-order) languages, mirroring the classifier's
     deterministic tie-break.
@@ -67,23 +77,32 @@ def viterbi_labels(counts: np.ndarray, switch_penalty: float = 0.35) -> np.ndarr
     # a NumPy scalar penalty would turn every step into NumPy scalar
     # arithmetic, in its own dtype (float32 rounds differently)
     penalty = float(switch_penalty)
-    rows = emissions.tolist()
-    score = rows[0]
+    score = emissions[0].tolist()
     # per later window: the best previous language, its score less the
-    # penalty, and the previous scores — enough to replay each backpointer
+    # penalty, and the previous scores — enough to replay each backpointer;
+    # each full block's steps are kept as three arrays
+    blocks = []
     steps = []
-    for row in rows[1:]:
-        best = max(score)
-        best_prev = score.index(best)  # first max: training-order tie-break
-        switched = best - penalty
-        steps.append((best_prev, switched, score))
-        score = [(switched if switched > s else s) + e for s, e in zip(score, row)]
+    for start in range(1, emissions.shape[0], DECODE_BLOCK_WINDOWS):
+        if steps:
+            blocks.append([np.array(column) for column in zip(*steps)])
+            steps = []
+        for row in emissions[start : start + DECODE_BLOCK_WINDOWS].tolist():
+            best = max(score)
+            best_prev = score.index(best)  # first max: training-order tie-break
+            switched = best - penalty
+            steps.append((best_prev, switched, score))
+            score = [(switched if switched > s else s) + e for s, e in zip(score, row)]
     label = score.index(max(score))
     labels = [label]
-    for best_prev, switched, previous in reversed(steps):
-        if switched > previous[label]:  # strict: ties keep the current language
-            label = best_prev
-        labels.append(label)
+    while True:
+        for best_prev, switched, previous in reversed(steps):
+            if switched > previous[label]:  # strict: ties keep the current language
+                label = best_prev
+            labels.append(label)
+        if not blocks:
+            break
+        steps = list(zip(*(column.tolist() for column in blocks.pop())))
     labels.reverse()
     return np.asarray(labels, dtype=np.int64)
 

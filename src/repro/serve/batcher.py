@@ -9,6 +9,15 @@ engine always receives the largest batch available.  A flush fires when either
 * the oldest pending request has waited ``max_delay`` seconds (the deadline
   trigger — bounded latency at low load).
 
+The deadline is a floor, not a bound: a partial batch flushes at the first
+event-loop wake at or after it.  asyncio's epoll selector rounds every wait
+up to a whole millisecond, and each submission re-arms the flusher's wait,
+so a request can wait up to ~1 ms past ``max_delay``: with a 2 ms deadline
+on a 2-core x86 VM, a lone request's batch flushed at a median 2.25 ms, and
+the oldest of two waited 2.33 / 2.55 / 2.85 ms when the second arrived
+0.1 / 0.3 / 0.6 ms after it.  The ROADMAP plans to delete the deadline
+(*Serve like the paper's asynchronous driver*).
+
 Backpressure is explicit: :meth:`MicroBatcher.submit_nowait` raises
 :class:`~repro.serve.errors.ServiceOverloadedError` once ``max_pending``
 requests are queued instead of buffering without bound.
@@ -41,8 +50,9 @@ class MicroBatcher:
     max_batch:
         Flush as soon as this many items are pending.
     max_delay:
-        Seconds the oldest pending item may wait before a partial batch is
-        flushed anyway.
+        Seconds the oldest pending item waits before a partial batch is
+        flushed anyway; the flush comes at the first loop wake at or after
+        that, up to ~1 ms later (see the module docstring).
     max_pending:
         Bound on the queue; further submissions are rejected with
         :class:`ServiceOverloadedError` until the backlog drains.
@@ -108,8 +118,10 @@ class MicroBatcher:
     def oldest_wait_seconds(self) -> float:
         """How long the oldest queued item has waited (0.0 when idle).
 
-        A saturation signal for health checks: a wait approaching
+        A saturation signal for health checks: a wait well past
         ``max_delay`` under a deep queue means the flusher cannot keep up.
+        At light load it reads up to ~1 ms past ``max_delay`` (see the
+        module docstring).
         """
         if not self._pending:
             return 0.0
@@ -139,9 +151,10 @@ class MicroBatcher:
                 await self._wakeup.wait()
                 continue
             # First item of the next batch is in; hold the flush open until the
-            # batch fills or the *oldest item's* deadline passes, so no request
-            # ever waits longer than max_delay however late the flusher woke
-            # (closing skips the wait so shutdown drains at full speed).
+            # batch fills or the *oldest item's* deadline passes (closing skips
+            # the wait so shutdown drains at full speed).  The flush comes at
+            # the first wake at or after the deadline, so the oldest request
+            # can wait up to ~1 ms past max_delay (see the module docstring).
             deadline = self._pending[0][2] + self.max_delay
             while len(self._pending) < self.max_batch and not self._closed:
                 remaining = deadline - time.monotonic()

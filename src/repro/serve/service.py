@@ -64,8 +64,11 @@ class ServeConfig:
     max_batch:
         Largest batch handed to ``classify_batch`` (the size flush trigger).
     max_delay_ms:
-        Longest a request may wait for its batch to fill (the deadline flush
-        trigger); the knee of the latency/throughput trade-off.
+        How long a request waits for its batch to fill before the deadline
+        flush (the knee of the latency/throughput trade-off).  The flush
+        comes at the first event-loop wake at or after the deadline, up to
+        ~1 ms later (:mod:`repro.serve.batcher`); the ROADMAP plans to delete
+        the deadline.
     replicas:
         Number of independent model replicas classifying concurrently; must
         be 1 for the thread executor.
@@ -593,7 +596,9 @@ class ClassificationService:
         queue depth (total and per replica), how long the oldest queued
         request has waited, and per-worker replica liveness — so saturation
         and a dying worker fleet are visible *before* overload rejections or
-        crashed batches start.
+        crashed batches start.  ``oldest_wait_ms`` up to ~1 ms above
+        ``max_delay_ms`` is normal at light load: the deadline flush waits
+        for the next event-loop wake.
         """
         snapshot = self.metrics.snapshot()
         info = {

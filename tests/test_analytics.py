@@ -16,7 +16,6 @@ from repro.analytics import (
     DEFAULT_SOURCE,
     AnalyticsAggregator,
     AnalyticsConfig,
-    ShadowComparison,
     compare_windows,
     count_letters,
     jensen_shannon_divergence,
@@ -230,6 +229,14 @@ class TestAggregator:
         assert agg.archive["s"].docs_total == 3  # pruned windows age into it
         assert agg.docs_total == agg.sources["s"].docs_total == 6
 
+    @pytest.mark.parametrize("timestamp", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamp_raises_and_counts_nothing(self, timestamp):
+        agg = AnalyticsAggregator()
+        agg.update(make_result("en"), "s", timestamp=0.0, text="hello")
+        before = agg.snapshot()
+        with pytest.raises(ValueError, match=f"timestamp must be finite, got {timestamp!r}"):
+            agg.update(make_result("fr"), "s", timestamp=timestamp, text="bonjour")
+        assert agg.snapshot() == before
 
     def test_drift_needs_two_windows(self):
         agg = AnalyticsAggregator()
@@ -300,46 +307,6 @@ class TestAggregator:
             AnalyticsConfig(drift_metric="nope")
         with pytest.raises(ValueError):
             AnalyticsConfig(min_window_docs=0)
-
-
-# -- shadow comparison -------------------------------------------------------------
-
-
-class TestShadowComparison:
-    def test_agreeing_models_recommend_swap(self):
-        shadow = ShadowComparison()
-        for _ in range(50):
-            shadow.update(make_result("en", 0.6), make_result("en", 0.62))
-        report = shadow.report()
-        assert report["disagreements"] == 0
-        assert report["recommend_swap"] is True
-        assert report["mean_confidence_delta"] == pytest.approx(0.02)
-
-    def test_disagreement_and_confidence_drop_block_swap(self):
-        shadow = ShadowComparison()
-        for _ in range(9):
-            shadow.update(make_result("en", 0.8), make_result("en", 0.8), "a")
-        shadow.update(make_result("en", 0.8), make_result("fr", 0.8), "b")
-        report = shadow.report(max_disagreement_rate=0.05)
-        assert report["disagreement_rate"] == pytest.approx(0.1)
-        assert report["recommend_swap"] is False
-        assert report["top_flips"][0] == {"blue": "en", "green": "fr", "count": 1}
-        assert report["sources"]["b"]["disagreement_rate"] == 1.0
-
-        drop = ShadowComparison()
-        for _ in range(10):
-            drop.update(make_result("en", 0.9), make_result("en", 0.5))
-        assert drop.report(max_confidence_drop=0.1)["recommend_swap"] is False
-
-    def test_empty_comparison_never_recommends(self):
-        assert ShadowComparison().report()["recommend_swap"] is False
-
-    def test_update_batch_validates_lengths(self):
-        shadow = ShadowComparison()
-        with pytest.raises(ValueError, match="lengths differ"):
-            shadow.update_batch([make_result()], [])
-        with pytest.raises(ValueError, match="sources"):
-            shadow.update_batch([make_result()], [make_result()], sources=["a", "b"])
 
 
 # -- report / priors artifacts -----------------------------------------------------

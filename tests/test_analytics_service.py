@@ -3,8 +3,7 @@
 Covers the :class:`~repro.analytics.hook.AnalyticsHook` (quality sampling,
 edge-triggered alarm logging), the ``GET /stats`` endpoint and the analytics /
 cache / uptime gauges in ``GET /metrics`` + ``GET /healthz`` over a real
-loopback server, and :meth:`~repro.registry.switch.ModelSwitch.shadow_compare`
-candidate validation against a live service.
+loopback server.
 """
 
 import asyncio
@@ -16,22 +15,17 @@ from repro.analytics import DEFAULT_SOURCE, AnalyticsConfig, AnalyticsHook
 from repro.analytics.hook import MAX_SOURCE_LENGTH, MAX_SOURCES, OVERFLOW_SOURCE
 from repro.api import ClassifierConfig, LanguageIdentifier
 from repro.corpus.corpus import build_jrc_acquis_like
-from repro.registry import ModelRegistry, ModelSwitch
 from repro.serve import ClassificationService, ServeConfig, serve_http
 
 CONFIG = ClassifierConfig(m_bits=8 * 1024, k=4, t=1200, seed=1)
 
 
-def _train(seed: int) -> LanguageIdentifier:
-    corpus = build_jrc_acquis_like(
-        ["en", "fr", "es"], docs_per_language=8, words_per_document=150, seed=seed
-    )
-    return LanguageIdentifier(CONFIG).train(corpus)
-
-
 @pytest.fixture(scope="module")
 def identifier():
-    return _train(23)
+    corpus = build_jrc_acquis_like(
+        ["en", "fr", "es"], docs_per_language=8, words_per_document=150, seed=23
+    )
+    return LanguageIdentifier(CONFIG).train(corpus)
 
 
 def make_result(language="en", confidence=0.5, ngrams=40):
@@ -309,58 +303,3 @@ class TestStatsEndpoint:
         assert health["analytics"] is True
         assert health["uptime_seconds"] > 0
         assert health["requests_per_second"] > 0
-
-
-# -- blue/green shadow comparison --------------------------------------------------
-
-
-class TestShadowCompare:
-    def test_candidate_validation_over_mirrored_traffic(self, identifier, tmp_path):
-        candidate = _train(41)
-        registry = ModelRegistry(tmp_path / "registry")
-        record = registry.publish(candidate)
-        corpus = build_jrc_acquis_like(
-            ["en", "fr", "es"], docs_per_language=3, words_per_document=80, seed=99
-        )
-        texts = [doc.text[:300] for doc in corpus.documents]
-        sources = [doc.language for doc in corpus.documents]
-
-        async def main():
-            service = ClassificationService(
-                identifier, ServeConfig(max_delay_ms=1.0), model_version="blue"
-            )
-            async with service:
-                switch = ModelSwitch(service, registry)
-                return await switch.shadow_compare(record.name, texts, sources)
-
-        report = asyncio.run(main())
-        assert report["docs"] == len(texts)
-        assert report["blue"]["version"] == "blue"
-        assert report["green"]["version"] == record.name
-        assert report["green"]["fingerprint"] == record.fingerprint
-        assert report["already_live"] is False
-        assert set(report["sources"]) <= {"en", "fr", "es"}
-        assert isinstance(report["recommend_swap"], bool)
-        # the verdict is consistent with its own counters and ceilings
-        expected = (
-            report["disagreement_rate"] <= report["max_disagreement_rate"]
-            and report["mean_confidence_delta"] >= -report["max_confidence_drop"]
-        )
-        assert report["recommend_swap"] is expected
-
-    def test_identical_candidate_recommends_swap_trivially(self, identifier, tmp_path):
-        registry = ModelRegistry(tmp_path / "registry")
-        record = registry.publish(identifier)
-        texts = ["the quick brown fox jumps over the lazy dog"] * 3
-
-        async def main():
-            service = ClassificationService(identifier, ServeConfig(max_delay_ms=1.0))
-            async with service:
-                switch = ModelSwitch(service, registry)
-                return await switch.shadow_compare(record.name, texts)
-
-        report = asyncio.run(main())
-        assert report["already_live"] is True
-        assert report["disagreements"] == 0
-        assert report["mean_confidence_delta"] == pytest.approx(0.0)
-        assert report["recommend_swap"] is True

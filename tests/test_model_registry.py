@@ -4,7 +4,7 @@ Covers the durability contract of :class:`~repro.registry.store.ModelRegistry`
 (atomic publish, latest pointer, lineage, gc), and the streaming-training
 equivalence guarantees of :class:`~repro.registry.trainer.StreamingTrainer`
 (exact match to batch training when the accumulator never prunes, observable
-error bounds when it does, resume/extend for child versions).
+error bounds when it does, extend for child versions).
 """
 
 import json
@@ -160,12 +160,6 @@ class TestStreamingTrainer:
         reference = both.feed(corpus_b).build()
         assert model_fingerprint(extended) == model_fingerprint(reference)
 
-    def test_resume_seeds_from_published_profiles(self, batch_model, corpus_b):
-        trainer = StreamingTrainer.resume(batch_model, capacity=1_000_000)
-        child = trainer.extend(corpus_b)
-        assert child.languages == batch_model.languages
-        assert model_fingerprint(child) != model_fingerprint(batch_model)
-
     def test_stats_shape(self, corpus):
         trainer = StreamingTrainer(CONFIG, capacity=1_000_000)
         trainer.feed(corpus)
@@ -226,19 +220,21 @@ class TestModelRegistry:
         served = loaded.classify_batch(texts)
         assert [r.match_counts for r in served] == [r.match_counts for r in direct]
 
-    def test_versions_are_monotonic_with_lineage(self, tmp_path, batch_model, corpus_b):
+    def test_versions_are_monotonic_with_lineage(self, tmp_path, corpus, corpus_b):
         registry = ModelRegistry(tmp_path / "registry")
-        v1 = registry.publish(batch_model)
-        child_model = StreamingTrainer.resume(batch_model).extend(corpus_b)
+        trainer = StreamingTrainer(CONFIG).feed(corpus)
+        v1 = registry.publish(trainer.build())
+        child_model = trainer.extend(corpus_b)
         v2 = registry.publish(child_model, parent=v1.version)
         assert [record.name for record in registry.list()] == ["v000001", "v000002"]
         assert v2.parent == "v000001"
         assert registry.latest().version == 2
 
-    def test_publish_without_activate_keeps_latest(self, tmp_path, batch_model, corpus_b):
+    def test_publish_without_activate_keeps_latest(self, tmp_path, corpus, corpus_b):
         registry = ModelRegistry(tmp_path / "registry")
-        registry.publish(batch_model)
-        candidate = StreamingTrainer.resume(batch_model).extend(corpus_b)
+        trainer = StreamingTrainer(CONFIG).feed(corpus)
+        registry.publish(trainer.build())
+        candidate = trainer.extend(corpus_b)
         record = registry.publish(candidate, activate=False)
         assert record.version == 2
         assert registry.latest().version == 1

@@ -317,6 +317,9 @@ def language_words(draw):
 @example((np.full(3, 2**64 - 1, dtype=np.uint64), 64))  # every bit of the widest word
 @example((np.arange(256, dtype=np.uint8), 8))
 @example(((np.arange(256, dtype=np.uint16) << np.uint16(8)).astype(">u2"), 16))  # big-endian
+@example(  # more words than one block
+    (np.random.default_rng(0).integers(0, 1 << 10, 70_000, dtype=np.uint16), 10)
+)
 @settings(max_examples=150, deadline=None)
 def test_unpack_words_matches_the_row_at_a_time_reference(case):
     from repro.api.backends import _MembershipBackend
@@ -325,6 +328,7 @@ def test_unpack_words_matches_the_row_at_a_time_reference(case):
     rows = _MembershipBackend._unpack_words(words, languages)
     assert rows.shape == (languages, words.size)
     assert rows.dtype == np.bool_
+    assert rows.flags.c_contiguous
     np.testing.assert_array_equal(rows, _unpack_words_by_row(words, languages))
 
 
@@ -702,11 +706,24 @@ def window_count_matrices(draw):
     return draw(arrays(dtype, shape, elements=elements))
 
 
+def _switching_counts(windows: int, seed: int) -> np.ndarray:
+    """(windows, 10) tie-heavy counts whose leading language changes every 40 windows."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 4, (windows, 10))
+    leaders = np.repeat(rng.integers(0, 10, windows // 40 + 1), 40)[:windows]
+    counts[np.arange(windows), leaders] += 3
+    return counts
+
+
 @given(window_count_matrices(), st.sampled_from([0.0, 0.35, 2.5, float("inf")]))
 @example(np.zeros((0, 3), dtype=np.int64), 0.35)  # no windows
 @example(np.asarray([[3, 1, 3]]), 0.35)  # one window, tied
 @example(np.asarray([[2], [0], [5]]), 0.35)  # one language
 @example(np.zeros((6, 4), dtype=np.int64), 0.35)  # no evidence anywhere
+# one full block of windows, one window past it, and two blocks and a part
+@example(_switching_counts(4_096, seed=1), 0.35)
+@example(_switching_counts(4_097, seed=2), 0.0)
+@example(_switching_counts(9_000, seed=3), 0.35)
 @settings(max_examples=200, deadline=None)
 def test_viterbi_labels_match_the_numpy_reference(counts, switch_penalty):
     from repro.segment.smoothing import viterbi_labels
